@@ -2,11 +2,11 @@
 
 One command per invocation; structured reports in a human or a machine
 rendering (one record per line, key=value pairs, rationals as p/q). The
-exit status is nonzero exactly when some asserted check fails.
+exit status is 0 when every asserted check passes, 1 when one fails, 2 on
+bad input and 3 when a cylinder depth budget is exceeded.
 """
 
 import argparse
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +19,9 @@ from .boundary import (
     splice,
 )
 from .config import ConfigError, default_config, load_config
-from .engine import CylFn, MAmbient, freeness_check, haar_check
+from .engine import (
+    CylFn, DepthBudgetExceeded, MAmbient, freeness_check, haar_check,
+)
 from .fmalg import is_ergodic, join, modular_scale
 from .matrix import (
     bracket_law_report, covariance_report, family_freeness_report,
@@ -204,13 +206,8 @@ def cmd_haar(args, config):
     expr = dsl.parse(" ".join(args.expr), config)
     kind, context = _context_for(expr, config)
     element = dsl.evaluate(expr, context)
-    if kind == "boundary":
-        ambient = MAmbient(context.product)
-        unit = None
-    else:
-        ambient = MAmbient(context.model.product)
-        unit = context.model.corner_identity()
-    report = haar_check(ambient, element, args.kmax, unit=unit)
+    unit = context.model.corner_identity() if kind == "corner" else None
+    report = haar_check(context, element, args.kmax, unit=unit)
     return [Record("haar", [
         ("expr", dsl.machine_text(expr)),
         ("kmax", str(args.kmax)),
@@ -461,8 +458,6 @@ def build_parser():
                         help="override the word-length window")
     parser.add_argument("--depth", type=int,
                         help="override the boundary depth budget")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("measure", help="exact cylinder measure")
@@ -496,14 +491,14 @@ def main(argv=None):
             config.max_len = args.max_len
         if args.depth is not None:
             config.depth = args.depth
-        random.seed(args.seed)
         records = COMMANDS[args.command](args, config)
-    except (ConfigError, dsl.DslError, OSError) as exc:
+    except (OSError, ValueError, AssertionError) as exc:
+        # ConfigError and DslError are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, AssertionError) as exc:
+    except DepthBudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 3
     emit(records, args.format)
     return 0 if all(record.ok is not False for record in records) else 1
 

@@ -116,7 +116,7 @@ def parse_config(text):
             raise ConfigError("need one weight per base point")
         try:
             base = FiniteBase(points, weights)
-        except AssertionError as exc:
+        except ValueError as exc:
             raise ConfigError("bad state: %s" % exc) from exc
     else:
         base = FiniteBase.uniform(points)

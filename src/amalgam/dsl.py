@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .boundary import Cylinder
-from .engine import CrossedFace, CylFn
+from .engine import CrossedFace, CylFn, MAmbient
 from .words import ReducedWord
 
 
@@ -376,23 +376,8 @@ def evaluate(expr, context):
     return context.atom(expr)
 
 
-class BoundaryContext:
+class BoundaryContext(MAmbient):
     """Evaluates into the two-face boundary free product."""
-
-    def __init__(self, product):
-        self.product = product
-
-    def one(self):
-        return self.product.one()
-
-    def mul(self, x, y):
-        return x * y
-
-    def adjoint(self, x):
-        return x.adjoint()
-
-    def expect(self, x):
-        return x.d_part
 
     def atom(self, node):
         if isinstance(node, CylinderAtom):
@@ -408,49 +393,26 @@ class BoundaryContext:
         raise DslError("corner atom in a boundary expression")
 
 
-class CrossedContext:
+class CrossedContext(CrossedFace):
     """Evaluates into the one-face crossed algebra; the oracle route."""
 
     def __init__(self, alphabet, budget):
-        self.face = CrossedFace("M", alphabet, None, budget)
-
-    def one(self):
-        return self.face.one()
-
-    def mul(self, x, y):
-        return self.face.mul(x, y)
-
-    def adjoint(self, x):
-        return self.face.adjoint(x)
-
-    def expect(self, x):
-        return self.face.expect(x)
+        super().__init__("M", alphabet, None, budget)
 
     def atom(self, node):
         if isinstance(node, CylinderAtom):
-            return self.face.embed_d(CylFn.indicator(node.cylinder))
+            return self.embed_d(CylFn.indicator(node.cylinder))
         if isinstance(node, WordAtom):
-            return self.face.unitary(node.word)
+            return self.unitary(node.word)
         raise DslError("corner atom in a boundary expression")
 
 
-class CornerContext:
+class CornerContext(MAmbient):
     """Evaluates into the amplified corner model."""
 
     def __init__(self, model):
+        super().__init__(model.product)
         self.model = model
-
-    def one(self):
-        return self.model.product.one()
-
-    def mul(self, x, y):
-        return x * y
-
-    def adjoint(self, x):
-        return x.adjoint()
-
-    def expect(self, x):
-        return x.d_part
 
     def atom(self, node):
         model = self.model

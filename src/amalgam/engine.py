@@ -112,10 +112,6 @@ class CylFn:
                 return v
         return QC(0)
 
-    def expectation(self):
-        # already diagonal; present so D elements share the face interface
-        return self
-
     def __eq__(self, other):
         if not isinstance(other, CylFn):
             return NotImplemented
@@ -168,6 +164,46 @@ def cylfn_gap(u: CylFn, v: CylFn) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the algebra protocol: faces, the full-group oracle and the free product
+
+class Algebra:
+    """An algebra with a conditional expectation onto the diagonal D.
+
+    Subclasses give one(), expect(x) and embed_d(d); the remaining
+    operations default to the elements' own operators.
+    """
+
+    def mul(self, x, y):
+        return x * y
+
+    def add(self, x, y):
+        return x + y
+
+    def neg(self, x):
+        return -x
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def adjoint(self, x):
+        return x.adjoint()
+
+    def is_zero(self, x):
+        return x.is_zero()
+
+    def equal(self, x, y):
+        return x == y
+
+    def split(self, x):
+        """(E(x), x - E(x)): the diagonal part and the centered rest."""
+        d = self.expect(x)
+        return d, self.sub(x, self.embed_d(d))
+
+    def center(self, x):
+        return self.split(x)[1]
+
+
+# ---------------------------------------------------------------------------
 # crossed product of the boundary action (full group or one block)
 
 class CrossedElement:
@@ -196,7 +232,7 @@ class CrossedElement:
         return " + ".join(bits)
 
 
-class CrossedFace:
+class CrossedFace(Algebra):
     """Crossed product face; block None means the full group (oracle side)."""
 
     def __init__(self, tag, alphabet, block=None, budget=6):
@@ -260,9 +296,6 @@ class CrossedFace:
     def neg(self, x):
         return CrossedElement(self.alphabet, {w: -fn for w, fn in x.terms.items()})
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def adjoint(self, x):
         out = {}
         for g, f in x.terms.items():
@@ -271,9 +304,6 @@ class CrossedFace:
 
     def is_zero(self, x):
         return not x.terms
-
-    def equal(self, x, y):
-        return x == y
 
     def right_support(self, x) -> CylFn:
         """Smallest diagonal projection q with x q = x."""
@@ -298,7 +328,7 @@ def _diagonal_relation(base):
     return _DIAG_CACHE[base]
 
 
-class FMFace:
+class FMFace(Algebra):
     """Face backed by a finite measured-relation algebra."""
 
     def __init__(self, tag, relation: FiniteRelation):
@@ -323,27 +353,6 @@ class FMFace:
 
     def expect(self, x: FMElement) -> FMElement:
         return x.expectation().cast(self.drel)
-
-    def mul(self, x, y):
-        return x * y
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def sub(self, x, y):
-        return x - y
-
-    def adjoint(self, x):
-        return x.adjoint()
-
-    def is_zero(self, x):
-        return x.is_zero()
-
-    def equal(self, x, y):
-        return x == y
 
     def right_support(self, x) -> FMElement:
         return x.right_support().cast(self.drel)
@@ -494,8 +503,7 @@ class FreeProduct:
     def embed(self, tag, x) -> MElement:
         """A raw face element as an MElement: expectation plus centered rest."""
         face = self.faces[tag]
-        d = face.expect(x)
-        centered = face.sub(x, face.embed_d(d))
+        d, centered = face.split(x)
         words = () if face.is_zero(centered) else \
             (MWord((CenteredLetter(tag, centered),)),)
         return MElement(self, d, words)
@@ -563,9 +571,7 @@ class FreeProduct:
             seamed = (CenteredLetter(b.tag, tightened),) + right[1:]
             return self.d_zero(), [MWord(left + seamed)]
         face = self.faces[a.tag]
-        merged = face.mul(a.value, b.value)
-        d = face.expect(merged)
-        centered = face.sub(merged, face.embed_d(d))
+        d, centered = face.split(face.mul(a.value, b.value))
         d_total, words = self.d_zero(), []
         if not face.is_zero(centered):
             mid = CenteredLetter(a.tag, centered)
@@ -638,7 +644,7 @@ class FreeProduct:
         for i in range(known_centered, m):
             tag_i, x_i = seq[i]
             face_i = self.faces[tag_i]
-            d_i = face_i.expect(x_i)
+            d_i, centered = face_i.split(x_i)
             if not d_i.is_zero() and i < m - 1:
                 tag_n, x_n = seq[i + 1]
                 face_n = self.faces[tag_n]
@@ -657,7 +663,6 @@ class FreeProduct:
                             total = total + self._expect(rest, i - 1)
             # the i == m-1 diagonal branch is a centered alternating word
             # times a diagonal on the right: its expectation vanishes
-            centered = face_i.sub(x_i, face_i.embed_d(d_i))
             if face_i.is_zero(centered):
                 return total  # later branches all contain this zero letter
             centered_prefix.append((tag_i, centered))
@@ -689,6 +694,22 @@ class FreeProduct:
         return True
 
 
+class MAmbient(Algebra):
+    """The free product itself as an algebra over D, for MElements."""
+
+    def __init__(self, product: FreeProduct):
+        self.product = product
+
+    def one(self):
+        return self.product.one()
+
+    def expect(self, x):
+        return x.d_part
+
+    def embed_d(self, d):
+        return self.product.from_d(d)
+
+
 # ---------------------------------------------------------------------------
 # checks shared by all backends
 
@@ -714,19 +735,19 @@ class FreenessReport:
         return not self.violations
 
 
-def freeness_check(ambient, families, max_len, note="") -> FreenessReport:
+def freeness_check(algebra, families, max_len, note="") -> FreenessReport:
     """Test that alternating centered words across families have zero
     expectation, for every word of length 2..max_len with letters drawn
     from the given family generator lists.
     """
-    centered = [[ambient.center(x) for x in fam] for fam in families]
+    centered = [[algebra.center(x) for x in fam] for fam in families]
     report = FreenessReport(max_len=max_len, note=note)
 
     def extend(path, value):
         length = len(path)
         if length >= 2:
             report.words_checked += 1
-            got = ambient.expect(value)
+            got = algebra.expect(value)
             if not got.is_zero():
                 report.violations.append(
                     FreenessViolation(tuple(p for p, _ in path),
@@ -738,7 +759,7 @@ def freeness_check(ambient, families, max_len, note="") -> FreenessReport:
             if f_index == last:
                 continue
             for e_index, x in enumerate(fam):
-                nxt = x if value is None else ambient.mul(value, x)
+                nxt = x if value is None else algebra.mul(value, x)
                 extend(path + [(f_index, e_index)], nxt)
 
     extend([], None)
@@ -756,98 +777,22 @@ class HaarReport:
         return self.unitary_ok and not self.failed_exponents
 
 
-def haar_check(ambient, u, max_k, unit=None) -> HaarReport:
+def haar_check(algebra, u, max_k, unit=None) -> HaarReport:
     """Unitarity against the given unit, then vanishing of all moments
     u^k for 0 < |k| <= max_k.
     """
-    unit = ambient.one() if unit is None else unit
-    u_star = ambient.adjoint(u)
-    unitary_ok = ambient.equal(ambient.mul(u, u_star), unit) and \
-        ambient.equal(ambient.mul(u_star, u), unit)
+    unit = algebra.one() if unit is None else unit
+    u_star = algebra.adjoint(u)
+    unitary_ok = algebra.equal(algebra.mul(u, u_star), unit) and \
+        algebra.equal(algebra.mul(u_star, u), unit)
     report = HaarReport(max_k=max_k, unitary_ok=unitary_ok)
     for base, sign in ((u, 1), (u_star, -1)):
         power = base
         for k in range(1, max_k + 1):
-            if not ambient.expect(power).is_zero():
+            if not algebra.expect(power).is_zero():
                 report.failed_exponents.append(sign * k)
             if k < max_k:
-                power = ambient.mul(power, base)
+                power = algebra.mul(power, base)
     report.failed_exponents.sort()
     return report
 
-
-# ambient adapters ----------------------------------------------------------
-
-class FMAmbient:
-    """One finite measured-relation algebra as a freeness/haar ambient."""
-
-    def __init__(self, relation):
-        self.face = FMFace("M", relation)
-
-    def one(self):
-        return self.face.one()
-
-    def mul(self, x, y):
-        return x * y
-
-    def adjoint(self, x):
-        return x.adjoint()
-
-    def expect(self, x):
-        return self.face.expect(x)
-
-    def center(self, x):
-        return x - self.face.embed_d(self.face.expect(x))
-
-    def equal(self, x, y):
-        return x == y
-
-
-class CrossedAmbient:
-    """The full-group crossed product as a freeness/haar ambient."""
-
-    def __init__(self, alphabet, budget=6):
-        self.face = CrossedFace("M", alphabet, None, budget)
-
-    def one(self):
-        return self.face.one()
-
-    def mul(self, x, y):
-        return self.face.mul(x, y)
-
-    def adjoint(self, x):
-        return self.face.adjoint(x)
-
-    def expect(self, x):
-        return self.face.expect(x)
-
-    def center(self, x):
-        return self.face.sub(x, self.face.embed_d(self.face.expect(x)))
-
-    def equal(self, x, y):
-        return x == y
-
-
-class MAmbient:
-    """The free product itself as a freeness/haar ambient for MElements."""
-
-    def __init__(self, product: FreeProduct):
-        self.product = product
-
-    def one(self):
-        return self.product.one()
-
-    def mul(self, x, y):
-        return x * y
-
-    def adjoint(self, x):
-        return x.adjoint()
-
-    def expect(self, x):
-        return x.d_part
-
-    def center(self, x):
-        return x - self.product.from_d(x.d_part)
-
-    def equal(self, x, y):
-        return x == y

@@ -28,11 +28,15 @@ class FiniteBase:
     weights: tuple
 
     def __post_init__(self):
-        assert len(self.points) == len(set(self.points)), "duplicate point"
-        assert len(self.weights) == len(self.points)
+        if len(self.points) != len(set(self.points)):
+            raise ValueError("duplicate point")
+        if len(self.weights) != len(self.points):
+            raise ValueError("need one weight per point")
         for q in self.weights:
-            assert isinstance(q, Fraction) and q > 0, "weights must be positive rationals"
-        assert sum(self.weights) == 1, "weights must sum to 1"
+            if not (isinstance(q, Fraction) and q > 0):
+                raise ValueError("weights must be positive rationals")
+        if sum(self.weights) != 1:
+            raise ValueError("weights must sum to 1")
 
     @staticmethod
     def uniform(points):

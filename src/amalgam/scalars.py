@@ -103,10 +103,6 @@ class QC:
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 
 
-ZERO = QC(0)
-ONE = QC(1)
-
-
 def conj(value):
     """Conjugate a scalar of any accepted kind."""
     if isinstance(value, QC):

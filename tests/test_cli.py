@@ -1,12 +1,17 @@
 """Expression language round trips, config parsing, CLI exit codes."""
 
+import os
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amalgam
 from amalgam import dsl
 from amalgam.boundary import Cylinder
 from amalgam.cli import main
@@ -233,12 +238,22 @@ def test_oracle_agrees(capsys):
     code, out, _ = run(capsys, "--format", "machine", "oracle", "O(a) a b a'")
     assert code == 0
     assert "ok=yes" in out
+    assert out.strip() == \
+        "record=oracle expr=O(a).a.b.a' engine=0 oracle=0 ok=yes"
 
 
 def test_haar_pass_and_fail(capsys):
     code, out, _ = run(capsys, "--format", "machine", "haar", "a b", "3")
     assert code == 0 and "failed_exponents=none" in out
     code, out, _ = run(capsys, "--format", "machine", "haar", "O(a)", "1")
+    assert code == 1
+    assert "unitary=no" in out and "ok=no" in out
+    code, out, _ = run(capsys, "--format", "machine", "haar",
+                       "A[e]{1,3} B[u^-2]{3,1}", "4")
+    assert code == 0
+    assert out.strip() == "record=haar expr=A[e]{1,3}.B[u^-2]{3,1} kmax=4 " \
+        "unitary=yes failed_exponents=none ok=yes"
+    code, out, _ = run(capsys, "--format", "machine", "haar", "A[e]{1,2}", "2")
     assert code == 1
     assert "unitary=no" in out and "ok=no" in out
 
@@ -265,6 +280,26 @@ def test_error_exits_with_two(capsys, tmp_path):
     bad.write_text("[limits]\nbogus = 3\n")
     assert run(capsys, "--config", str(bad), "join")[0] == 2
     assert run(capsys, "--config", str(tmp_path / "missing.cfg"), "join")[0] == 2
+
+
+def test_depth_budget_exits_with_three(capsys):
+    code, out, err = run(capsys, "--depth", "2", "moment", "O(a b a) a")
+    assert code == 3 and out == ""
+    assert err == "error: cylinder depth 3 exceeds budget 2\n"
+
+
+def test_bad_state_rejected_without_asserts(tmp_path):
+    # validation must not rest on assert, which python -O strips
+    path = tmp_path / "heavy.cfg"
+    path.write_text("[base]\npoints = p q r\n[state]\nweights = 5 5 1\n")
+    src = Path(amalgam.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "amalgam.cli", "--config", str(path),
+         "ergodic"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_custom_config_changes_alphabet(capsys, tmp_path):

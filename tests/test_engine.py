@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from amalgam.boundary import Cylinder
 from amalgam.engine import (
-    CrossedAmbient, CrossedFace, CylFn, DepthBudgetExceeded, FMAmbient,
-    FMFace, FreeProduct, MAmbient, cylfn_gap, freeness_check, haar_check,
+    CrossedFace, CylFn, DepthBudgetExceeded, FMFace, FreeProduct, MAmbient,
+    cylfn_gap, freeness_check, haar_check,
 )
 from amalgam.fmalg import FMElement, FiniteBase, FiniteRelation
 from amalgam.scalars import QC
@@ -293,7 +293,7 @@ def test_same_face_twice_is_not_free():
     base2 = FiniteBase.uniform(("x", "y"))
     full = FiniteRelation.full(base2)
     flip = FMElement(full, {("x", "y"): QC(1), ("y", "x"): QC(1)})
-    report = freeness_check(FMAmbient(full), [[flip], [flip]], max_len=2)
+    report = freeness_check(FMFace("M", full), [[flip], [flip]], max_len=2)
     assert not report.passed
     violation = report.violations[0]
     assert violation.value == FMElement.one(full).expectation().cast(violation.value.relation) \
@@ -302,12 +302,12 @@ def test_same_face_twice_is_not_free():
 
 def test_declared_free_product_faces_are_free():
     product = boundary_product(budget=16)
-    ambient = CrossedAmbient(AB, budget=16)
+    ambient = CrossedFace("M", AB, None, budget=16)
     families = [
-        [ambient.face.unitary(w("a")), ambient.face.unitary(w("a a")),
-         ambient.face.element({w("a"): indicator("b")})],
-        [ambient.face.unitary(w("b")),
-         ambient.face.element({w("b'"): indicator("a")})],
+        [ambient.unitary(w("a")), ambient.unitary(w("a a")),
+         ambient.element({w("a"): indicator("b")})],
+        [ambient.unitary(w("b")),
+         ambient.element({w("b'"): indicator("a")})],
     ]
     report = freeness_check(ambient, families, max_len=4)
     assert report.passed
@@ -336,7 +336,7 @@ def test_haar_check_boundary_generator():
 def test_haar_check_rejects_identity_and_periodic():
     base3 = FiniteBase.uniform(("x", "y", "z"))
     full3 = FiniteRelation.full(base3)
-    ambient = FMAmbient(full3)
+    ambient = FMFace("M", full3)
     cycle = FMElement(full3, {("y", "x"): QC(1), ("z", "y"): QC(1), ("x", "z"): QC(1)})
     assert haar_check(ambient, cycle, max_k=2).passed
     report = haar_check(ambient, cycle, max_k=3)
@@ -349,5 +349,5 @@ def test_haar_check_demands_unitarity():
     base2 = FiniteBase.uniform(("x", "y"))
     full = FiniteRelation.full(base2)
     shift = FMElement.unit(full, "x", "y")  # partial isometry, not unitary
-    report = haar_check(FMAmbient(full), shift, max_k=1)
+    report = haar_check(FMFace("M", full), shift, max_k=1)
     assert not report.unitary_ok

@@ -220,7 +220,7 @@ def test_modular_scale_commutes_with_expectation():
 
 
 def test_state_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="sum to 1"):
         FiniteBase.weighted([("x", Fraction(1, 2)), ("y", Fraction(1, 3))])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="positive"):
         FiniteBase.weighted([("x", Fraction(3, 2)), ("y", Fraction(-1, 2))])
