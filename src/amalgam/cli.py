@@ -18,11 +18,11 @@ from .boundary import (
     complement_series_tail, cylinder_measure, refine, rn_exponent, rn_ratio,
     splice,
 )
-from .config import ConfigError, default_config, load_config
+from .config import default_config, load_config
 from .engine import (
     CylFn, DepthBudgetExceeded, MAmbient, freeness_check, haar_check,
 )
-from .fmalg import is_ergodic, join, modular_scale
+from .fmalg import is_ergodic, join
 from .matrix import (
     bracket_law_report, covariance_report, family_freeness_report,
     moment_vanishing_report, reduction_identities_report,
