@@ -130,7 +130,7 @@ def parse_config(text):
                     raise ConfigError("cycle point %s is not in the base" % x)
         try:
             alpha = Permutation.from_cycles(base, cycles)
-        except AssertionError as exc:
+        except ValueError as exc:
             raise ConfigError("bad cycles: %s" % exc) from exc
     else:
         alpha = Permutation.from_cycles(base, (points,))

@@ -66,7 +66,7 @@ class CylFn:
         assert self.alphabet == other.alphabet
         out = dict(self.terms)
         for w, v in other.terms.items():
-            out[w] = out.get(w, QC(0)) + v
+            out[w] = out[w] + v if w in out else v
         return CylFn(self.alphabet, out)
 
     def __neg__(self):
@@ -83,7 +83,8 @@ class CylFn:
             for w2, v2 in other.terms.items():
                 if w1.starts_with(w2) or w2.starts_with(w1):
                     key = w1 if len(w1) >= len(w2) else w2
-                    out[key] = out.get(key, QC(0)) + v1 * v2
+                    term = v1 * v2
+                    out[key] = out[key] + term if key in out else term
         return CylFn(self.alphabet, out)
 
     def scale(self, scalar):
@@ -98,7 +99,8 @@ class CylFn:
         out = {}
         for w, v in self.terms.items():
             for piece in act(gamma, Cylinder(w)):
-                out[piece.prefix] = out.get(piece.prefix, QC(0)) + v
+                key = piece.prefix
+                out[key] = out[key] + v if key in out else v
         return CylFn(self.alphabet, out)
 
     def support_projection(self):
@@ -315,6 +317,9 @@ class CrossedFace(Algebra):
     def d_one(self):
         return CylFn.one(self.alphabet)
 
+    def d_zero(self):
+        return CylFn.zero(self.alphabet)
+
 
 # ---------------------------------------------------------------------------
 # finite measured-relation face
@@ -359,6 +364,9 @@ class FMFace(Algebra):
 
     def d_one(self):
         return FMElement.one(self.drel)
+
+    def d_zero(self):
+        return FMElement.zero(self.drel)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +496,7 @@ class FreeProduct:
         return self.faces[self.tags[0]].d_one()
 
     def d_zero(self):
-        one = self.d_one()
-        return one - one
+        return self.faces[self.tags[0]].d_zero()
 
     def one(self):
         return MElement(self, self.d_one(), ())

@@ -62,16 +62,21 @@ class FiniteRelation:
 
     def __post_init__(self):
         points = set(self.base.points)
+        succ = {x: set() for x in points}
         for x, y in self.pairs:
-            assert x in points and y in points, f"pair off the base: {(x, y)}"
-        for x in points:
-            assert (x, x) in self.pairs, f"not reflexive at {x}"
+            if x not in points or y not in points:
+                raise ValueError(f"pair off the base: {(x, y)}")
+            succ[x].add(y)
+        for x in self.base.points:
+            if x not in succ[x]:
+                raise ValueError(f"not reflexive at {x}")
         for x, y in self.pairs:
-            assert (y, x) in self.pairs, f"not symmetric at {(x, y)}"
-        for x, y in self.pairs:
-            for y2, z in self.pairs:
-                if y2 == y:
-                    assert (x, z) in self.pairs, f"not transitive via {(x, y, z)}"
+            if x not in succ[y]:
+                raise ValueError(f"not symmetric at {(x, y)}")
+            # (x, y) and (y, z) need (x, z): succ[y] within succ[x]
+            if not succ[y] <= succ[x]:
+                z = min(succ[y] - succ[x], key=repr)
+                raise ValueError(f"not transitive via {(x, y, z)}")
 
     @staticmethod
     def from_classes(base, classes):
@@ -157,7 +162,7 @@ class FMElement:
         self._check(other)
         out = dict(self.coeffs)
         for pair, value in other.coeffs.items():
-            out[pair] = out.get(pair, QC(0)) + value
+            out[pair] = out[pair] + value if pair in out else value
         return FMElement(self.relation, out)
 
     def __neg__(self):
@@ -175,7 +180,8 @@ class FMElement:
         for (x, y), u in self.coeffs.items():
             for w, v in right.get(y, ()):
                 pair = (x, w)
-                out[pair] = out.get(pair, QC(0)) + u * v
+                term = u * v
+                out[pair] = out[pair] + term if pair in out else term
         return FMElement(self.relation, out)
 
     def scale(self, scalar):

@@ -22,8 +22,10 @@ class Permutation:
     __slots__ = ("base", "mapping")
 
     def __init__(self, base, mapping):
-        assert set(mapping) == set(base.points), "domain must be the base"
-        assert set(mapping.values()) == set(base.points), "must be onto"
+        if set(mapping) != set(base.points):
+            raise ValueError("domain must be the base")
+        if set(mapping.values()) != set(base.points):
+            raise ValueError("must be onto")
         self.base = base
         self.mapping = dict(mapping)
 
@@ -35,7 +37,8 @@ class Permutation:
     def from_cycles(cls, base, cycles):
         mapping = {x: x for x in base.points}
         for cycle in cycles:
-            assert len(set(cycle)) == len(cycle), "repeated point in a cycle"
+            if len(set(cycle)) != len(cycle):
+                raise ValueError("repeated point in a cycle")
             for pos, x in enumerate(cycle):
                 mapping[x] = cycle[(pos + 1) % len(cycle)]
         return cls(base, mapping)

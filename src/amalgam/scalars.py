@@ -9,15 +9,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+_ZERO = Fraction(0)  # shared imaginary part of every real QC built here
+
 
 class QC:
-    """Complex number with Fraction real/imaginary parts."""
+    """Complex number with Fraction real/imaginary parts.
+
+    Real values (imaginary part zero) are the common case: every operation
+    below takes a real-only branch that skips the imaginary products.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    def __init__(self, re=_ZERO, im=_ZERO):
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def coerce(value):
@@ -32,7 +38,9 @@ class QC:
 
     def __add__(self, other):
         if isinstance(other, QC):
-            return QC(self.re + other.re, self.im + other.im)
+            if self.im or other.im:
+                return QC(self.re + other.re, self.im + other.im)
+            return QC(self.re + other.re)
         if isinstance(other, (int, Fraction)):
             return QC(self.re + other, self.im)
         if isinstance(other, (float, complex)):
@@ -42,7 +50,9 @@ class QC:
     __radd__ = __add__
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        if self.im:
+            return QC(-self.re, -self.im)
+        return QC(-self.re)
 
     def __sub__(self, other):
         return self + (-other)
@@ -52,8 +62,10 @@ class QC:
 
     def __mul__(self, other):
         if isinstance(other, QC):
-            return QC(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
+            if self.im or other.im:
+                return QC(self.re * other.re - self.im * other.im,
+                          self.re * other.im + self.im * other.re)
+            return QC(self.re * other.re)
         if isinstance(other, (int, Fraction)):
             return QC(self.re * other, self.im * other)
         if isinstance(other, (float, complex)):
@@ -87,12 +99,12 @@ class QC:
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

@@ -288,18 +288,32 @@ def test_depth_budget_exits_with_three(capsys):
     assert err == "error: cylinder depth 3 exceeds budget 2\n"
 
 
-def test_bad_state_rejected_without_asserts(tmp_path):
-    # validation must not rest on assert, which python -O strips
-    path = tmp_path / "heavy.cfg"
-    path.write_text("[base]\npoints = p q r\n[state]\nweights = 5 5 1\n")
+def rejected_under_optimize(tmp_path, config_text, command):
+    """Run one command under python -O, which strips assert: validation
+    must still exit 2 with one `error:` line. The timeout catches a hang."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(config_text)
     src = Path(amalgam.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "amalgam.cli", "--config", str(path),
-         "ergodic"], capture_output=True, text=True,
+         command], capture_output=True, text=True, timeout=10,
         env=dict(os.environ, PYTHONPATH=str(src)), check=False)
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_bad_state_rejected_without_asserts(tmp_path):
+    rejected_under_optimize(
+        tmp_path, "[base]\npoints = p q r\n[state]\nweights = 5 5 1\n",
+        "ergodic")
+
+
+def test_repeated_cycle_point_rejected_without_asserts(tmp_path):
+    # an unchecked cycle (p q p) made `join` loop in Permutation.orbits
+    rejected_under_optimize(
+        tmp_path, "[base]\npoints = p q r\n[alpha]\ncycles = (p q p)\n",
+        "join")
 
 
 def test_custom_config_changes_alphabet(capsys, tmp_path):

@@ -266,6 +266,14 @@ def boundary_letters(product):
     ]
 
 
+def test_d_zero_is_the_empty_diagonal():
+    for product in (fm_product(), boundary_product()):
+        zero = product.d_zero()
+        assert zero.is_zero()
+        one = product.d_one()
+        assert zero == one - one
+
+
 def test_oracle_agreement_small_sweep():
     product = boundary_product()
     letters = boundary_letters(product)

@@ -115,6 +115,20 @@ def test_relation_counts():
     assert len(list(all_equivalence_relations(FiniteBase.uniform(tuple("wxyz"))))) == 15
 
 
+def test_relation_validation_raises():
+    diag = {(x, x) for x in B3.points}
+    bad = [
+        (diag | {("x", "w"), ("w", "x")}, "off the base"),
+        (diag - {("z", "z")}, "not reflexive"),
+        (diag | {("x", "y")}, "not symmetric"),
+        (diag | {("x", "y"), ("y", "x"), ("y", "z"), ("z", "y")},
+         "not transitive"),
+    ]
+    for pairs, message in bad:
+        with pytest.raises(ValueError, match=message):
+            FiniteRelation(B3, frozenset(pairs))
+
+
 def test_ergodicity():
     assert is_ergodic(FULL3)
     assert not is_ergodic(FiniteRelation.diagonal(B3))

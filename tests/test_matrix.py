@@ -36,7 +36,7 @@ def test_permutation_cycles_and_order():
 
 
 def test_permutation_must_be_bijective():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Permutation(BASE5, {x: "x0" for x in BASE5.points})
 
 
