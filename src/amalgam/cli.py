@@ -3,7 +3,8 @@
 One command per invocation; structured reports in a human or a machine
 rendering (one record per line, key=value pairs, rationals as p/q). The
 exit status is 0 when every asserted check passes, 1 when one fails, 2 on
-bad input and 3 when a cylinder depth budget is exceeded.
+bad input, 3 when a cylinder depth budget is exceeded and 4 on an internal
+error.
 """
 
 import argparse
@@ -492,13 +493,16 @@ def main(argv=None):
         if args.depth is not None:
             config.depth = args.depth
         records = COMMANDS[args.command](args, config)
-    except (OSError, ValueError, AssertionError) as exc:
+    except (OSError, ValueError) as exc:
         # ConfigError and DslError are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except DepthBudgetExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print("error: internal: %s" % exc, file=sys.stderr)
+        return 4
     emit(records, args.format)
     return 0 if all(record.ok is not False for record in records) else 1
 

@@ -97,7 +97,7 @@ def parse_config(text):
     block2 = tuple(alphabet_spec.get("block2", "b").split())
     try:
         alphabet = Alphabet(block1 + block2, len(block1))
-    except AssertionError as exc:
+    except ValueError as exc:
         raise ConfigError("bad alphabet: %s" % exc) from exc
 
     base_spec = sections.get("base", {})

@@ -219,7 +219,7 @@ class _Parser:
             return ReducedWord.identity(alphabet)
         try:
             letter = alphabet.letter(token.value)
-        except (AssertionError, KeyError, ValueError):
+        except ValueError:
             self.fail("unresolved identifier %r" % token.value, token)
         return ReducedWord.from_letters(alphabet, (letter,))
 

@@ -244,10 +244,6 @@ class CrossedFace(Algebra):
         self.block = block
         self.budget = budget
 
-    def _admit(self, word):
-        if self.block is not None and word.block_membership() not in ("identity", self.block):
-            raise ValueError(f"word {word} is not in block {self.block}")
-
     def _guard(self, fn):
         if fn.depth() > self.budget:
             raise DepthBudgetExceeded(
@@ -257,7 +253,9 @@ class CrossedFace(Algebra):
     def element(self, terms):
         clean = {}
         for word, fn in terms.items():
-            self._admit(word)
+            if self.block is not None and \
+                    word.block_membership() not in ("identity", self.block):
+                raise ValueError(f"word {word} is not in block {self.block}")
             self._guard(fn)
             if not fn.is_zero():
                 clean[word] = fn
@@ -278,22 +276,25 @@ class CrossedFace(Algebra):
     def expect(self, x: CrossedElement) -> CylFn:
         return x.coefficient(ReducedWord.identity(self.alphabet))
 
+    # mul, add and adjoint trust their operands, elements of this face: block
+    # words multiply within the block, and sums and products of cylinder
+    # functions are no deeper than their terms, so only new translates need
+    # the depth guard and only sums can cancel to zero
     def mul(self, x, y):
         out = {}
         for g, f in x.terms.items():
             for h, k in y.terms.items():
                 word = g * h
-                self._admit(word)
                 fn = f * self._guard(k.translate(g))
                 if not fn.is_zero():
-                    out[word] = out.get(word, CylFn.zero(self.alphabet)) + fn
-        return self.element(out)
+                    out[word] = out[word] + fn if word in out else fn
+        return CrossedElement(self.alphabet, {w: fn for w, fn in out.items() if fn.terms})
 
     def add(self, x, y):
         out = dict(x.terms)
         for w, fn in y.terms.items():
-            out[w] = out.get(w, CylFn.zero(self.alphabet)) + fn
-        return self.element(out)
+            out[w] = out[w] + fn if w in out else fn
+        return CrossedElement(self.alphabet, {w: fn for w, fn in out.items() if fn.terms})
 
     def neg(self, x):
         return CrossedElement(self.alphabet, {w: -fn for w, fn in x.terms.items()})
@@ -302,7 +303,7 @@ class CrossedFace(Algebra):
         out = {}
         for g, f in x.terms.items():
             out[g.inverse()] = self._guard(f.adjoint().translate(g.inverse()))
-        return self.element(out)
+        return CrossedElement(self.alphabet, out)
 
     def is_zero(self, x):
         return not x.terms

@@ -85,7 +85,8 @@ class FiniteRelation:
         pairs = set()
         for cls in classes:
             cls = tuple(cls)
-            assert not seen.intersection(cls), "point in two classes"
+            if seen.intersection(cls):
+                raise ValueError("point in two classes")
             seen.update(cls)
             for x in cls:
                 for y in cls:
@@ -125,11 +126,19 @@ class FMElement:
         self.relation = relation
         clean = {}
         for pair, value in coeffs.items():
-            assert pair in relation.pairs, f"support outside the relation: {pair}"
+            if pair not in relation.pairs:
+                raise ValueError(f"support outside the relation: {pair}")
             value = QC.coerce(value)
             if not is_zero(value):
                 clean[pair] = value
         self.coeffs = clean
+
+    @classmethod
+    def _result(cls, relation, coeffs):
+        """Trusted constructor: coeffs are nonzero scalars in the relation."""
+        out = cls.__new__(cls)
+        out.relation, out.coeffs = relation, coeffs
+        return out
 
     @staticmethod
     def unit(relation, x, y):
@@ -149,8 +158,7 @@ class FMElement:
 
     def cast(self, relation):
         """Re-home into a larger relation over the same base."""
-        assert relation.base == self.relation.base
-        return FMElement(relation, dict(self.coeffs))
+        return FMElement._result(relation, self.coeffs)
 
     def _check(self, other):
         if not isinstance(other, FMElement):
@@ -163,10 +171,10 @@ class FMElement:
         out = dict(self.coeffs)
         for pair, value in other.coeffs.items():
             out[pair] = out[pair] + value if pair in out else value
-        return FMElement(self.relation, out)
+        return FMElement._result(self.relation, {p: v for p, v in out.items() if v})
 
     def __neg__(self):
-        return FMElement(self.relation, {p: -v for p, v in self.coeffs.items()})
+        return FMElement._result(self.relation, {p: -v for p, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -182,18 +190,20 @@ class FMElement:
                 pair = (x, w)
                 term = u * v
                 out[pair] = out[pair] + term if pair in out else term
-        return FMElement(self.relation, out)
+        return FMElement._result(self.relation, {p: v for p, v in out.items() if v})
 
     def scale(self, scalar):
         scalar = QC.coerce(scalar)
         return FMElement(self.relation, {p: scalar * v for p, v in self.coeffs.items()})
 
     def adjoint(self):
-        return FMElement(self.relation, {(y, x): conj(v) for (x, y), v in self.coeffs.items()})
+        return FMElement._result(
+            self.relation, {(y, x): conj(v) for (x, y), v in self.coeffs.items()})
 
     def expectation(self):
         """Conditional expectation onto the diagonal."""
-        return FMElement(self.relation, {p: v for p, v in self.coeffs.items() if p[0] == p[1]})
+        return FMElement._result(
+            self.relation, {p: v for p, v in self.coeffs.items() if p[0] == p[1]})
 
     def is_zero(self):
         return not self.coeffs
@@ -204,7 +214,7 @@ class FMElement:
     def right_support(self):
         """Smallest diagonal projection q with self * q = self."""
         cols = {y for _, y in self.coeffs}
-        return FMElement(self.relation, {(y, y): QC(1) for y in cols})
+        return FMElement._result(self.relation, {(y, y): QC(1) for y in cols})
 
     def left_support(self):
         rows = {x for x, _ in self.coeffs}

@@ -4,7 +4,7 @@ Generators are indexed 0..n-1; the first block_size of them form block 1 and
 the rest form block 2.  A letter is a generator index with a sign, a word is
 a tuple of letters with no cancelling adjacent pair.  Everything downstream
 (cylinders, crossed products) indexes by these words, so reduction is eager:
-a ReducedWord is reduced by construction.
+parse and from_letters reduce; the ReducedWord constructor trusts its letters.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ class Letter:
 
     index: int
     sign: int
-
-    def __post_init__(self):
-        assert self.sign in (1, -1)
 
     def inverse(self):
         return Letter(self.index, -self.sign)
@@ -42,12 +39,15 @@ class Alphabet:
     block_size: int
 
     def __post_init__(self):
-        assert len(set(self.names)) == len(self.names), "duplicate generator"
-        assert 1 <= self.block_size < len(self.names), "each block needs a generator"
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("duplicate generator")
+        if not 1 <= self.block_size < len(self.names):
+            raise ValueError("each block needs a generator")
         for name in self.names:
-            assert name and name[0].isalpha() and name.islower(), \
-                f"generator name must be lowercase: {name!r}"
-            assert not name.endswith("'"), f"bad generator name: {name!r}"
+            if not (name and name[0].isalpha() and name.islower()):
+                raise ValueError(f"generator name must be lowercase: {name!r}")
+            if name.endswith("'"):
+                raise ValueError(f"bad generator name: {name!r}")
 
     @property
     def size(self):
@@ -57,7 +57,6 @@ class Alphabet:
         return self.block_size, len(self.names) - self.block_size
 
     def block_of(self, letter: Letter) -> int:
-        assert 0 <= letter.index < self.size
         return 1 if letter.index < self.block_size else 2
 
     def block_indices(self, block: int):
@@ -100,12 +99,6 @@ def _reduce(letters):
 class ReducedWord:
     alphabet: Alphabet
     letters: tuple[Letter, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.letters, self.letters[1:]):
-            assert not a.cancels(b), "word is not reduced"
-        for a in self.letters:
-            assert 0 <= a.index < self.alphabet.size
 
     @staticmethod
     def from_letters(alphabet, letters):

@@ -1,5 +1,6 @@
 """Expression language round trips, config parsing, CLI exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amalgam
-from amalgam import dsl
+from amalgam import cli, dsl
 from amalgam.boundary import Cylinder
 from amalgam.cli import main
 from amalgam.config import ConfigError, default_config, parse_config
@@ -288,19 +289,33 @@ def test_depth_budget_exits_with_three(capsys):
     assert err == "error: cylinder depth 3 exceeds budget 2\n"
 
 
-def rejected_under_optimize(tmp_path, config_text, command):
+def test_internal_error_exits_with_four(capsys, monkeypatch):
+    def broken(args, config):
+        raise AssertionError("invariant broke")
+
+    monkeypatch.setitem(cli.COMMANDS, "join", broken)
+    code, out, err = run(capsys, "join")
+    assert code == 4 and out == ""
+    assert err == "error: internal: invariant broke\n"
+
+
+SRC = Path(amalgam.__file__).resolve().parents[1]
+
+
+def rejected_under_optimize(tmp_path, config_text, *command):
     """Run one command under python -O, which strips assert: validation
-    must still exit 2 with one `error:` line. The timeout catches a hang."""
+    must still exit 2 with one `error:` line, which is returned. The
+    timeout catches a hang."""
     path = tmp_path / "bad.cfg"
     path.write_text(config_text)
-    src = Path(amalgam.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "amalgam.cli", "--config", str(path),
-         command], capture_output=True, text=True, timeout=10,
-        env=dict(os.environ, PYTHONPATH=str(src)), check=False)
+         *command], capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), check=False)
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 def test_bad_state_rejected_without_asserts(tmp_path):
@@ -314,6 +329,68 @@ def test_repeated_cycle_point_rejected_without_asserts(tmp_path):
     rejected_under_optimize(
         tmp_path, "[base]\npoints = p q r\n[alpha]\ncycles = (p q p)\n",
         "join")
+
+
+def test_duplicate_generator_rejected_without_asserts(tmp_path):
+    line = rejected_under_optimize(
+        tmp_path, "[alphabet]\nblock1 = a\nblock2 = a\n", "series", "1", "2")
+    assert line == "error: bad alphabet: duplicate generator"
+
+
+def test_uppercase_generator_rejected_without_asserts(tmp_path):
+    line = rejected_under_optimize(tmp_path, "[alphabet]\nblock1 = A\n", "join")
+    assert line == "error: bad alphabet: generator name must be lowercase: 'A'"
+
+
+def test_overlapping_classes_rejected_without_asserts(tmp_path):
+    line = rejected_under_optimize(
+        tmp_path, "[base]\npoints = p q r\nclasses = {p q} {q r}\n", "join")
+    assert line == "error: point in two classes"
+
+
+# cheap commands covering every exit code but 2; one process each with and
+# without -O must print the same
+SAME_UNDER_OPTIMIZE = [
+    ["measure", "O(a b)"],
+    ["rn", "a", "O(a b)"],
+    ["series", "1", "2"],
+    ["moment", "O(a) b O(b') a'"],
+    ["moment", "(A[e]{1,2} B[u]{2,1})^2"],
+    ["oracle", "a b O(a) b' a'"],
+    ["haar", "A[e]{1,3} B[u^-2]{3,1}", "4"],
+    ["haar", "A[e]{1,2}", "2"],
+    ["--max-len", "2", "freeness", "boundary"],
+    ["join"],
+    ["ergodic"],
+    ["--depth", "2", "moment", "O(a b a) a"],
+]
+
+RUN_ALL = """
+import contextlib, io, json, sys
+from amalgam.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", "machine"] + argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_optimize_flag_changes_nothing():
+    runs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", RUN_ALL,
+             json.dumps(SAME_UNDER_OPTIMIZE)],
+            capture_output=True, text=True, timeout=60, check=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0"))
+        runs.append(json.loads(proc.stdout))
+    plain, optimized = runs
+    assert {code for code, _, _ in plain} == {0, 1, 3}
+    for argv, want, got in zip(SAME_UNDER_OPTIMIZE, plain, optimized):
+        assert got == want, argv
 
 
 def test_custom_config_changes_alphabet(capsys, tmp_path):

@@ -102,6 +102,23 @@ def test_crossed_adjoint_is_involutive():
         face_a.mul(face_a.adjoint(y), face_a.adjoint(x)))
 
 
+FACE_A = CrossedFace("A", AB, 1, budget=8)
+crossed_st = st.dictionaries(
+    st.sampled_from(ball(AB, 2, block=1)), cylfn_st, max_size=3,
+).map(FACE_A.element)
+
+
+@settings(max_examples=30, deadline=None)
+@given(crossed_st, crossed_st)
+def test_crossed_results_are_clean(x, y):
+    # mul, add and adjoint skip the element() checks: each result must be
+    # what element() builds from its terms
+    for r in (FACE_A.mul(x, y), FACE_A.add(x, y), FACE_A.sub(x, x),
+              FACE_A.sub(x, y), FACE_A.adjoint(x)):
+        assert FACE_A.element(r.terms) == r
+        assert all(not fn.is_zero() for fn in r.terms.values())
+
+
 def test_crossed_block_membership_enforced():
     face_a, _ = faces_boundary()
     with pytest.raises(ValueError):

@@ -47,7 +47,7 @@ def test_relation_mismatch_rejected():
     r_small = FiniteRelation.from_classes(B3, [("x", "y")])
     with pytest.raises(ValueError):
         unit(FULL3, "x", "y") * unit(r_small, "x", "y")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         unit(r_small, "x", "z")
 
 
@@ -58,6 +58,22 @@ def elements_st(relation):
     pairs = sorted(relation.pairs)
     return st.dictionaries(st.sampled_from(pairs), scalars_st, max_size=6).map(
         lambda c: FMElement(relation, c))
+
+
+DIAG3 = FiniteRelation.diagonal(B3)
+
+
+@given(elements_st(FULL3), elements_st(FULL3), scalars_st, elements_st(DIAG3))
+def test_results_are_clean(u, v, c, d):
+    # arithmetic builds its results without the constructor's checks, so
+    # each must be what the checked constructor would build: nonzero QCs
+    # on pairs inside the relation
+    results = [u + v, u - v, u - u, u * v, u * u.adjoint(), u.scale(c),
+               u.adjoint(), u.expectation(), u.right_support(),
+               u.expectation().cast(DIAG3), d.cast(FULL3)]
+    for r in results:
+        assert FMElement(r.relation, r.coeffs) == r
+        assert all(type(x) is QC and x for x in r.coeffs.values())
 
 
 @given(elements_st(FULL3), elements_st(FULL3))

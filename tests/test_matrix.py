@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import amalgam
 from amalgam.engine import MAmbient, freeness_check, haar_check
 from amalgam.fmalg import FMElement, FiniteBase, FiniteRelation
 from amalgam.matrix import (
@@ -181,6 +186,31 @@ def test_family_freeness_guards_exponent_stacking():
     model = cyclic_model(5, 3)
     with pytest.raises(ValueError):
         family_freeness_report(model, max_len=4, n_limit=2, kappas=(1,))
+
+
+DOUBLED_UNITARY = """
+from dataclasses import replace
+from amalgam.matrix import cyclic_model, family_freeness_report
+model = cyclic_model(5, 3)
+plain = model.corner_unitary
+model.corner_unitary = lambda n, i: replace(
+    plain(n, i), element=plain(n, i).element + plain(n, i).element)
+report = family_freeness_report(model, max_len=2, n_limit=1)
+print(report.shape_checks)
+"""
+
+
+def test_shape_checks_run_without_asserts():
+    # python -O strips assert; the seam shape checks must still fail on a
+    # model whose corner words are doubled
+    src = Path(amalgam.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DOUBLED_UNITARY], capture_output=True,
+        text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+        check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("AssertionError: ") and "wrong shape" in last
 
 
 def test_checker_flags_a_planted_dependence():

@@ -74,6 +74,22 @@ def test_reduction_is_idempotent(letters):
     assert ReducedWord.from_letters(ABCD, word.letters) == word
 
 
+def reduced(word):
+    pairs = zip(word.letters, word.letters[1:])
+    return not any(a.cancels(b) for a, b in pairs) and \
+        all(0 <= a.index < word.alphabet.size for a in word.letters)
+
+
+@given(letters_st, letters_st)
+def test_results_are_reduced(xs, ys):
+    # the ReducedWord constructor trusts its letters: every word the
+    # public operations build must already be reduced
+    u = ReducedWord.from_letters(ABCD, xs)
+    v = ReducedWord.from_letters(ABCD, ys)
+    for word in (u, u * v, v * u, u.inverse(), u * u.inverse()):
+        assert reduced(word)
+
+
 @given(letters_st, letters_st, letters_st)
 def test_multiplication_associative(xs, ys, zs):
     u = ReducedWord.from_letters(ABCD, xs)
