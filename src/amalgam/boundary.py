@@ -5,12 +5,15 @@ with a given finite reduced prefix.  The probability measure gives the whole
 space mass 1 and a depth-l cylinder mass (1/2n)(1/(2n-1))^(l-1), which is the
 unique measure splitting mass evenly among the extensions at every depth.
 Left translation by a group element is measure-quasi-invariant with rational
-Radon-Nikodym ratios that are integer powers of 2n-1.
+Radon-Nikodym ratios that are integer powers of 2n-1.  The image of O(w)
+under gamma has a closed form: the whole space when w is empty, the single
+cylinder of the reduced product when gamma cancels less than all of w, and
+otherwise, gamma ending in w^-1, the complement of O(p) for p gamma without
+its last |w| - 1 letters.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,35 +87,24 @@ def refine(c: Cylinder, depth: int):
     return [Cylinder(w) for w in out]
 
 
-def _merge_siblings(prefixes):
-    """Replace every complete family of sibling cylinders by its parent."""
-    words = set(prefixes)
-    changed = True
-    while changed:
-        changed = False
-        by_parent = defaultdict(set)
-        for w in words:
-            if len(w) >= 1:
-                by_parent[ReducedWord(w.alphabet, w.letters[:-1])].add(w.letters[-1])
-        for parent, present in by_parent.items():
-            if parent in words:
-                continue
-            if present == set(parent.extensions()):
-                for a in present:
-                    words.discard(ReducedWord(parent.alphabet, parent.letters + (a,)))
-                words.add(parent)
-                changed = True
-    return sorted(words, key=lambda w: (len(w), w.sort_key()))
-
-
 def act(gamma: ReducedWord, c: Cylinder) -> CylinderUnion:
     """Image of the cylinder under left translation by gamma."""
     if gamma.alphabet != c.alphabet:
         raise ValueError("alphabet mismatch")
-    # deep enough that cancellation cannot consume a whole piece
-    depth = max(c.depth(), len(gamma) + 1)
-    mapped = [gamma * piece.prefix for piece in refine(c, depth)]
-    return CylinderUnion(tuple(Cylinder(w) for w in _merge_siblings(mapped)))
+    g, w = gamma.letters, c.prefix.letters
+    if not w:
+        return CylinderUnion((c,))
+    k = 0
+    while k < min(len(g), len(w)) and g[-1 - k].cancels(w[k]):
+        k += 1
+    if k < len(w):
+        return CylinderUnion((Cylinder(ReducedWord(c.alphabet, g[:len(g) - k] + w[k:])),))
+    # gamma ends in w^-1: the image is the complement of O(p)
+    p = g[:len(g) - len(w) + 1]
+    return CylinderUnion(tuple(
+        Cylinder(ReducedWord(c.alphabet, p[:j] + (a,)))
+        for j in range(len(p))
+        for a in ReducedWord(c.alphabet, p[:j]).extensions() if a != p[j]))
 
 
 def rn_exponent(gamma: ReducedWord, c: Cylinder) -> int:

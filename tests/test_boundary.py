@@ -1,3 +1,4 @@
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,46 @@ def test_act_identity_and_whole_space():
     assert act(ReducedWord.identity(AB), c) == CylinderUnion((c,))
     assert act(w(AB, "b a"), Cylinder.whole_space(AB)) == \
         CylinderUnion((Cylinder.whole_space(AB),))
+
+
+def _merge_siblings(prefixes):
+    """Replace every complete family of sibling cylinders by its parent."""
+    words = set(prefixes)
+    changed = True
+    while changed:
+        changed = False
+        by_parent = defaultdict(set)
+        for w in words:
+            if len(w) >= 1:
+                by_parent[ReducedWord(w.alphabet, w.letters[:-1])].add(w.letters[-1])
+        for parent, present in by_parent.items():
+            if parent in words:
+                continue
+            if present == set(parent.extensions()):
+                for a in present:
+                    words.discard(ReducedWord(parent.alphabet, parent.letters + (a,)))
+                words.add(parent)
+                changed = True
+    return sorted(words, key=lambda w: (len(w), w.sort_key()))
+
+
+def act_by_refinement(gamma, c):
+    """Reference route for act: refine c until cancellation cannot consume a
+    whole piece, translate each piece, merge complete sibling families."""
+    depth = max(c.depth(), len(gamma) + 1)
+    mapped = [gamma * piece.prefix for piece in refine(c, depth)]
+    return CylinderUnion(tuple(Cylinder(w) for w in _merge_siblings(mapped)))
+
+
+def test_act_matches_refinement():
+    # tuple equality: the closed form must also keep the pieces' order
+    cases = [(AB, 3), (ABC, 2), (Alphabet(("a", "b", "c"), 2), 2)]
+    for alphabet, radius in cases:
+        words = ball(alphabet, radius)
+        for gamma in words:
+            for prefix in words:
+                c = Cylinder(prefix)
+                assert act(gamma, c) == act_by_refinement(gamma, c), (gamma, c)
 
 
 def oracle_act_membership(gamma, c, omega):

@@ -283,6 +283,25 @@ def test_error_exits_with_two(capsys, tmp_path):
     assert run(capsys, "--config", str(tmp_path / "missing.cfg"), "join")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("measure", "O(a a')"), ("rn", "a", "O(b b')"), ("moment", "O(a a') b"),
+    ("measure", "O(a e a')"),
+])
+def test_unreduced_cylinder_exits_with_two(capsys, argv):
+    # no reduced point starts with a a', so the prefix is an input error,
+    # not the whole space
+    code, out, err = run(capsys, "--format", "machine", *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "cylinder prefix is not reduced" in lines[0]
+
+
+def test_identity_letter_allowed_in_cylinder(capsys):
+    for text, shown in (("O(e)", "O(e) value=1 "), ("O(e a)", "O(a) value=1/4 ")):
+        code, out, _ = run(capsys, "--format", "machine", "measure", text)
+        assert code == 0 and "cylinder=" + shown in out
+
+
 def test_depth_budget_exits_with_three(capsys):
     code, out, err = run(capsys, "--depth", "2", "moment", "O(a b a) a")
     assert code == 3 and out == ""
@@ -346,6 +365,13 @@ def test_overlapping_classes_rejected_without_asserts(tmp_path):
     line = rejected_under_optimize(
         tmp_path, "[base]\npoints = p q r\nclasses = {p q} {q r}\n", "join")
     assert line == "error: point in two classes"
+
+
+def test_unreduced_cylinder_rejected_without_asserts(tmp_path):
+    line = rejected_under_optimize(
+        tmp_path, "[alphabet]\nblock1 = a\nblock2 = b\n", "measure", "O(a a')")
+    assert line == "error: line 1, column 5: cylinder prefix is not reduced: " \
+        "a' cancels the letter before it"
 
 
 # cheap commands covering every exit code but 2; one process each with and

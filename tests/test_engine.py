@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import amalgam.boundary
 from amalgam.boundary import Cylinder
 from amalgam.engine import (
     CrossedFace, CylFn, DepthBudgetExceeded, FMFace, FreeProduct, MAmbient,
@@ -305,6 +307,25 @@ def test_oracle_agreement_small_sweep():
         assert lhs == rhs
         checked += 1
     assert checked == 4 + 16 + 64
+
+
+def test_crossed_hot_path_never_refines(monkeypatch):
+    # act translates cylinders in closed form, with refinement as its test
+    # oracle only, so a criterion-05 style sweep must never call refine
+    def refuse(*args):
+        raise AssertionError("refine called on the hot path")
+
+    monkeypatch.setattr(amalgam.boundary, "refine", refuse)
+    product = FreeProduct(CrossedFace("A", AB, 1, 16), CrossedFace("B", AB, 2, 16))
+    face_a, face_b = product.face("A"), product.face("B")
+    gens = [("A", face_a.unitary(w("a"))),
+            ("B", face_b.unitary(w("b"))),
+            ("A", face_a.element({w("a"): indicator("b")})),
+            ("B", face_b.element({w("e"): indicator("a b")}))]
+    for length in (1, 2, 3):
+        for combo in itertools.product(gens, repeat=length):
+            assert product.expectation(list(combo)) == \
+                product.oracle_expectation(list(combo)), combo
 
 
 def test_oracle_requires_boundary_backend():
