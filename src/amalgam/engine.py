@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .boundary import Cylinder, act
 from .fmalg import FMElement, FiniteRelation
-from .scalars import QC, conj as scalar_conj, is_zero as scalar_is_zero
+from .scalars import ONE, QC, conj as scalar_conj, is_zero as scalar_is_zero
 from .words import ReducedWord
 
 
@@ -50,11 +50,11 @@ class CylFn:
 
     @staticmethod
     def one(alphabet):
-        return CylFn(alphabet, {ReducedWord.identity(alphabet): QC(1)})
+        return CylFn(alphabet, {ReducedWord.identity(alphabet): ONE})
 
     @staticmethod
     def indicator(c: Cylinder):
-        return CylFn(c.alphabet, {c.prefix: QC(1)})
+        return CylFn(c.alphabet, {c.prefix: ONE})
 
     def depth(self):
         return max((len(w) for w in self.terms), default=0)
@@ -104,7 +104,7 @@ class CylFn:
         return CylFn(self.alphabet, out)
 
     def support_projection(self):
-        return CylFn(self.alphabet, {w: QC(1) for w in self.terms})
+        return CylFn(self.alphabet, {w: ONE for w in self.terms})
 
     def value_at(self, word: ReducedWord):
         """Value on any point extending the given word; word must be deep."""
@@ -313,7 +313,7 @@ class CrossedFace(Algebra):
         supp = CylFn.zero(self.alphabet)
         for g, f in x.terms.items():
             supp = supp + f.support_projection().translate(g.inverse())
-        return CylFn(self.alphabet, {w: QC(1) for w in supp.terms})
+        return CylFn(self.alphabet, {w: ONE for w in supp.terms})
 
     def d_one(self):
         return CylFn.one(self.alphabet)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import QC, conj, is_zero
+from .scalars import ONE, QC, conj, is_zero
 
 GROUPOID_POINT_BOUND = 8  # hard bound for exhaustive partial-bijection sweeps
 
@@ -142,11 +142,11 @@ class FMElement:
 
     @staticmethod
     def unit(relation, x, y):
-        return FMElement(relation, {(x, y): QC(1)})
+        return FMElement(relation, {(x, y): ONE})
 
     @staticmethod
     def one(relation):
-        return FMElement(relation, {(x, x): QC(1) for x in relation.base.points})
+        return FMElement(relation, {(x, x): ONE for x in relation.base.points})
 
     @staticmethod
     def zero(relation):
@@ -214,11 +214,11 @@ class FMElement:
     def right_support(self):
         """Smallest diagonal projection q with self * q = self."""
         cols = {y for _, y in self.coeffs}
-        return FMElement._result(self.relation, {(y, y): QC(1) for y in cols})
+        return FMElement._result(self.relation, {(y, y): ONE for y in cols})
 
     def left_support(self):
         rows = {x for x, _ in self.coeffs}
-        return FMElement(self.relation, {(x, x): QC(1) for x in rows})
+        return FMElement(self.relation, {(x, x): ONE for x in rows})
 
     def __eq__(self, other):
         if not isinstance(other, FMElement):
@@ -294,13 +294,13 @@ class PartialBijection:
 
     def to_element(self, relation: FiniteRelation) -> FMElement:
         """Partial isometry sum of e[map(x), x] over the domain."""
-        return FMElement(relation, {(y, x): QC(1) for x, y in self.graph})
+        return FMElement(relation, {(y, x): ONE for x, y in self.graph})
 
     def domain_projection(self, relation):
-        return FMElement(relation, {(x, x): QC(1) for x in self.domain()})
+        return FMElement(relation, {(x, x): ONE for x in self.domain()})
 
     def image_projection(self, relation):
-        return FMElement(relation, {(y, y): QC(1) for y in self.image()})
+        return FMElement(relation, {(y, y): ONE for y in self.image()})
 
 
 def normalizing_groupoid(relation: FiniteRelation):

@@ -13,7 +13,7 @@ from math import lcm
 
 from .engine import FMFace, FreeProduct, MAmbient, freeness_check
 from .fmalg import FMElement, FiniteBase, FiniteRelation
-from .scalars import QC
+from .scalars import ONE, QC
 
 
 class Permutation:
@@ -144,7 +144,7 @@ class AmplifiedFace:
         assert self.alpha is not None, "only the shift face has a unitary"
         move = self.alpha.power(n)
         return FMElement(self.core_relation,
-                         {(move(x), x): QC(1) for x in self.core_base.points})
+                         {(move(x), x): ONE for x in self.core_base.points})
 
     def zero_bracket(self):
         return BracketElement(self, {})

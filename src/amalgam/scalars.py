@@ -3,17 +3,24 @@
 Coefficient arithmetic throughout the package is exact.  The one deliberate
 exception is modular scaling, which introduces transcendental phases; mixing
 a QC with a python complex falls through to floating complex arithmetic.
+
+Each part is an int when integral and a Fraction otherwise, so integral
+arithmetic never builds a Fraction; a QC is never mutated, so ONE is shared.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)  # shared imaginary part of every real QC built here
+
+def _rational(x):
+    """x as an exact rational in canonical type: int when integral."""
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 class QC:
-    """Complex number with Fraction real/imaginary parts.
+    """Immutable complex number; each part an int or a non-integral Fraction.
 
     Real values (imaginary part zero) are the common case: every operation
     below takes a real-only branch that skips the imaginary products.
@@ -21,9 +28,9 @@ class QC:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=_ZERO, im=_ZERO):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+    def __init__(self, re=0, im=0):
+        self.re = re if type(re) is int else _rational(re)
+        self.im = im if type(im) is int else _rational(im)
 
     @staticmethod
     def coerce(value):
@@ -76,12 +83,12 @@ class QC:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QC(self.re / other, self.im / other)
+            return QC(Fraction(self.re) / other, Fraction(self.im) / other)
         if isinstance(other, QC):
             n = other.re * other.re + other.im * other.im
             if n == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            return self * QC(other.re / n, -other.im / n)
+            return self * QC(Fraction(other.re) / n, -Fraction(other.im) / n)
         if isinstance(other, (float, complex)):
             return complex(self) / other
         return NotImplemented
@@ -113,6 +120,9 @@ class QC:
         if self.im == 0:
             return str(self.re)
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+
+
+ONE = QC(1)
 
 
 def conj(value):

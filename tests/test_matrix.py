@@ -188,6 +188,25 @@ def test_family_freeness_guards_exponent_stacking():
         family_freeness_report(model, max_len=4, n_limit=2, kappas=(1,))
 
 
+def test_corner_sweep_products_keep_int_coefficients(monkeypatch):
+    # every corner coefficient is an integer, so no product in the sweep
+    # should carry a Fraction part: integral parts stay on the int path
+    seen = []
+    mul = FMElement.__mul__
+
+    def recording_mul(self, other):
+        out = mul(self, other)
+        seen.extend(out.coeffs.values())
+        return out
+
+    monkeypatch.setattr(FMElement, "__mul__", recording_mul)
+    model = cyclic_model(11, 3)
+    report = family_freeness_report(model, max_len=2, n_limit=2,
+                                    i_values=(2, 3), kappas=(1,))
+    assert report.passed and seen
+    assert all(type(v.re) is type(v.im) is int for v in seen)
+
+
 DOUBLED_UNITARY = """
 from dataclasses import replace
 from amalgam.matrix import cyclic_model, family_freeness_report

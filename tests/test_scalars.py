@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from amalgam.scalars import QC
+from amalgam.scalars import ONE, QC
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 # each part is zero in half the draws, so real, imaginary and complex values
@@ -38,10 +38,15 @@ def ref_div(x, y):
     return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
 
 
+def canonical(part):
+    """An exact rational part is an int when integral, else a Fraction."""
+    return type(part) is (int if Fraction(part).denominator == 1 else Fraction)
+
+
 def exact(q, pair):
-    """q is a QC with exactly the reference parts, both of type Fraction."""
+    """q is a QC with exactly the reference parts, each in canonical type."""
     assert isinstance(q, QC)
-    assert type(q.re) is type(q.im) is Fraction
+    assert canonical(q.re) and canonical(q.im)
     assert (q.re, q.im) == pair
 
 
@@ -83,7 +88,20 @@ def test_qc_equality_and_hash_match_pair_reference(p, r):
 
 @given(st.one_of(st.integers(-20, 20), rationals),
        st.one_of(st.integers(-20, 20), rationals))
-def test_qc_parts_are_fractions_from_any_rational_input(re, im):
+def test_qc_parts_are_canonical_rationals_from_any_rational_input(re, im):
     for q in (QC(re), QC(re, im), QC(im=im), QC()):
-        assert type(q.re) is type(q.im) is Fraction
+        assert canonical(q.re) and canonical(q.im)
     exact(QC(re, im), (Fraction(re), Fraction(im)))
+
+
+def test_integral_parts_are_ints_and_division_stays_exact():
+    assert type(QC(Fraction(4, 2)).re) is int and QC(Fraction(4, 2)).re == 2
+    assert type(ONE.re) is type(ONE.im) is int and ONE == 1
+    half = QC(1) / 2
+    exact(half, (Fraction(1, 2), 0))
+    assert half == QC(Fraction(1, 2))
+    exact(QC(4) / 2, (2, 0))
+    exact(QC(1) / 3, (Fraction(1, 3), 0))  # a float 1/3 would be inexact
+    exact(QC(3) / QC(0, 2), (0, Fraction(-3, 2)))
+    exact(QC(1) / QC(0, 3), (0, Fraction(-1, 3)))
+    exact(QC(1, 1) * QC(1, -1), (2, 0))
