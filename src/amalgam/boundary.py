@@ -95,7 +95,7 @@ def act(gamma: ReducedWord, c: Cylinder) -> CylinderUnion:
     if not w:
         return CylinderUnion((c,))
     k = 0
-    while k < min(len(g), len(w)) and g[-1 - k].cancels(w[k]):
+    while k < min(len(g), len(w)) and g[-1 - k] == -w[k]:
         k += 1
     if k < len(w):
         return CylinderUnion((Cylinder(ReducedWord(c.alphabet, g[:len(g) - k] + w[k:])),))

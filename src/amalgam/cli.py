@@ -57,7 +57,8 @@ def _scalar(value):
             return _frac(value.re)
         if value.re == 0:
             return "%si" % _frac(value.im)
-        return "%s%+si" % (_frac(value.re), Fraction(value.im))
+        sign = "+" if value.im > 0 else ""
+        return "%s%s%si" % (_frac(value.re), sign, _frac(value.im))
     return str(value)
 
 

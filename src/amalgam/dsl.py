@@ -231,7 +231,7 @@ class _Parser:
                 break
             self.take()
             piece = self.group_letter(token)
-            if word and piece and word.letters[-1].cancels(piece.letters[0]):
+            if word and piece and word.letters[-1] == -piece.letters[0]:
                 self.fail("cylinder prefix is not reduced: %s cancels the "
                           "letter before it" % token.value, token)
             word = piece if word is None else word * piece

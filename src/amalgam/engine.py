@@ -136,12 +136,11 @@ def _canonical(alphabet, terms):
             node = node[1].setdefault(letter, [QC(0), {}])
         node[0] = node[0] + value
 
-    def walk(node, last_letter):
+    def walk(node, last):
         value, children = node
         if not children:
             return {(): value} if not scalar_is_zero(value) else {}
-        exts = [a for a in alphabet.letters()
-                if last_letter is None or not last_letter.cancels(a)]
+        exts = [a for a in alphabet.letters() if a != -last]
         submaps = []
         for a in exts:
             child = children.get(a, [QC(0), {}])
@@ -155,7 +154,7 @@ def _canonical(alphabet, terms):
                 out[(a,) + suffix] = v
         return out
 
-    flat = walk(root, None)
+    flat = walk(root, 0)  # 0 is no letter, so the root excludes none
     return {ReducedWord(alphabet, suffix): v for suffix, v in flat.items()}
 
 

@@ -277,8 +277,10 @@ class PartialBijection:
     def __post_init__(self):
         dom = [x for x, _ in self.graph]
         img = [y for _, y in self.graph]
-        assert len(set(dom)) == len(dom), "not a function"
-        assert len(set(img)) == len(img), "not injective"
+        if len(set(dom)) != len(dom):
+            raise ValueError("not a function")
+        if len(set(img)) != len(img):
+            raise ValueError("not injective")
 
     def domain(self):
         return tuple(x for x, _ in self.graph)
@@ -310,8 +312,9 @@ def normalizing_groupoid(relation: FiniteRelation):
     number of partial injections.
     """
     points = relation.base.points
-    assert len(points) <= GROUPOID_POINT_BOUND, \
-        f"base too large for exhaustive sweep (bound {GROUPOID_POINT_BOUND})"
+    if len(points) > GROUPOID_POINT_BOUND:
+        raise ValueError(
+            f"base too large for exhaustive sweep (bound {GROUPOID_POINT_BOUND})")
     out = []
 
     def assign(i, used, graph):

@@ -1,34 +1,18 @@
 """Reduced words in a free group whose generators split into two blocks.
 
 Generators are indexed 0..n-1; the first block_size of them form block 1 and
-the rest form block 2.  A letter is a generator index with a sign, a word is
-a tuple of letters with no cancelling adjacent pair.  Everything downstream
-(cylinders, crossed products) indexes by these words, so reduction is eager:
-parse and from_letters reduce; the ReducedWord constructor trusts its letters.
+the rest form block 2.  A letter is a nonzero int: +(i+1) for generator i and
+-(i+1) for its inverse, so a letter's inverse is its negation and a cancels b
+exactly when a == -b.  Only Alphabet maps a letter to its index, name or block.
+A word is a tuple of letters with no cancelling adjacent pair.  Everything
+downstream (cylinders, crossed products) indexes by these words, so reduction
+is eager: parse and from_letters reduce; the ReducedWord constructor trusts
+its letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True, order=True)
-class Letter:
-    """A signed generator: sign +1 for the generator, -1 for its inverse."""
-
-    index: int
-    sign: int
-
-    def inverse(self):
-        return Letter(self.index, -self.sign)
-
-    def cancels(self, other):
-        return self.index == other.index and self.sign == -other.sign
-
-    @property
-    def sort_key(self):
-        # positive letter sorts before its inverse, then by generator index
-        return (self.index, 0 if self.sign == 1 else 1)
 
 
 @dataclass(frozen=True)
@@ -56,8 +40,8 @@ class Alphabet:
     def block_sizes(self):
         return self.block_size, len(self.names) - self.block_size
 
-    def block_of(self, letter: Letter) -> int:
-        return 1 if letter.index < self.block_size else 2
+    def block_of(self, letter: int) -> int:
+        return 1 if abs(letter) <= self.block_size else 2
 
     def block_indices(self, block: int):
         assert block in (1, 2)
@@ -66,29 +50,26 @@ class Alphabet:
         return range(self.block_size, self.size)
 
     def letters(self, block=None):
-        """All signed letters, positive before negative per generator."""
+        """All letters, by generator index, each generator before its inverse."""
         indices = range(self.size) if block is None else self.block_indices(block)
-        out = []
-        for i in indices:
-            out.append(Letter(i, 1))
-            out.append(Letter(i, -1))
-        return out
+        return [sign * (i + 1) for i in indices for sign in (1, -1)]
 
-    def letter(self, name: str) -> Letter:
+    def letter(self, name: str) -> int:
         base = name[:-1] if name.endswith("'") else name
         if base not in self.names:
             raise ValueError(f"unknown generator {base!r}")
-        return Letter(self.names.index(base), -1 if name.endswith("'") else 1)
+        i = self.names.index(base) + 1
+        return -i if name.endswith("'") else i
 
-    def render_letter(self, letter: Letter) -> str:
-        name = self.names[letter.index]
-        return name if letter.sign == 1 else name + "'"
+    def render_letter(self, letter: int) -> str:
+        name = self.names[abs(letter) - 1]
+        return name if letter > 0 else name + "'"
 
 
 def _reduce(letters):
     stack = []
     for letter in letters:
-        if stack and stack[-1].cancels(letter):
+        if stack and stack[-1] == -letter:
             stack.pop()
         else:
             stack.append(letter)
@@ -98,7 +79,7 @@ def _reduce(letters):
 @dataclass(frozen=True)
 class ReducedWord:
     alphabet: Alphabet
-    letters: tuple[Letter, ...]
+    letters: tuple[int, ...]
 
     @staticmethod
     def from_letters(alphabet, letters):
@@ -127,7 +108,7 @@ class ReducedWord:
         return ReducedWord.from_letters(self.alphabet, self.letters + other.letters)
 
     def inverse(self):
-        return ReducedWord(self.alphabet, tuple(a.inverse() for a in reversed(self.letters)))
+        return ReducedWord(self.alphabet, tuple(-a for a in reversed(self.letters)))
 
     def is_identity(self):
         return not self.letters
@@ -163,10 +144,8 @@ class ReducedWord:
 
     def extensions(self):
         """Letters that extend this word without cancellation, sorted."""
-        out = [a for a in self.alphabet.letters()
-               if not self.letters or not self.letters[-1].cancels(a)]
-        out.sort(key=lambda a: a.sort_key)
-        return out
+        last = self.letters[-1] if self.letters else 0
+        return [a for a in self.alphabet.letters() if a != -last]
 
     def render(self):
         if not self.letters:
@@ -177,7 +156,7 @@ class ReducedWord:
         return self.render()
 
     def sort_key(self):
-        return tuple(a.sort_key for a in self.letters)
+        return tuple((abs(a), a < 0) for a in self.letters)
 
 
 def count_sphere(alphabet: Alphabet, block: int, length: int):
@@ -194,7 +173,6 @@ def sphere(alphabet: Alphabet, length: int, block=None):
     With block set, only letters from that block are used.
     """
     letters = alphabet.letters(block)
-    letters.sort(key=lambda a: a.sort_key)
     out = []
 
     def grow(prefix):
@@ -202,7 +180,7 @@ def sphere(alphabet: Alphabet, length: int, block=None):
             out.append(ReducedWord(alphabet, tuple(prefix)))
             return
         for a in letters:
-            if prefix and prefix[-1].cancels(a):
+            if prefix and prefix[-1] == -a:
                 continue
             prefix.append(a)
             grow(prefix)

@@ -17,6 +17,7 @@ from amalgam import cli, dsl
 from amalgam.boundary import Cylinder
 from amalgam.cli import main
 from amalgam.config import ConfigError, default_config, parse_config
+from amalgam.scalars import QC
 from amalgam.dsl import (
     Adjoint, BracketAtom, CylinderAtom, DslError, Power, Product, UnitAtom,
     WordAtom,
@@ -227,6 +228,15 @@ def test_moment_identity_word(capsys):
     code, out, _ = run(capsys, "--format", "machine", "moment", "a a'")
     assert code == 0
     assert out.strip() == "record=moment expr=a.a' value=1*O(e)"
+
+
+def test_complex_scalar_keeps_its_sign():
+    # the machine format promises exact p/q parts, signed between them
+    cases = [(QC(1, 2), "1+2i"), (QC(Fraction(1, 2), Fraction(3, 4)), "1/2+3/4i"),
+             (QC(1, -2), "1-2i"), (QC(0, 2), "2i"), (QC(0, -2), "-2i"),
+             (QC(Fraction(-1, 3)), "-1/3")]
+    for value, text in cases:
+        assert cli._scalar(value) == text
 
 
 def test_rn_frozen(capsys):

@@ -184,8 +184,16 @@ def test_normalizing_groupoid_matches_oracle():
 
 def test_groupoid_bound_enforced():
     big = FiniteBase.uniform(tuple(f"p{i}" for i in range(9)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="base too large"):
         normalizing_groupoid(FiniteRelation.diagonal(big))
+
+
+def test_partial_bijection_validation_raises():
+    # a ValueError, not an assert, so the check survives python -O
+    with pytest.raises(ValueError, match="not a function"):
+        PartialBijection(B3, (("x", "y"), ("x", "z")))
+    with pytest.raises(ValueError, match="not injective"):
+        PartialBijection(B3, (("x", "z"), ("y", "z")))
 
 
 def test_partial_bijection_is_partial_isometry():

@@ -3,7 +3,7 @@ import itertools
 from hypothesis import given, strategies as st
 
 from amalgam.words import (
-    Alphabet, Letter, ReducedWord, ball, count_sphere, sphere,
+    Alphabet, ReducedWord, ball, count_sphere, sphere,
 )
 
 AB = Alphabet(("a", "b"), 1)          # one generator per block
@@ -20,7 +20,7 @@ def brute_sphere(alphabet, length, block=None):
     letters = alphabet.letters(block)
     out = []
     for combo in itertools.product(letters, repeat=length):
-        if any(x.cancels(y) for x, y in zip(combo, combo[1:])):
+        if any(x == -y for x, y in zip(combo, combo[1:])):
             continue
         out.append(ReducedWord(alphabet, combo))
     return out
@@ -65,7 +65,8 @@ def test_block_runs():
 
 
 letters_st = st.lists(
-    st.builds(Letter, st.integers(0, 3), st.sampled_from((1, -1))), max_size=12)
+    st.builds(lambda i, s: s * (i + 1), st.integers(0, 3), st.sampled_from((1, -1))),
+    max_size=12)
 
 
 @given(letters_st)
@@ -76,8 +77,8 @@ def test_reduction_is_idempotent(letters):
 
 def reduced(word):
     pairs = zip(word.letters, word.letters[1:])
-    return not any(a.cancels(b) for a, b in pairs) and \
-        all(0 <= a.index < word.alphabet.size for a in word.letters)
+    return not any(a == -b for a, b in pairs) and \
+        all(1 <= abs(a) <= word.alphabet.size for a in word.letters)
 
 
 @given(letters_st, letters_st)
@@ -148,3 +149,15 @@ def test_ball_sizes():
 def test_parse_render_round_trip():
     for text in ("e", "a", "b'", "a b' a a"):
         assert str(w(ABCD, text)) == text
+
+
+def test_letter_encoding_boundary():
+    # letter, render_letter and block_of are the only maps from a letter to
+    # its name and block; check them on every letter of each alphabet
+    for alphabet in (AB, ABC, ABCD):
+        block1 = alphabet.names[:alphabet.block_size]
+        for a in alphabet.letters():
+            name = alphabet.render_letter(a)
+            assert alphabet.letter(name) == a
+            assert (alphabet.block_of(a) == 1) == (name.rstrip("'") in block1)
+        assert alphabet.letters(1) + alphabet.letters(2) == alphabet.letters()
