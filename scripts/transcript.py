@@ -1,0 +1,158 @@
+"""Print a transcript of the command line tool over a fixed command list.
+
+    PYTHONHASHSEED=0 python scripts/transcript.py [LIMIT] > transcript.txt
+
+Each command runs in process through `amalgam.cli.main`; the transcript
+gives its argv, exit code, stdout and stderr. Two checkouts that print the
+same transcript answer every listed command alike, so `cmp` of the two
+files checks that a change kept the outputs byte-identical. The list holds
+the README examples, one or more of every command form, the input errors,
+`suite67` in both formats, and depth sweeps of `moment`, `oracle`, `haar`
+and `freeness boundary` over boundary expressions drawn from a fixed seed.
+LIMIT runs only the first LIMIT commands; the cheap ones come first.
+"""
+
+import contextlib
+import io
+import os
+import random
+import shlex
+import sys
+import tempfile
+
+from amalgam import cli
+
+SEED = 20
+EXPRESSIONS = 150
+DEPTHS = range(2, 7)
+LETTERS = ("a", "a'", "b", "b'")
+
+CONFIGS = {
+    "bad.cfg": "[limits]\nbogus = 3\n",
+    "weights.cfg": "[base]\npoints = p q r\n[state]\nweights = 5 5 1\n",
+    "abc.cfg": "[alphabet]\nblock1 = a c\nblock2 = b\n",
+}
+
+FIXED = [
+    # README examples
+    ["measure", "O(a b)"],
+    ["--format", "machine", "series", "1", "2"],
+    ["--format", "machine", "moment", "(A[e]{1,2} B[u]{2,1})^2"],
+    # one of each command form
+    ["measure", "O(e)"],
+    ["--format", "machine", "measure", "O(a b' a)"],
+    ["rn", "a", "O(a b)"],
+    ["--format", "machine", "rn", "a b", "O(b' a')"],
+    ["series", "2", "4"],
+    ["--format", "machine", "moment", "O(a) b O(b') a'"],
+    ["--format", "machine", "moment", "a b a' b'"],
+    ["--format", "machine", "oracle", "a b O(a) b' a'"],
+    ["--format", "machine", "haar", "a b", "3"],
+    ["--format", "machine", "moment", "~B[u^2]{3,1} A[e]{1,3}"],
+    ["--format", "machine", "moment", "e[x0,x1] A[d[x0]]{1,1}"],
+    ["--format", "machine", "haar", "A[e]{1,3} B[u^-2]{3,1}", "4"],
+    ["haar", "A[e]{1,2}", "2"],
+    ["--format", "machine", "join"],
+    ["ergodic"],
+    ["--format", "machine", "--config", "abc.cfg", "measure", "O(c b)"],
+    ["--depth", "2", "moment", "O(a b a) a"],
+    ["--depth", "2", "moment", "O(a b a)"],
+    ["--depth", "2", "oracle", "O(a b a)"],
+    # input errors
+    ["--config", "bad.cfg", "join"],
+    ["--config", "missing.cfg", "join"],
+    ["--config", "weights.cfg", "ergodic"],
+    ["measure", "O(a q)"],
+    ["moment", "a A[e]{1,2}"],
+    ["moment", "(a b"],
+    ["measure", "O(a a')"],
+    ["rn", "a", "O(b b')"],
+    ["moment", "O(a a') b"],
+    ["measure", "O(a e a')"],
+    # the freeness sweeps and the battery
+    ["--format", "machine", "freeness", "boundary"],
+    ["--format", "machine", "freeness", "corner"],
+    ["freeness", "corner"],
+    ["suite67"],
+    ["--format", "machine", "suite67"],
+]
+
+
+def reduced_word(rng, length):
+    out = []
+    while len(out) < length:
+        letter = rng.choice(LETTERS)
+        if out and out[-1][0] == letter[0] and out[-1] != letter:
+            continue  # the inverse of the last letter
+        out.append(letter)
+    return " ".join(out)
+
+
+def boundary_expr(rng):
+    factors = []
+    for _ in range(rng.randint(2, 4)):
+        if rng.random() < 0.4:
+            factors.append("O(%s)" % reduced_word(rng, rng.randint(1, 3)))
+        else:
+            factors.append(rng.choice(LETTERS))
+    expr = " ".join(factors)
+    if rng.random() < 0.2:
+        expr = "(%s)^%d" % (expr, rng.choice((-2, 2)))
+    return expr
+
+
+def commands():
+    rng = random.Random(SEED)
+    exprs = [boundary_expr(rng) for _ in range(EXPRESSIONS)]
+    out = list(FIXED)
+    for expr in exprs:
+        for depth in DEPTHS:
+            for command in (["moment", expr], ["oracle", expr],
+                            ["haar", expr, "2"]):
+                out.append(["--format", "machine", "--depth", str(depth)]
+                           + command)
+    for expr in exprs:
+        for kmax in ("3", "4"):
+            out.append(["--format", "machine", "haar", expr, kmax])
+    for depth in range(3, 11):
+        for max_len in range(3, 6):
+            out.append(["--format", "machine", "--depth", str(depth),
+                        "--max-len", str(max_len), "freeness", "boundary"])
+    return out
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one command, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def transcript(argvs, stream):
+    for argv in argvs:
+        code, out, err = run(argv)
+        stream.write("$ amalgam %s\nexit %s\n--- stdout\n%s--- stderr\n%s\n"
+                     % (shlex.join(argv), code, out, err))
+
+
+def main(args):
+    argvs = commands()
+    if args:
+        argvs = argvs[:int(args[0])]
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # the configuration files are named relative to the working
+        # directory, so no temporary path reaches the transcript
+        for name, text in CONFIGS.items():
+            with open(os.path.join(tmp, name), "w") as handle:
+                handle.write(text)
+        os.chdir(tmp)
+        try:
+            transcript(argvs, sys.stdout)
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -384,7 +384,9 @@ class BoundaryContext(MAmbient):
 
     def atom(self, node):
         if isinstance(node, CylinderAtom):
-            return self.product.from_d(CylFn.indicator(node.cylinder))
+            face = self.product.face(self.product.tags[0])
+            return self.product.from_d(
+                face.guard(CylFn.indicator(node.cylinder)))
         if isinstance(node, WordAtom):
             word = node.word
             if word.is_identity():

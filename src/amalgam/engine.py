@@ -158,12 +158,6 @@ def _canonical(alphabet, terms):
     return {ReducedWord(alphabet, suffix): v for suffix, v in flat.items()}
 
 
-def cylfn_gap(u: CylFn, v: CylFn) -> float:
-    """Sup-norm distance, for floating tolerance comparisons."""
-    diff = u - v
-    return max((abs(complex(c)) for c in diff.terms.values()), default=0.0)
-
-
 # ---------------------------------------------------------------------------
 # the algebra protocol: faces, the full-group oracle and the free product
 
@@ -243,7 +237,8 @@ class CrossedFace(Algebra):
         self.block = block
         self.budget = budget
 
-    def _guard(self, fn):
+    def guard(self, fn):
+        """fn itself; DepthBudgetExceeded when it is deeper than the budget."""
         if fn.depth() > self.budget:
             raise DepthBudgetExceeded(
                 f"cylinder depth {fn.depth()} exceeds budget {self.budget}")
@@ -255,7 +250,7 @@ class CrossedFace(Algebra):
             if self.block is not None and \
                     word.block_membership() not in ("identity", self.block):
                 raise ValueError(f"word {word} is not in block {self.block}")
-            self._guard(fn)
+            self.guard(fn)
             if not fn.is_zero():
                 clean[word] = fn
         return CrossedElement(self.alphabet, clean)
@@ -284,7 +279,7 @@ class CrossedFace(Algebra):
         for g, f in x.terms.items():
             for h, k in y.terms.items():
                 word = g * h
-                fn = f * self._guard(k.translate(g))
+                fn = f * self.guard(k.translate(g))
                 if not fn.is_zero():
                     out[word] = out[word] + fn if word in out else fn
         return CrossedElement(self.alphabet, {w: fn for w, fn in out.items() if fn.terms})
@@ -301,7 +296,7 @@ class CrossedFace(Algebra):
     def adjoint(self, x):
         out = {}
         for g, f in x.terms.items():
-            out[g.inverse()] = self._guard(f.adjoint().translate(g.inverse()))
+            out[g.inverse()] = self.guard(f.adjoint().translate(g.inverse()))
         return CrossedElement(self.alphabet, out)
 
     def is_zero(self, x):
@@ -372,41 +367,13 @@ class FMFace(Algebra):
 # ---------------------------------------------------------------------------
 # the free product
 
-class CenteredLetter:
-    """Face element with zero expectation, tagged by its face."""
-
-    __slots__ = ("tag", "value")
-
-    def __init__(self, tag, value):
-        self.tag = tag
-        self.value = value
-
-    def __eq__(self, other):
-        if not isinstance(other, CenteredLetter):
-            return NotImplemented
-        return self.tag == other.tag and self.value == other.value
-
-    def __repr__(self):
-        return f"[{self.tag}:{self.value!r}]"
-
-
-@dataclass(frozen=True)
-class MWord:
-    """Alternating product of centered letters; coefficients are absorbed."""
-
-    letters: tuple
-
-    def __post_init__(self):
-        assert self.letters, "empty word is the scalar part"
-        for a, b in zip(self.letters, self.letters[1:]):
-            assert a.tag != b.tag, "word is not alternating"
-
-    def __len__(self):
-        return len(self.letters)
-
-
 class MElement:
-    """Normal form: diagonal part plus a sum of alternating centered words."""
+    """Normal form: diagonal part plus a sum of alternating centered words.
+
+    A word is a nonempty tuple of (tag, x) letters: x is a nonzero element
+    of face tag with zero expectation, and consecutive tags differ.
+    Coefficients are absorbed into the letters.
+    """
 
     __slots__ = ("product", "d_part", "words")
 
@@ -427,14 +394,12 @@ class MElement:
                         self.words + other.words)
 
     def __neg__(self):
-        product = self.product
+        faces = self.product.faces
         negged = []
         for word in self.words:
-            first = word.letters[0]
-            face = product.face(first.tag)
-            negged.append(MWord((CenteredLetter(first.tag, face.neg(first.value)),)
-                                + word.letters[1:]))
-        return MElement(product, -self.d_part, negged)
+            tag, x = word[0]
+            negged.append(((tag, faces[tag].neg(x)),) + word[1:])
+        return MElement(self.product, -self.d_part, negged)
 
     def __sub__(self, other):
         return self + (-other)
@@ -444,14 +409,10 @@ class MElement:
         return self.product.multiply(self, other)
 
     def adjoint(self):
-        product = self.product
-        words = []
-        for word in self.words:
-            letters = tuple(
-                CenteredLetter(a.tag, product.face(a.tag).adjoint(a.value))
-                for a in reversed(word.letters))
-            words.append(MWord(letters))
-        return MElement(product, self.d_part.adjoint(), words)
+        faces = self.product.faces
+        words = [tuple((tag, faces[tag].adjoint(x)) for tag, x in reversed(word))
+                 for word in self.words]
+        return MElement(self.product, self.d_part.adjoint(), words)
 
     def __eq__(self, other):
         """Structural equality of normal forms (sufficient, not necessary)."""
@@ -459,12 +420,12 @@ class MElement:
             return NotImplemented
         if self.d_part != other.d_part:
             return False
-        key = lambda w: (len(w), repr(w.letters))
+        key = lambda w: (len(w), repr(w))
         return sorted(self.words, key=key) == sorted(other.words, key=key)
 
     def __repr__(self):
         bits = [repr(self.d_part)] if not self.d_part.is_zero() else []
-        bits += ["*".join(repr(a) for a in w.letters) for w in self.words]
+        bits += ["*".join(f"[{tag}:{x!r}]" for tag, x in w) for w in self.words]
         return " + ".join(bits) if bits else "0"
 
 
@@ -511,8 +472,7 @@ class FreeProduct:
         """A raw face element as an MElement: expectation plus centered rest."""
         face = self.faces[tag]
         d, centered = face.split(x)
-        words = () if face.is_zero(centered) else \
-            (MWord((CenteredLetter(tag, centered),)),)
+        words = () if face.is_zero(centered) else (((tag, centered),),)
         return MElement(self, d, words)
 
     def letters_product(self, letters) -> MElement:
@@ -526,84 +486,54 @@ class FreeProduct:
 
     def multiply(self, x: MElement, y: MElement) -> MElement:
         d_total = x.d_part * y.d_part
-        words = []
-        for w in x.words:
-            scaled = self._word_times_d(w, y.d_part, left=False)
-            if scaled is not None:
-                words.append(scaled)
-        for v in y.words:
-            scaled = self._word_times_d(v, x.d_part, left=True)
-            if scaled is not None:
-                words.append(scaled)
+        words = [self._word_times_d(w, y.d_part, left=False) for w in x.words]
+        words += [self._word_times_d(v, x.d_part, left=True) for v in y.words]
+        words = [w for w in words if w is not None]
         for w in x.words:
             for v in y.words:
-                d_part, extra = self._word_mul(w.letters, v.letters)
+                d_part, extra = self._word_mul(w, v)
                 d_total = d_total + d_part
                 words.extend(extra)
         return MElement(self, d_total, words)
 
-    def _word_times_d(self, word: MWord, d, left: bool):
+    def _word_times_d(self, word, d, left: bool):
         """Absorb a diagonal factor into the outer letter; None when zero."""
         if d.is_zero():
             return None
-        index = 0 if left else -1
-        letter = word.letters[index]
-        face = self.faces[letter.tag]
+        tag, x = word[0] if left else word[-1]
+        face = self.faces[tag]
         embedded = face.embed_d(d)
-        value = face.mul(embedded, letter.value) if left else \
-            face.mul(letter.value, embedded)
+        value = face.mul(embedded, x) if left else face.mul(x, embedded)
         if face.is_zero(value):
             return None
-        replaced = CenteredLetter(letter.tag, value)
-        if left:
-            return MWord((replaced,) + word.letters[1:])
-        return MWord(word.letters[:-1] + (replaced,))
+        return ((tag, value),) + word[1:] if left else word[:-1] + ((tag, value),)
 
-    def _word_mul(self, left: tuple, right: tuple):
-        """Product of two alternating centered words: (diagonal, [MWord])."""
-        if not left and not right:
-            return self.d_one(), []
-        if not left:
-            return self.d_zero(), [MWord(right)]
-        if not right:
-            return self.d_zero(), [MWord(left)]
-        a, b = left[-1], right[0]
-        if a.tag != b.tag:
+    def _word_mul(self, left, right):
+        """Product of two words: (diagonal, [word])."""
+        (tag, a), (tag_b, b) = left[-1], right[0]
+        if tag != tag_b:
             # no merge; tighten the seam with the left support projection
-            face_b = self.faces[b.tag]
-            support = self.faces[a.tag].right_support(a.value)
-            tightened = face_b.mul(face_b.embed_d(support), b.value)
-            if face_b.is_zero(tightened):
-                return self.d_zero(), []
-            seamed = (CenteredLetter(b.tag, tightened),) + right[1:]
-            return self.d_zero(), [MWord(left + seamed)]
-        face = self.faces[a.tag]
-        d, centered = face.split(face.mul(a.value, b.value))
+            seamed = self._word_times_d(right, self.faces[tag].right_support(a),
+                                        left=True)
+            return self.d_zero(), [] if seamed is None else [left + seamed]
+        face = self.faces[tag]
+        d, centered = face.split(face.mul(a, b))
         d_total, words = self.d_zero(), []
         if not face.is_zero(centered):
-            mid = CenteredLetter(a.tag, centered)
-            words.append(MWord(left[:-1] + (mid,) + right[1:]))
-        if not d.is_zero():
-            lrest, rrest = left[:-1], right[1:]
-            if lrest and rrest:
-                nxt = rrest[0]
-                nface = self.faces[nxt.tag]
-                absorbed = nface.mul(nface.embed_d(d), nxt.value)
-                if not nface.is_zero(absorbed):
-                    sub_d, sub_words = self._word_mul(
-                        lrest, (CenteredLetter(nxt.tag, absorbed),) + rrest[1:])
-                    d_total = d_total + sub_d
-                    words.extend(sub_words)
-            elif lrest:
-                scaled = self._word_times_d(MWord(lrest), d, left=False)
-                if scaled is not None:
-                    words.append(scaled)
-            elif rrest:
-                scaled = self._word_times_d(MWord(rrest), d, left=True)
-                if scaled is not None:
-                    words.append(scaled)
-            else:
-                d_total = d_total + d
+            words.append(left[:-1] + ((tag, centered),) + right[1:])
+        lrest, rrest = left[:-1], right[1:]
+        if lrest and rrest:
+            absorbed = self._word_times_d(rrest, d, left=True)
+            if absorbed is not None:
+                sub_d, sub_words = self._word_mul(lrest, absorbed)
+                d_total = d_total + sub_d
+                words.extend(sub_words)
+        elif lrest or rrest:
+            scaled = self._word_times_d(lrest or rrest, d, left=not lrest)
+            if scaled is not None:
+                words.append(scaled)
+        elif not d.is_zero():
+            d_total = d_total + d
         return d_total, words
 
     # -- expectation of raw letter sequences ---------------------------------
@@ -639,13 +569,8 @@ class FreeProduct:
         if m == 0:
             return self.d_one()
         if m == 1:
-            if known_centered >= 1:
-                return self.d_zero()
             tag, x = seq[0]
             return self.faces[tag].expect(x)
-        if known_centered >= m:
-            return self.d_zero()
-        assert known_centered < m, "letter count must shrink"
         total = self.d_zero()
         centered_prefix = list(seq[:known_centered])
         for i in range(known_centered, m):

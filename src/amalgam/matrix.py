@@ -499,7 +499,7 @@ def _adjoint_pair_shapes(model, pairs):
             seam = u1.adjoint() * u2
             if i1 != i2:
                 ok = seam.d_part.is_zero() and len(seam.words) == 1 and \
-                    tuple(l.tag for l in seam.words[0].letters) == ("B", "A", "B")
+                    tuple(tag for tag, _ in seam.words[0]) == ("B", "A", "B")
             else:
                 ok = seam == model.embed(
                     face_b.bracket(face_b.shift_power(n2 - n1), 1, 1))

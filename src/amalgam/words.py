@@ -126,22 +126,6 @@ class ReducedWord:
             return blocks.pop()
         return "mixed"
 
-    def block_runs(self):
-        """Split into maximal subwords whose letters stay in one block."""
-        runs = []
-        current = []
-        current_block = None
-        for a in self.letters:
-            block = self.alphabet.block_of(a)
-            if block != current_block and current:
-                runs.append(ReducedWord(self.alphabet, tuple(current)))
-                current = []
-            current.append(a)
-            current_block = block
-        if current:
-            runs.append(ReducedWord(self.alphabet, tuple(current)))
-        return runs
-
     def extensions(self):
         """Letters that extend this word without cancellation, sorted."""
         last = self.letters[-1] if self.letters else 0

@@ -1,5 +1,6 @@
 """Expression language round trips, config parsing, CLI exit codes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -318,6 +319,15 @@ def test_depth_budget_exits_with_three(capsys):
     assert err == "error: cylinder depth 3 exceeds budget 2\n"
 
 
+@pytest.mark.parametrize("argv", [("moment", "O(a b a)"),
+                                  ("haar", "O(a b a)", "1")])
+def test_lone_cylinder_held_to_the_depth_budget(capsys, argv):
+    # a cylinder atom with no arithmetic on it still meets the budget
+    code, out, err = run(capsys, "--depth", "2", *argv)
+    assert code == 3 and out == ""
+    assert err == "error: cylinder depth 3 exceeds budget 2\n"
+
+
 def test_internal_error_exits_with_four(capsys, monkeypatch):
     def broken(args, config):
         raise AssertionError("invariant broke")
@@ -399,6 +409,7 @@ SAME_UNDER_OPTIMIZE = [
     ["join"],
     ["ergodic"],
     ["--depth", "2", "moment", "O(a b a) a"],
+    ["--depth", "2", "moment", "O(a b a)"],
 ]
 
 RUN_ALL = """
@@ -476,3 +487,16 @@ def test_suite67_light(capsys):
     names = {line.split(" ", 1)[0] for line in lines}
     assert "record=oracle_agreement" in names
     assert "record=corner_freeness" in names
+
+
+def test_transcript_script_first_commands(capsys):
+    path = SRC.parent / "scripts" / "transcript.py"
+    spec = importlib.util.spec_from_file_location("transcript", path)
+    transcript = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(transcript)
+    transcript.main(["20"])
+    out = capsys.readouterr().out
+    assert out.count("$ amalgam ") == 20
+    assert out.startswith("$ amalgam measure 'O(a b)'\nexit 0\n--- stdout\n"
+                          "measure\n  cylinder = O(a.b)\n  value = 1/12\n")
+    assert "exit 0" in out and "exit 4" not in out

@@ -9,7 +9,7 @@ import amalgam.boundary
 from amalgam.boundary import Cylinder
 from amalgam.engine import (
     CrossedFace, CylFn, DepthBudgetExceeded, FMFace, FreeProduct, MAmbient,
-    cylfn_gap, freeness_check, haar_check,
+    freeness_check, haar_check,
 )
 from amalgam.fmalg import FMElement, FiniteBase, FiniteRelation
 from amalgam.scalars import QC
@@ -331,6 +331,41 @@ def test_crossed_hot_path_never_refines(monkeypatch):
 def test_oracle_requires_boundary_backend():
     with pytest.raises(ValueError):
         fm_product().oracle_expectation([])
+
+
+# -- the normal-form word format ------------------------------------------------
+
+BACKENDS = {
+    "finite": (fm_product(), fm_letters),
+    "boundary": (boundary_product(16), boundary_letters),
+}
+
+
+def assert_normal_form(product, x):
+    """Every word is a nonempty tuple of (tag, x) letters with alternating
+    tags, each letter nonzero and centered in its face."""
+    for word in x.words:
+        assert isinstance(word, tuple) and word
+        tags = [letter[0] for letter in word]
+        assert all(a != b for a, b in zip(tags, tags[1:])), tags
+        for tag, value in word:
+            face = product.face(tag)
+            assert not face.is_zero(value)
+            assert face.expect(value).is_zero()
+
+
+letter_indices = st.lists(st.integers(0, 3), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BACKENDS)), letter_indices, letter_indices)
+def test_normal_form_words_alternate_and_are_centered(backend, first, second):
+    product, letters = BACKENDS[backend]
+    gens = letters(product)
+    x = product.letters_product([gens[i] for i in first])
+    y = product.letters_product([gens[i] for i in second])
+    for z in (x, x + y, x - y, x * y, x.adjoint(), -x):
+        assert_normal_form(product, z)
 
 
 # -- freeness and haar checks -------------------------------------------------

@@ -58,12 +58,6 @@ def test_block_membership():
     assert w(ABC, "a b").block_membership() == "mixed"
 
 
-def test_block_runs():
-    runs = w(ABCD, "a b' c c a'").block_runs()
-    assert [str(r) for r in runs] == ["a b'", "c c", "a'"]
-    assert w(ABCD, "e").block_runs() == []
-
-
 letters_st = st.lists(
     st.builds(lambda i, s: s * (i + 1), st.integers(0, 3), st.sampled_from((1, -1))),
     max_size=12)
