@@ -7,8 +7,9 @@ gives its argv, exit code, stdout and stderr. Two checkouts that print the
 same transcript answer every listed command alike, so `cmp` of the two
 files checks that a change kept the outputs byte-identical. The list holds
 the README examples, one or more of every command form, the input errors,
-`suite67` in both formats, and depth sweeps of `moment`, `oracle`, `haar`
-and `freeness boundary` over boundary expressions drawn from a fixed seed.
+relations built from configured classes, `suite67` in both formats, and
+depth sweeps of `moment`, `oracle`, `haar` and `freeness boundary` over
+boundary expressions drawn from a fixed seed.
 LIMIT runs only the first LIMIT commands; the cheap ones come first.
 """
 
@@ -31,6 +32,14 @@ CONFIGS = {
     "bad.cfg": "[limits]\nbogus = 3\n",
     "weights.cfg": "[base]\npoints = p q r\n[state]\nweights = 5 5 1\n",
     "abc.cfg": "[alphabet]\nblock1 = a c\nblock2 = b\n",
+    # relations built from [base] classes
+    "repeat.cfg": "[base]\npoints = p q r\nclasses = {p p q}\n",
+    "overlap.cfg": "[base]\npoints = p q r\nclasses = {p q} {q r}\n",
+    "offbase.cfg": "[base]\npoints = p q r\nclasses = {p w}\n",
+    "three.cfg": "[base]\npoints = p q r s t u v\n"
+                 "classes = {p q} {s r} {u t}\n[alpha]\ncycles = (q s)\n",
+    "mass.cfg": "[base]\npoints = p q r s\nclasses = {q p}\n"
+                "[state]\nweights = 1/2 1/4 1/8 1/8\n[alpha]\ncycles = (r q)\n",
 }
 
 FIXED = [
@@ -69,6 +78,20 @@ FIXED = [
     ["rn", "a", "O(b b')"],
     ["moment", "O(a a') b"],
     ["measure", "O(a e a')"],
+    ["--config", "overlap.cfg", "join"],
+    ["--config", "offbase.cfg", "join"],
+    # relations from config classes
+    ["--format", "machine", "--config", "repeat.cfg", "join"],
+    ["--format", "machine", "--config", "repeat.cfg", "ergodic"],
+    ["--format", "machine", "--config", "three.cfg", "join"],
+    ["--format", "machine", "--config", "three.cfg", "ergodic"],
+    ["--format", "machine", "--config", "mass.cfg", "join"],
+    ["--format", "machine", "--config", "mass.cfg", "ergodic"],
+    ["--format", "machine", "--config", "mass.cfg", "moment", "e[q,p] e[p,q]"],
+    ["--format", "machine", "--config", "three.cfg", "moment",
+     "e[q,s] e[s,q] A[d[q]]{1,1}"],
+    ["--format", "machine", "--config", "three.cfg", "haar",
+     "A[e[p,q]]{1,2} B[u]{2,1}", "2"],
     # the freeness sweeps and the battery
     ["--format", "machine", "freeness", "boundary"],
     ["--format", "machine", "freeness", "corner"],

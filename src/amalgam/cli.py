@@ -9,7 +9,7 @@ error.
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -489,10 +489,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else default_config()
-        if args.max_len is not None:
-            config.max_len = args.max_len
-        if args.depth is not None:
-            config.depth = args.depth
+        overrides = {key: getattr(args, key) for key in ("max_len", "depth")
+                     if getattr(args, key) is not None}
+        config = replace(config, **overrides)
         records = COMMANDS[args.command](args, config)
     except (OSError, ValueError) as exc:
         # ConfigError and DslError are ValueErrors

@@ -65,9 +65,6 @@ class Power:
     n: int
 
 
-ATOMS = (WordAtom, CylinderAtom, UnitAtom, BracketAtom)
-
-
 # -- tokenizer -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(

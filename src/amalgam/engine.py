@@ -211,7 +211,8 @@ class CrossedElement:
         self.terms = terms  # ReducedWord -> CylFn
 
     def coefficient(self, word):
-        return self.terms.get(word, CylFn.zero(self.alphabet))
+        fn = self.terms.get(word)
+        return CylFn.zero(self.alphabet) if fn is None else fn
 
     def __eq__(self, other):
         if not isinstance(other, CrossedElement):
@@ -236,6 +237,7 @@ class CrossedFace(Algebra):
         self.alphabet = alphabet
         self.block = block
         self.budget = budget
+        self.identity = ReducedWord.identity(alphabet)
 
     def guard(self, fn):
         """fn itself; DepthBudgetExceeded when it is deeper than the budget."""
@@ -259,16 +261,16 @@ class CrossedFace(Algebra):
         return self.element({word: CylFn.one(self.alphabet)})
 
     def one(self):
-        return self.unitary(ReducedWord.identity(self.alphabet))
+        return self.unitary(self.identity)
 
     def zero(self):
         return CrossedElement(self.alphabet, {})
 
     def embed_d(self, fn: CylFn):
-        return self.element({ReducedWord.identity(self.alphabet): fn})
+        return self.element({self.identity: fn})
 
     def expect(self, x: CrossedElement) -> CylFn:
-        return x.coefficient(ReducedWord.identity(self.alphabet))
+        return x.coefficient(self.identity)
 
     # mul, add and adjoint trust their operands, elements of this face: block
     # words multiply within the block, and sums and products of cylinder
@@ -660,20 +662,19 @@ class FreenessReport:
     max_len: int
     words_checked: int = 0
     violations: list = field(default_factory=list)
-    note: str = ""
 
     @property
     def passed(self):
         return not self.violations
 
 
-def freeness_check(algebra, families, max_len, note="") -> FreenessReport:
+def freeness_check(algebra, families, max_len) -> FreenessReport:
     """Test that alternating centered words across families have zero
     expectation, for every word of length 2..max_len with letters drawn
     from the given family generator lists.
     """
     centered = [[algebra.center(x) for x in fam] for fam in families]
-    report = FreenessReport(max_len=max_len, note=note)
+    report = FreenessReport(max_len=max_len)
 
     def extend(path, value):
         length = len(path)

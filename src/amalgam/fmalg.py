@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import ONE, QC, conj, is_zero
@@ -55,45 +55,42 @@ class FiniteBase:
 
 @dataclass(frozen=True)
 class FiniteRelation:
-    """Equivalence relation on the base, stored as its full pair set."""
+    """Equivalence relation on the base, stored as its partition.
+
+    The blocks are kept in canonical order, each in base order and all
+    ordered by their first point, so equality is partition equality.
+    """
 
     base: FiniteBase
-    pairs: frozenset
+    blocks: tuple
+    pairs: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        points = set(self.base.points)
-        succ = {x: set() for x in points}
-        for x, y in self.pairs:
-            if x not in points or y not in points:
-                raise ValueError(f"pair off the base: {(x, y)}")
-            succ[x].add(y)
-        for x in self.base.points:
-            if x not in succ[x]:
-                raise ValueError(f"not reflexive at {x}")
-        for x, y in self.pairs:
-            if x not in succ[y]:
-                raise ValueError(f"not symmetric at {(x, y)}")
-            # (x, y) and (y, z) need (x, z): succ[y] within succ[x]
-            if not succ[y] <= succ[x]:
-                z = min(succ[y] - succ[x], key=repr)
-                raise ValueError(f"not transitive via {(x, y, z)}")
+        owner = dict.fromkeys(self.base.points)
+        for i, cls in enumerate(self.blocks):
+            for x in cls:
+                if x not in owner:
+                    raise ValueError(f"point off the base: {x}")
+                if owner[x] not in (None, i):
+                    raise ValueError("point in two classes")
+                owner[x] = i
+        blocks = {}
+        for x, i in owner.items():
+            if i is None:
+                raise ValueError(f"base point in no class: {x}")
+            blocks.setdefault(i, []).append(x)
+        blocks = tuple(map(tuple, blocks.values()))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "pairs", frozenset(
+            (x, y) for cls in blocks for x in cls for y in cls))
 
     @staticmethod
     def from_classes(base, classes):
         """Build from blocks; points not mentioned become singletons."""
-        seen = set()
-        pairs = set()
-        for cls in classes:
-            cls = tuple(cls)
-            if seen.intersection(cls):
-                raise ValueError("point in two classes")
-            seen.update(cls)
-            for x in cls:
-                for y in cls:
-                    pairs.add((x, y))
-        for x in base.points:
-            pairs.add((x, x))
-        return FiniteRelation(base, frozenset(pairs))
+        classes = tuple(map(tuple, classes))
+        seen = {x for cls in classes for x in cls}
+        return FiniteRelation(base, classes + tuple(
+            (x,) for x in base.points if x not in seen))
 
     @staticmethod
     def diagonal(base):
@@ -104,17 +101,10 @@ class FiniteRelation:
         return FiniteRelation.from_classes(base, [base.points])
 
     def classes(self):
-        points = list(self.base.points)
-        out = []
-        while points:
-            x = points[0]
-            cls = tuple(y for y in self.base.points if (x, y) in self.pairs)
-            out.append(cls)
-            points = [y for y in points if y not in cls]
-        return tuple(out)
+        return self.blocks
 
     def class_of(self, x):
-        return tuple(y for y in self.base.points if (x, y) in self.pairs)
+        return next((cls for cls in self.blocks if x in cls), ())
 
 
 class FMElement:
@@ -255,12 +245,13 @@ def join(r1: FiniteRelation, r2: FiniteRelation) -> FiniteRelation:
             x = parent[x]
         return x
 
-    for x, y in list(r1.pairs) + list(r2.pairs):
-        parent[find(x)] = find(y)
+    for cls in r1.blocks + r2.blocks:
+        for x in cls[1:]:
+            parent[find(x)] = find(cls[0])
     classes = {}
     for x in r1.base.points:
         classes.setdefault(find(x), []).append(x)
-    return FiniteRelation.from_classes(r1.base, classes.values())
+    return FiniteRelation(r1.base, tuple(classes.values()))
 
 
 def is_ergodic(relation: FiniteRelation) -> bool:

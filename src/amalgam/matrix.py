@@ -81,7 +81,7 @@ class Permutation:
         return out
 
     def orbit_relation(self):
-        return FiniteRelation.from_classes(self.base, self.orbits())
+        return FiniteRelation(self.base, self.orbits())
 
     def __repr__(self):
         cycles = [c for c in self.orbits() if len(c) > 1]
@@ -118,11 +118,9 @@ class AmplifiedFace:
         points = tuple((x, s) for s in self.slots for x in core_base.points)
         weights = tuple(core_base.weight(x) / k for x, _ in points)
         self.fm_base = FiniteBase(points, weights)
-        pairs = frozenset(
-            ((x, s), (y, t))
-            for x, y in self.core_relation.pairs
-            for s in self.slots for t in self.slots)
-        self.fm_relation = FiniteRelation(self.fm_base, pairs)
+        self.fm_relation = FiniteRelation(self.fm_base, tuple(
+            tuple((x, s) for x in cls for s in self.slots)
+            for cls in self.core_relation.blocks))
 
     def bracket(self, core, i, j):
         return BracketElement(self, {(i, j): core})
@@ -341,7 +339,6 @@ class SweepReport:
     fixture: str
     checked: int = 0
     failures: list = field(default_factory=list)
-    note: str = ""
 
     @property
     def passed(self):
@@ -354,7 +351,6 @@ class FamilyReport:
     families: int
     shape_checks: int
     engine_report: object
-    note: str = ""
 
     @property
     def words_checked(self):
@@ -431,9 +427,7 @@ def moment_vanishing_report(model, n_limit=2, i_values=(2, 3), kappa_limit=4):
     order = model.face_b.alpha.order()
     if not (n_limit < order and kappa_limit < order):
         raise ValueError("exponent windows must stay below the shift order")
-    report = SweepReport(
-        name="moment", fixture=model.fixture_line(),
-        note="windows |n|<=%d |kappa|<=%d" % (n_limit, kappa_limit))
+    report = SweepReport(name="moment", fixture=model.fixture_line())
     for n in range(-n_limit, n_limit + 1):
         for i in i_values:
             for kappa in range(-kappa_limit, kappa_limit + 1):
@@ -474,14 +468,10 @@ def family_freeness_report(model, max_len=4, n_limit=2, i_values=(2, 3),
             pairs.append((n, i))
             families.append([model.corner_power(n, i, kp) for kp in kappas])
     shape_checks = _adjoint_pair_shapes(model, pairs)
-    engine_report = freeness_check(
-        MAmbient(model.product), families, max_len,
-        note="%s windows |n|<=%d kappas=%s" % (
-            model.fixture_line(), n_limit, list(kappas)))
+    engine_report = freeness_check(MAmbient(model.product), families, max_len)
     return FamilyReport(fixture=model.fixture_line(), families=len(families),
                         shape_checks=shape_checks,
-                        engine_report=engine_report,
-                        note=engine_report.note)
+                        engine_report=engine_report)
 
 
 def _adjoint_pair_shapes(model, pairs):
@@ -518,8 +508,7 @@ def covariance_report(core_base, alpha, plain_relation, k_values=(2, 3, 4),
     report = SweepReport(
         name="covariance",
         fixture="base=%d shift_order=%d k in %s" % (
-            len(core_base.points), alpha.order(), list(k_values)),
-        note="windows |n|<=%d" % n_limit)
+            len(core_base.points), alpha.order(), list(k_values)))
     for k in k_values:
         model = CornerModel(core_base, alpha, plain_relation, k)
         usable = [i for i in i_values if i <= k]
@@ -543,8 +532,7 @@ def reduction_identities_report(core_base, alpha, plain_relation,
     report = SweepReport(
         name="reduction",
         fixture="base=%d shift_order=%d k in %s" % (
-            len(core_base.points), alpha.order(), list(k_values)),
-        note="windows |n|<=%d" % n_limit)
+            len(core_base.points), alpha.order(), list(k_values)))
     for k in k_values:
         model = CornerModel(core_base, alpha, plain_relation, k)
         face_a, face_b = model.face_a, model.face_b

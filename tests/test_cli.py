@@ -294,6 +294,21 @@ def test_error_exits_with_two(capsys, tmp_path):
     assert run(capsys, "--config", str(tmp_path / "missing.cfg"), "join")[0] == 2
 
 
+@pytest.mark.parametrize("key", ["max_len", "depth"])
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("command", [("freeness", "boundary"), ("suite67",)],
+                         ids=["freeness", "suite67"])
+def test_limit_overrides_are_validated(capsys, tmp_path, key, value, command):
+    # a flag and a config file line are checked alike
+    flag = "--" + key.replace("_", "-")
+    assert run(capsys, flag, value, *command) == \
+        (2, "", "error: limits must be positive\n")
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text("[limits]\n%s = %s\n" % (key, value))
+    assert run(capsys, "--config", str(cfg), *command) == \
+        (2, "", "error: limits must be positive\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("measure", "O(a a')"), ("rn", "a", "O(b b')"), ("moment", "O(a a') b"),
     ("measure", "O(a e a')"),

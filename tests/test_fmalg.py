@@ -9,6 +9,7 @@ from amalgam.fmalg import (
     all_equivalence_relations, coefficient_gap, is_ergodic, join,
     modular_scale, normalizing_groupoid,
 )
+from amalgam.matrix import cyclic_model
 from amalgam.scalars import QC
 
 B3 = FiniteBase.uniform(("x", "y", "z"))
@@ -132,17 +133,52 @@ def test_relation_counts():
 
 
 def test_relation_validation_raises():
-    diag = {(x, x) for x in B3.points}
+    # a relation is stored as its partition, so it is reflexive, symmetric
+    # and transitive by construction; only a bad partition can be given
     bad = [
-        (diag | {("x", "w"), ("w", "x")}, "off the base"),
-        (diag - {("z", "z")}, "not reflexive"),
-        (diag | {("x", "y")}, "not symmetric"),
-        (diag | {("x", "y"), ("y", "x"), ("y", "z"), ("z", "y")},
-         "not transitive"),
+        ((("x", "w"), ("y",), ("z",)), "off the base"),
+        ((("x", "y"), ("y", "z")), "point in two classes"),
+        ((("x", "y"),), "base point in no class: z"),
     ]
-    for pairs, message in bad:
+    for blocks, message in bad:
         with pytest.raises(ValueError, match=message):
-            FiniteRelation(B3, frozenset(pairs))
+            FiniteRelation(B3, blocks)
+
+
+def stored_relations():
+    for points in ("xyz", "wxyz"):
+        yield from all_equivalence_relations(FiniteBase.uniform(tuple(points)))
+    model = cyclic_model(5, 3)
+    yield model.face_a.fm_relation
+    yield model.face_b.fm_relation
+
+
+def test_relation_is_an_equivalence_and_its_classes_a_partition():
+    for relation in stored_relations():
+        points, pairs = relation.base.points, relation.pairs
+        succ = {x: {y for z, y in pairs if z == x} for x in points}
+        assert all(x in succ[x] for x in points)
+        assert all(x in succ[y] and succ[y] <= succ[x] for x, y in pairs)
+        flat = [x for cls in relation.classes() for x in cls]
+        assert len(flat) == len(set(flat)) and set(flat) == set(points)
+        for x in points:
+            assert x in relation.class_of(x)
+            assert set(relation.class_of(x)) == succ[x]
+
+
+def test_relation_classes_are_canonical():
+    base = FiniteBase.uniform(tuple("vwxyz"))
+    want = FiniteRelation.from_classes(base, [("v", "w", "y"), ("x", "z")])
+    assert want.classes() == (("v", "w", "y"), ("x", "z"))
+    classes = [("w", "y", "v"), ("z", "x")]
+    for order in itertools.permutations(classes):
+        for inner in itertools.product(*map(itertools.permutations, order)):
+            got = FiniteRelation.from_classes(base, inner)
+            assert got == want and hash(got) == hash(want)
+            assert got.classes() == want.classes()
+    # a point repeated inside one class is the class itself
+    assert FiniteRelation.from_classes(base, [("x", "z", "x")]) == \
+        FiniteRelation.from_classes(base, [("x", "z")])
 
 
 def test_ergodicity():
