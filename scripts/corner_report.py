@@ -22,7 +22,10 @@ def main():
     parser.add_argument("--n-max", type=int, default=2)
     args = parser.parse_args()
 
-    model = cyclic_model(core_size=args.core_size, k=args.k)
+    try:
+        model = cyclic_model(core_size=args.core_size, k=args.k)
+    except ValueError as exc:
+        parser.error(str(exc))
     i_values = tuple(i for i in (2, 3) if i <= args.k)
 
     report = moment_vanishing_report(

@@ -7,9 +7,10 @@ gives its argv, exit code, stdout and stderr. Two checkouts that print the
 same transcript answer every listed command alike, so `cmp` of the two
 files checks that a change kept the outputs byte-identical. The list holds
 the README examples, one or more of every command form, the input errors,
-relations built from configured classes, `suite67` in both formats, and
-depth sweeps of `moment`, `oracle`, `haar` and `freeness boundary` over
-boundary expressions drawn from a fixed seed.
+relations built from configured classes, `suite67` in both formats and
+under three more size mappings (`--max-len 2`, `--depth 3` and a weighted
+three-generator config), and depth sweeps of `moment`, `oracle`, `haar`
+and `freeness boundary` over boundary expressions drawn from a fixed seed.
 LIMIT runs only the first LIMIT commands; the cheap ones come first.
 """
 
@@ -40,6 +41,11 @@ CONFIGS = {
                  "classes = {p q} {s r} {u t}\n[alpha]\ncycles = (q s)\n",
     "mass.cfg": "[base]\npoints = p q r s\nclasses = {q p}\n"
                 "[state]\nweights = 1/2 1/4 1/8 1/8\n[alpha]\ncycles = (r q)\n",
+    # three generators over a weighted base (CUSTOM in tests/test_cli.py)
+    "custom.cfg": "[alphabet]\nblock1 = a c\nblock2 = b\n"
+                  "[base]\npoints = p q r s\nclasses = {p q}\n"
+                  "[state]\nweights = 1/2 1/6 1/6 1/6\n"
+                  "[alpha]\ncycles = (p q r s)\n[limits]\ndepth = 5\nk = 2\n",
 }
 
 FIXED = [
@@ -98,6 +104,10 @@ FIXED = [
     ["freeness", "corner"],
     ["suite67"],
     ["--format", "machine", "suite67"],
+    # the battery under other size mappings
+    ["--format", "machine", "--max-len", "2", "suite67"],
+    ["--format", "machine", "--depth", "3", "suite67"],
+    ["--format", "machine", "--config", "custom.cfg", "suite67"],
 ]
 
 

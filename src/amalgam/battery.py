@@ -1,0 +1,221 @@
+"""The acceptance battery: one sweep per criterion, each defined once.
+
+Criteria 06-09 are the corner-model reports of `matrix`; this module holds
+the other eight. `amalgam suite67` runs all twelve at sizes taken from the
+run configuration, and tests/test_acceptance.py runs them at acceptance
+sizes and pins their counts. Each sweep returns a `matrix.SweepReport`.
+Criteria 10-12 run on fixed small bases, so they take no size.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product as iproduct
+
+from .boundary import (
+    Cylinder, act, complement_decomposition, complement_series,
+    complement_series_tail, cylinder_measure, point_mass, refine,
+    rn_exponent, rn_ratio, splice,
+)
+from .engine import CylFn
+from .fmalg import (
+    FiniteBase, FiniteRelation, FMElement, all_equivalence_relations,
+    coefficient_gap, is_ergodic, join, modular_scale, normalizing_groupoid,
+)
+from .matrix import SweepReport
+from .words import ReducedWord, ball, sphere
+
+
+def measure_exactness(alphabet, depth):
+    """Criterion 01: a cylinder of length m <= depth has measure
+    1/(2n) (2n-1)^-(m-1), and so have its pieces of length m + 1 <= depth
+    together; the pieces of the whole space sum to 1."""
+    n = alphabet.size
+    report = SweepReport("measure_exactness", "n=%d depth=%d" % (n, depth))
+    whole = Cylinder.whole_space(alphabet)
+    if sum(map(cylinder_measure, refine(whole, 1))) != 1:
+        report.failures.append("whole space")
+    for length in range(1, depth + 1):
+        want = Fraction(1, 2 * n) * Fraction(1, 2 * n - 1) ** (length - 1)
+        for prefix in sphere(alphabet, length):
+            cyl = Cylinder(prefix)
+            ok = cylinder_measure(cyl) == want
+            if length < depth:
+                pieces = refine(cyl, length + 1)
+                ok = ok and sum(map(cylinder_measure, pieces)) == want
+            report.check(ok, prefix)
+    return report
+
+
+def series_closure(alphabet, terms):
+    """Criterion 02: for both blocks and 1..terms terms, the complement
+    series plus its closed-form tail is 1, and the series is the measure of
+    the complement decomposition. With one letter per block, values holds
+    the first two partial sums, which must be 5/6 and 17/18."""
+    report = SweepReport("series_closure", "terms=%d" % terms)
+    for block in (1, 2):
+        for m in range(1, terms + 1):
+            partial = complement_series(alphabet, block, m)
+            report.check(
+                partial + complement_series_tail(alphabet, block, m) == 1 and
+                complement_decomposition(alphabet, block, m).measure()
+                == partial, (block, m))
+    if alphabet.block_sizes() == (1, 1):
+        report.values = [complement_series(alphabet, 1, m) for m in (1, 2)]
+        if report.values != [Fraction(5, 6), Fraction(17, 18)]:
+            report.failures.append("frozen")
+    return report
+
+
+def splice_factorization(alphabet, radius):
+    """Criterion 03: splicing a block word gamma onto a cylinder that starts
+    in the other block multiplies its measure by the point mass of gamma;
+    gamma and the cylinder prefix have length at most the radius."""
+    report = SweepReport("splice_factorization", "radius=%d" % radius)
+    for block, other in ((1, 2), (2, 1)):
+        cylinders = [Cylinder(w) for w in ball(alphabet, radius)
+                     if w.letters and alphabet.block_of(w.letters[0]) == other]
+        for gamma in ball(alphabet, radius, block):
+            mass = point_mass(alphabet, block, gamma)
+            for cyl in cylinders:
+                report.check(cylinder_measure(splice(block, gamma, cyl)) ==
+                             mass * cylinder_measure(cyl), (gamma, cyl))
+    return report
+
+
+def ratio_powers(alphabet, depth, cocycle_radius):
+    """Criterion 04: on a cylinder of the given depth, a word gamma of
+    length 1 or 2 has derivative (2n-1)^k, k = rn_exponent, and moves the
+    measure by it; k = 1 and -1 occur, so the ratio set holds 2n-1 and its
+    inverse. The cocycle identity is checked for all pairs of words of
+    length 1..cocycle_radius. values: the sorted exponents."""
+    report = SweepReport("ratio_powers", "depth=%d" % depth)
+    lam = Fraction(2 * alphabet.size - 1)
+    cylinders = [Cylinder(prefix) for prefix in sphere(alphabet, depth)]
+    mass = cylinder_measure(cylinders[0])  # one sphere, one measure
+    exponents = set()
+    for gamma in ball(alphabet, 2)[1:]:
+        for cyl in cylinders:
+            k = rn_exponent(gamma, cyl)
+            exponents.add(k)
+            ratio = rn_ratio(gamma, cyl)
+            report.check(ratio == lam ** k and
+                         act(gamma, cyl).measure() == ratio * mass,
+                         (gamma, cyl))
+    steps = ball(alphabet, cocycle_radius)[1:]
+    for delta in steps:
+        products = [(gamma, gamma * delta) for gamma in steps]
+        for cyl in cylinders:
+            moved, k = Cylinder(delta * cyl.prefix), rn_exponent(delta, cyl)
+            for gamma, product in products:
+                report.check(rn_exponent(product, cyl) ==
+                             k + rn_exponent(gamma, moved), (gamma, delta, cyl))
+    report.values = sorted(exponents)
+    if not {1, -1} <= exponents:
+        report.failures.append("exponents")
+    return report
+
+
+def oracle_agreement(product, max_len):
+    """Criterion 05: on a boundary product, the expectation recursion and
+    the crossed-product oracle agree on every word of length 1..max_len in
+    four generators: the translations by the first letters a and b of the
+    two blocks, O(b) at a in face A, and O(a b) on the diagonal of face B."""
+    face_a, face_b = product.face("A"), product.face("B")
+    alphabet = face_a.alphabet
+    a = ReducedWord.from_letters(alphabet, (alphabet.letters(1)[0],))
+    b = ReducedWord.from_letters(alphabet, (alphabet.letters(2)[0],))
+    gens = [("A", face_a.unitary(a)), ("B", face_b.unitary(b)),
+            ("A", face_a.element({a: CylFn.indicator(Cylinder(b))})),
+            ("B", face_b.embed_d(CylFn.indicator(Cylinder(a * b))))]
+    report = SweepReport("oracle_agreement", "max_len=%d" % max_len)
+    for length in range(1, max_len + 1):
+        for letters in iproduct(gens, repeat=length):
+            report.check(product.expectation(letters) ==
+                         product.oracle_expectation(letters), letters)
+    return report
+
+
+def join_ergodicity():
+    """Criterion 10: for every pair of equivalence relations on a base of
+    one to four points, the join contains both, does not depend on their
+    order, and is ergodic exactly when it relates every pair of points.
+    values: the (r1, r2, join) triples, for a brute-force closure."""
+    report = SweepReport("join_ergodicity", "|X| <= 4")
+    for size in range(1, 5):
+        base = FiniteBase.uniform(tuple("p%d" % i for i in range(size)))
+        relations = list(all_equivalence_relations(base))
+        for r1, r2 in iproduct(relations, repeat=2):
+            joined = join(r1, r2)
+            report.check(
+                r1.pairs | r2.pairs <= joined.pairs and
+                join(r2, r1).pairs == joined.pairs and
+                is_ergodic(joined) == (len(joined.pairs) == size * size),
+                (r1, r2))
+            report.values.append((r1, r2, joined))
+    return report
+
+
+def modular_scaling():
+    """Criterion 11: on a base weighted 1/2, 1/4, 1/8, 1/8 and at 20 seeded
+    times t, modular scaling commutes with the expectation and the adjoint,
+    is undone by -t, restricts to each face, and is multiplicative on
+    face-A face-B crossings, all within the phase tolerance."""
+    base = FiniteBase.weighted((("p0", Fraction(1, 2)),
+                                ("p1", Fraction(1, 4)),
+                                ("p2", Fraction(1, 8)),
+                                ("p3", Fraction(1, 8))))
+    full = FiniteRelation.full(base)
+    face_a = FiniteRelation.from_classes(base, (("p0", "p1"), ("p2", "p3")))
+    face_b = FiniteRelation.from_classes(base, (("p0", "p2"), ("p1", "p3")))
+    spans = [FMElement.unit(full, x, y) for (x, y) in sorted(full.pairs)]
+    spans.append(FMElement(full, {pair: 1 for pair in full.pairs}))
+    crossings = [(FMElement.unit(full, x, y), FMElement.unit(full, z, w))
+                 for (x, y) in sorted(face_a.pairs)
+                 for (z, w) in sorted(face_b.pairs) if y == z]
+    tolerance = 1e-12  # the phases are transcendental: the one inexact check
+    report = SweepReport("modular_scaling", "tolerance=%g" % tolerance)
+    rng = random.Random(20260814)
+    for _ in range(20):
+        t = rng.uniform(-12.0, 12.0)
+        pairs = []  # (u, v) that must agree within the tolerance
+        for x in spans:
+            scaled = modular_scale(x, t)
+            pairs += [
+                (scaled.expectation(), modular_scale(x.expectation(), t)),
+                (modular_scale(scaled, -t), x),
+                (modular_scale(x.adjoint(), t), scaled.adjoint())]
+        for face in (face_a, face_b):
+            for (x, y) in sorted(face.pairs):
+                outer = modular_scale(FMElement.unit(full, x, y), t)
+                if not set(outer.coeffs) <= face.pairs:
+                    report.failures.append(("support", t, face))
+                pairs.append((modular_scale(FMElement.unit(face, x, y), t)
+                              .cast(full), outer))
+        for u, v in crossings:
+            pairs.append((modular_scale(u * v, t),
+                          modular_scale(u, t) * modular_scale(v, t)))
+        for u, v in pairs:
+            report.check(coefficient_gap(u, v) <= tolerance, (t, u, v))
+    return report
+
+
+def intertwining():
+    """Criterion 12: for every equivalence relation on four points, each
+    partial isometry v of its normalizing groupoid has v* v and v v* the
+    domain and image projections, and x -> v x v* commutes with the
+    expectation on every matrix unit x."""
+    base = FiniteBase.uniform(("p0", "p1", "p2", "p3"))
+    report = SweepReport("intertwining", "|X| = 4")
+    for relation in all_equivalence_relations(base):
+        units = [FMElement.unit(relation, x, y)
+                 for (x, y) in sorted(relation.pairs)]
+        for pb in normalizing_groupoid(relation):
+            v = pb.to_element(relation)
+            v_star = v.adjoint()
+            report.check(
+                v_star * v == pb.domain_projection(relation) and
+                v * v_star == pb.image_projection(relation) and
+                all((v * x * v_star).expectation() ==
+                    v * x.expectation() * v_star for x in units),
+                (relation, pb))
+    return report

@@ -11,13 +11,11 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product as iproduct
 
-from . import dsl
+from . import battery, dsl
 from .boundary import (
     Cylinder, act, complement_decomposition, complement_series,
     complement_series_tail, cylinder_measure, refine, rn_exponent, rn_ratio,
-    splice,
 )
 from .config import default_config, load_config
 from .engine import (
@@ -29,9 +27,7 @@ from .matrix import (
     moment_vanishing_report, reduction_identities_report,
 )
 from .scalars import QC
-from .words import ReducedWord, ball, sphere
-
-PHASE_TOLERANCE = 1e-12
+from .words import ReducedWord
 
 
 @dataclass
@@ -218,28 +214,18 @@ def cmd_haar(args, config):
     ], ok=report.passed)]
 
 
-def _boundary_generators(config, budget=None):
-    product = config.boundary_product(budget)
-    alphabet = config.alphabet
-    gens = []
-    for block, tag in ((1, "A"), (2, "B")):
-        letter = alphabet.letters(block)[0]
-        word = ReducedWord.from_letters(alphabet, (letter,))
-        gens.append((tag, product.face(tag).unitary(word)))
-    other = ReducedWord.from_letters(alphabet, (alphabet.letters(2)[0],))
-    fn = CylFn.indicator(Cylinder(other))
-    face_a = product.face("A")
-    first = ReducedWord.from_letters(alphabet, (alphabet.letters(1)[0],))
-    gens.append(("A", face_a.element({first: fn})))
-    gens.append(("B", product.face("B").element(
-        {ReducedWord.identity(alphabet): fn})))
-    return product, gens
-
-
 def cmd_freeness(args, config):
     if args.suite == "boundary":
-        product, gens = _boundary_generators(config)
-        families = [[product.embed(tag, x)] for tag, x in gens]
+        # translations by the first letters a and b; O(b) at a; diagonal O(b)
+        alphabet, product = config.alphabet, config.boundary_product()
+        face_a, face_b = product.face("A"), product.face("B")
+        a, b = (ReducedWord.from_letters(
+            alphabet, (alphabet.letters(block)[0],)) for block in (1, 2))
+        fn = CylFn.indicator(Cylinder(b))
+        families = [[product.embed("A", face_a.unitary(a))],
+                    [product.embed("B", face_b.unitary(b))],
+                    [product.embed("A", face_a.element({a: fn}))],
+                    [product.embed("B", face_b.embed_d(fn))]]
         report = freeness_check(MAmbient(product), families, config.max_len)
         return [Record("freeness", [
             ("suite", "boundary"),
@@ -297,100 +283,24 @@ def cmd_ergodic(args, config):
 def cmd_suite67(args, config):
     records = []
 
-    def add(name, ok, **fields):
+    def add(name, report, **fields):
         records.append(Record(
-            name, [(k, str(v)) for k, v in fields.items()], ok=ok))
+            name, [(k, str(v)) for k, v in fields.items()], ok=report.passed))
 
     alphabet = config.alphabet
-    n = alphabet.size
-
     depth = min(config.depth, 4)
-    ok = True
-    count = 0
-    for length in range(1, depth + 1):
-        for prefix in sphere(alphabet, length):
-            cyl = Cylinder(prefix)
-            want = Fraction(1, 2 * n) * Fraction(1, 2 * n - 1) ** (length - 1)
-            pieces = refine(cyl, min(length + 1, depth))
-            refined = sum((cylinder_measure(c) for c in pieces), Fraction(0))
-            ok = ok and cylinder_measure(cyl) == want == refined
-            count += 1
-    add("measure_exactness", ok, depth=depth, cylinders=count)
-
-    ok = True
-    frozen = []
-    for block in (1, 2):
-        for terms in range(1, 7):
-            partial = complement_series(alphabet, block, terms)
-            tail = complement_series_tail(alphabet, block, terms)
-            ok = ok and partial + tail == 1
-            ok = ok and complement_decomposition(
-                alphabet, block, terms).measure() == partial
-    if alphabet.block_sizes() == (1, 1):
-        frozen = [complement_series(alphabet, 1, 1),
-                  complement_series(alphabet, 1, 2)]
-        ok = ok and frozen == [Fraction(5, 6), Fraction(17, 18)]
-    add("series_closure", ok, terms=6,
-        frozen=",".join(_frac(f) for f in frozen) or "n/a")
-
-    ok = True
-    count = 0
-    for block in (1, 2):
-        other = 2 if block == 1 else 1
-        gammas = [w for w in ball(alphabet, 3)
-                  if w.block_membership() in (block, "identity")]
-        heads = [w for w in sphere(alphabet, 1)
-                 if w.block_membership() == other]
-        for gamma in gammas:
-            for head in heads:
-                for tail_word in ball(alphabet, 2):
-                    prefix = head * tail_word
-                    if len(prefix) != len(head) + len(tail_word):
-                        continue
-                    cyl = Cylinder(prefix)
-                    spliced = splice(block, gamma, cyl)
-                    lhs = cylinder_measure(spliced)
-                    rhs = Fraction(1, 2 * n - 1) ** len(gamma) * \
-                        cylinder_measure(cyl)
-                    ok = ok and lhs == rhs
-                    count += 1
-    add("splice_factorization", ok, pairs=count)
-
-    ok = True
-    exponents = set()
-    lam = Fraction(1, 2 * n - 1)
-    for gamma in ball(alphabet, 2):
-        if gamma.is_identity():
-            continue
-        for prefix in sphere(alphabet, 4):
-            cyl = Cylinder(prefix)
-            k = rn_exponent(gamma, cyl)
-            exponents.add(k)
-            ok = ok and rn_ratio(gamma, cyl) == lam ** (-k)
-            ok = ok and act(gamma, cyl).measure() == \
-                rn_ratio(gamma, cyl) * cylinder_measure(cyl)
-    for gamma in sphere(alphabet, 1):
-        for delta in sphere(alphabet, 1):
-            for prefix in sphere(alphabet, 4):
-                cyl = Cylinder(prefix)
-                lhs = rn_exponent(gamma * delta, cyl)
-                rhs = rn_exponent(delta, cyl) + \
-                    rn_exponent(gamma, Cylinder(delta * prefix))
-                ok = ok and lhs == rhs
-    ok = ok and {1, -1} <= exponents
-    add("ratio_powers", ok,
-        exponents=",".join(map(str, sorted(exponents))))
-
-    product, gens = _boundary_generators(config, budget=max(config.depth, 10))
-    ok = True
-    words = [[g] for g in gens]
-    for length in (2, 3):
-        words += [[gens[i] for i in combo]
-                  for combo in iproduct(range(len(gens)), repeat=length)]
-    for word in words:
-        if product.expectation(word) != product.oracle_expectation(word):
-            ok = False
-    add("oracle_agreement", ok, words=len(words))
+    report = battery.measure_exactness(alphabet, depth)
+    add("measure_exactness", report, depth=depth, cylinders=report.checked)
+    report = battery.series_closure(alphabet, 6)
+    add("series_closure", report, terms=6,
+        frozen=",".join(_frac(f) for f in report.values) or "n/a")
+    report = battery.splice_factorization(alphabet, 3)
+    add("splice_factorization", report, pairs=report.checked)
+    report = battery.ratio_powers(alphabet, 4, 1)
+    add("ratio_powers", report, exponents=",".join(map(str, report.values)))
+    report = battery.oracle_agreement(
+        config.boundary_product(max(config.depth, 10)), 3)
+    add("oracle_agreement", report, words=report.checked)
 
     model = config.corner_model()
     order = model.face_b.alpha.order()
@@ -399,7 +309,7 @@ def cmd_suite67(args, config):
     report = moment_vanishing_report(
         model, n_limit=min(config.n_max, order - 1),
         i_values=i_values, kappa_limit=kappa_limit)
-    add("corner_moments", report.passed, checked=report.checked,
+    add("corner_moments", report, checked=report.checked,
         fixture=report.fixture.replace(" ", ","))
 
     max_len = config.max_len
@@ -408,7 +318,7 @@ def cmd_suite67(args, config):
     report = family_freeness_report(model, max_len=max_len,
                                     n_limit=config.n_max,
                                     i_values=i_values, kappas=(1,))
-    add("corner_freeness", report.passed, max_len=max_len,
+    add("corner_freeness", report, max_len=max_len,
         words=report.words_checked, shapes=report.shape_checks,
         violations=len(report.violations))
 
@@ -416,15 +326,22 @@ def cmd_suite67(args, config):
     report = covariance_report(config.base, config.alpha,
                                config.plain_relation(), k_values=k_values,
                                n_limit=config.n_max, i_values=i_values)
-    add("covariance", report.passed, checked=report.checked)
+    add("covariance", report, checked=report.checked)
 
     report = reduction_identities_report(
         config.base, config.alpha, config.plain_relation(),
         k_values=k_values, n_limit=min(config.n_max, 2))
-    add("reduction_identities", report.passed, checked=report.checked)
+    add("reduction_identities", report, checked=report.checked)
 
     report = bracket_law_report(model, k_values=k_values)
-    add("bracket_laws", report.passed, checked=report.checked)
+    add("bracket_laws", report, checked=report.checked)
+
+    report = battery.join_ergodicity()
+    add("join_ergodicity", report, pairs=report.checked)
+    report = battery.modular_scaling()
+    add("modular_scaling", report, checks=report.checked)
+    report = battery.intertwining()
+    add("intertwining", report, isometries=report.checked)
 
     failed = sum(1 for r in records if r.ok is False)
     records.append(Record("suite67", [

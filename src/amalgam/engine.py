@@ -16,6 +16,7 @@ recursively computed expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .boundary import Cylinder, act
 from .fmalg import FMElement, FiniteRelation
@@ -602,13 +603,18 @@ class FreeProduct:
             centered_prefix.append((tag_i, centered))
         return total
 
+    @cached_property
+    def _oracle_start(self):
+        """The full-group face of the oracle and its unit, built once."""
+        some_face = self.faces[self.tags[0]]
+        full = CrossedFace("M", some_face.alphabet, None, some_face.budget)
+        return full, full.one()
+
     def oracle_expectation(self, letters) -> CylFn:
         """Direct crossed-product computation; boundary backend only."""
         if not self.is_boundary:
             raise ValueError("the oracle needs the boundary backend")
-        some_face = self.faces[self.tags[0]]
-        full = CrossedFace("M", some_face.alphabet, None, some_face.budget)
-        out = full.one()
+        full, out = self._oracle_start
         for tag, x in letters:
             if tag == "D":
                 x = full.embed_d(x)

@@ -320,7 +320,9 @@ class CornerModel:
 def cyclic_model(core_size=5, k=3, paired_classes=2):
     """Uniform core with a single-cycle shift; the plain face pairs up the
     first 2*paired_classes points and leaves the rest alone."""
-    assert 2 * paired_classes <= core_size
+    if 2 * paired_classes > core_size:
+        raise ValueError("%d paired classes need %d core points, not %d"
+                         % (paired_classes, 2 * paired_classes, core_size))
     points = tuple("x%d" % i for i in range(core_size))
     base = FiniteBase.uniform(points)
     alpha = Permutation.from_cycles(base, (points,))
@@ -339,10 +341,17 @@ class SweepReport:
     fixture: str
     checked: int = 0
     failures: list = field(default_factory=list)
+    values: list = field(default_factory=list)  # observed beyond the count
 
     @property
     def passed(self):
         return not self.failures
+
+    def check(self, ok, failure):
+        """Count one check, and keep its failure when it does not hold."""
+        self.checked += 1
+        if not ok:
+            self.failures.append(failure)
 
 
 @dataclass
@@ -386,10 +395,8 @@ def bracket_law_report(model, k_values=(2, 3, 4)):
                         rhs = face.bracket(a * b, i, m) if j == l \
                             else face.zero_bracket()
                         fm_ok = lhs.to_fm() == x.to_fm() * y.to_fm()
-                        report.checked += 1
-                        if lhs != rhs or not fm_ok:
-                            report.failures.append(
-                                ("product", face.tag, k, (i, j, l, m)))
+                        report.check(lhs == rhs and fm_ok,
+                                     ("product", face.tag, k, (i, j, l, m)))
             for i, j in iproduct(slots, slots):
                 for a in cores:
                     x = face.bracket(a, i, j)
@@ -397,10 +404,8 @@ def bracket_law_report(model, k_values=(2, 3, 4)):
                         and x.adjoint().to_fm() == x.to_fm().adjoint()
                     exp_ok = x.expectation().to_fm() == \
                         x.to_fm().expectation()
-                    report.checked += 1
-                    if not (adj_ok and exp_ok):
-                        report.failures.append(
-                            ("adjoint", face.tag, k, (i, j)))
+                    report.check(adj_ok and exp_ok,
+                                 ("adjoint", face.tag, k, (i, j)))
     return report
 
 
@@ -436,9 +441,8 @@ def moment_vanishing_report(model, n_limit=2, i_values=(2, 3), kappa_limit=4):
                 letters = model.corner_letter_sequence(n, i, kappa)
                 raw = model.product.expectation(letters)
                 folded = model.corner_power(n, i, kappa).expectation()
-                report.checked += 1
-                if not (raw.is_zero() and folded.is_zero()):
-                    report.failures.append((n, i, kappa, repr(raw)))
+                report.check(raw.is_zero() and folded.is_zero(),
+                             (n, i, kappa, repr(raw)))
     return report
 
 
@@ -518,9 +522,7 @@ def covariance_report(core_base, alpha, plain_relation, k_values=(2, 3, 4),
                 for x in core_base.points:
                     lhs = u * model.base_diagonal({x: 1}) * u.adjoint()
                     rhs = model.shifted_diagonal({x: 1}, n)
-                    report.checked += 1
-                    if not (lhs.is_pure_d() and lhs == rhs):
-                        report.failures.append((k, n, i, x))
+                    report.check(lhs.is_pure_d() and lhs == rhs, (k, n, i, x))
     return report
 
 
@@ -550,17 +552,15 @@ def reduction_identities_report(core_base, alpha, plain_relation,
                     * face_a.matrix_unit(j, 1)
                 bracket_want = face_a.bracket(a, 1, 1) if i == j \
                     else face_a.zero_bracket()
-                report.checked += 1
-                if got != want or bracket_got != bracket_want:
-                    report.failures.append(("ambient", k, (i, j)))
+                report.check(got == want and bracket_got == bracket_want,
+                             ("ambient", k, (i, j)))
         for i, kk, l, j in iproduct(slots, slots, slots, slots):
             got = face_a.matrix_unit(1, i) * face_a.matrix_unit(kk, l) \
                 * face_a.matrix_unit(j, 1)
             want = face_a.corner_projection() if i == kk and l == j \
                 else face_a.zero_bracket()
-            report.checked += 1
-            if got != want or got.to_fm() != want.to_fm():
-                report.failures.append(("unit", k, (i, kk, l, j)))
+            report.check(got == want and got.to_fm() == want.to_fm(),
+                         ("unit", k, (i, kk, l, j)))
         for i in range(2, k + 1):
             for kk, j in iproduct(slots, slots):
                 for n in range(-n_limit, n_limit + 1):
@@ -570,7 +570,5 @@ def reduction_identities_report(core_base, alpha, plain_relation,
                         model.embed(face_a.matrix_unit(j, 1))
                     want = model.corner_unitary(n, i).element \
                         if i == kk and j == 1 else model.product.zero()
-                    report.checked += 1
-                    if got != want:
-                        report.failures.append(("corner", k, (i, kk, j, n)))
+                    report.check(got == want, ("corner", k, (i, kk, j, n)))
     return report

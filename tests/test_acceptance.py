@@ -1,222 +1,137 @@
-"""Acceptance battery: twelve checks, one scoreboard line each.
+"""Acceptance battery: the twelve criteria at acceptance sizes.
 
-Each check prints `criterion NN <slug>: PASS/FAIL (details)` before its
-assertion, so running with -s shows the full scoreboard even mid-failure.
-All comparisons are exact rational or Gaussian-rational equalities; the
-single exception is modular scaling, whose transcendental phases carry a
-pinned 1e-12 tolerance.
+Each sweep is defined once, criteria 01-05 and 10-12 in `amalgam.battery`
+and 06-09 as `amalgam.matrix` reports; `amalgam suite67` runs the same
+functions at configured sizes. A test here calls one at its acceptance size
+and pins its counts, so a shrunken sweep fails. The brute-force oracles (the
+series tail of criterion 02, the transitive closure of criterion 10) live
+here. Each test prints `criterion NN <slug>: PASS/FAIL (details)` before
+asserting, so -s shows the scoreboard. All comparisons are exact but those
+of criterion 11, whose transcendental phases carry the 1e-12 tolerance of
+`battery.modular_scaling`.
 """
 
-import random
 import time
 from fractions import Fraction
-from itertools import product as iproduct
 
-from amalgam.boundary import (
-    Cylinder, act, complement_series, complement_series_tail,
-    cylinder_measure, point_mass, refine, rn_exponent, rn_ratio, splice,
-)
-from amalgam.engine import CrossedFace, CylFn, FreeProduct
-from amalgam.fmalg import (
-    FiniteBase, FiniteRelation, FMElement, all_equivalence_relations,
-    coefficient_gap, is_ergodic, join, modular_scale, normalizing_groupoid,
-)
+from amalgam import battery
+from amalgam.boundary import complement_series, complement_series_tail
+from amalgam.engine import CrossedFace, FreeProduct
 from amalgam.matrix import (
-    Permutation, bracket_law_report, covariance_report, cyclic_model,
+    bracket_law_report, covariance_report, cyclic_model,
     family_freeness_report, moment_vanishing_report,
     reduction_identities_report,
 )
-from amalgam.words import Alphabet, ReducedWord, ball, sphere
+from amalgam.words import Alphabet
 
-PHASE_TOL = 1e-12
+AB = Alphabet(("a", "b"), 1)
+ABC = Alphabet(("a", "b", "c"), 1)
 
 
-def _report(num, name, ok, detail=""):
-    line = "criterion %02d %s: %s" % (num, name, "PASS" if ok else "FAIL")
-    if detail:
-        line += " (%s)" % detail
+def _core(model):
+    """Base, shift and plain relation of a corner model's core."""
+    return model.core_base, model.face_b.alpha, model.face_a.core_relation
+
+
+def _report(num, name, ok, detail, t0):
+    line = "criterion %02d %s: %s (%s, %.2fs)" % (
+        num, name, "PASS" if ok else "FAIL", detail, time.time() - t0)
     print(line)
     assert ok, line
 
 
-def _five_point_core():
-    base = FiniteBase.uniform(tuple("x%d" % i for i in range(5)))
-    alpha = Permutation.from_cycles(base, (base.points,))
-    plain = FiniteRelation.from_classes(base, (("x0", "x1"), ("x2", "x3")))
-    return base, alpha, plain
-
-
 def test_criterion_01_measure_exactness():
     t0 = time.time()
-    ok = True
-    counts = []
-    for names in (("a", "b"), ("a", "b", "c")):
-        alphabet = Alphabet(names, 1)
-        n = alphabet.size
-        whole = Cylinder.whole_space(alphabet)
-        ok = ok and sum((cylinder_measure(c) for c in refine(whole, 1)),
-                        Fraction(0)) == 1
-        checked = 0
-        for depth in range(1, 7):
-            for prefix in sphere(alphabet, depth):
-                cyl = Cylinder(prefix)
-                want = Fraction(1, 2 * n) * \
-                    Fraction(1, 2 * n - 1) ** (depth - 1)
-                ok = ok and cylinder_measure(cyl) == want
-                if depth < 6:
-                    kids = refine(cyl, depth + 1)
-                    ok = ok and sum((cylinder_measure(c) for c in kids),
-                                    Fraction(0)) == want
-                checked += 1
-        counts.append(checked)
-    _report(1, "measure-exactness", ok,
-            "n=2: %d and n=3: %d cylinders to depth 6, %.2fs"
-            % (counts[0], counts[1], time.time() - t0))
+    small = battery.measure_exactness(AB, 6)
+    large = battery.measure_exactness(ABC, 6)
+    ok = small.passed and large.passed and \
+        (small.checked, large.checked) == (1456, 23436)
+    _report(1, "measure-exactness", ok, "n=2: %d and n=3: %d cylinders to "
+            "depth 6" % (small.checked, large.checked), t0)
 
 
 def test_criterion_02_complement_series():
-    alphabet = Alphabet(("a", "b"), 1)
-    ok = complement_series(alphabet, 1, 1) == Fraction(5, 6)
-    ok = ok and complement_series(alphabet, 1, 2) == Fraction(17, 18)
+    t0 = time.time()
+    report = battery.series_closure(AB, 8)
+    ok = report.passed and report.checked == 16 and \
+        report.values == [Fraction(5, 6), Fraction(17, 18)]
     for m in range(1, 9):
         tail = Fraction(1, 2) * Fraction(1, 3) ** m
-        ok = ok and 1 - complement_series(alphabet, 1, m) == tail
-        ok = ok and complement_series_tail(alphabet, 1, m) == tail
-    _report(2, "complement-series", ok, "5/6, 17/18, tails to M=8 exact")
+        ok = ok and 1 - complement_series(AB, 1, m) == tail
+        ok = ok and complement_series_tail(AB, 1, m) == tail
+    _report(2, "complement-series", ok, "5/6, 17/18, tails to M=8 exact", t0)
 
 
 def test_criterion_03_splice_factorization():
     t0 = time.time()
-    alphabet = Alphabet(("a", "b"), 1)
-    ok = True
-    checked = 0
-    for block in (1, 2):
-        other = 2 if block == 1 else 1
-        gammas = list(ball(alphabet, 4, block))
-        tails = [w for w in ball(alphabet, 4)
-                 if not w.is_identity()
-                 and alphabet.block_of(w.letters[0]) == other]
-        for gamma in gammas:
-            for w in tails:
-                cyl = Cylinder(w)
-                got = cylinder_measure(splice(block, gamma, cyl))
-                want = point_mass(alphabet, block, gamma) * \
-                    cylinder_measure(cyl)
-                ok = ok and got == want
-                checked += 1
-    _report(3, "splice-factorization", ok,
-            "%d (word, cylinder) pairs, %.2fs" % (checked, time.time() - t0))
+    report = battery.splice_factorization(AB, 4)
+    _report(3, "splice-factorization", report.passed and report.checked ==
+            1440, "%d (word, cylinder) pairs" % report.checked, t0)
 
 
 def test_criterion_04_ratio_set():
+    # the cocycle identity is pure reduced-word arithmetic, so its full
+    # quadratic sweep runs at n = 2 only to stay inside the time budget
     t0 = time.time()
-    ok = True
-    details = []
-    # ratio powers and +-1 realization at both ranks; the cocycle identity
-    # is pure reduced-word arithmetic, so its full quadratic sweep runs at
-    # n = 2 only to stay inside the time budget
-    for names in (("a", "b"), ("a", "b", "c")):
-        alphabet = Alphabet(names, 1)
-        n = alphabet.size
-        exponents = set()
-        window = [g for g in ball(alphabet, 2) if not g.is_identity()]
-        for prefix in sphere(alphabet, 5):
-            cyl = Cylinder(prefix)
-            base_measure = cylinder_measure(cyl)
-            for gamma in window:
-                k = rn_exponent(gamma, cyl)
-                exponents.add(k)
-                ratio = rn_ratio(gamma, cyl)
-                ok = ok and ratio == Fraction(2 * n - 1) ** k
-                ok = ok and act(gamma, cyl).measure() == ratio * base_measure
-        if n == 2:
-            for gamma in window:
-                for delta in window:
-                    gd = gamma * delta
-                    for prefix in sphere(alphabet, 5):
-                        cyl = Cylinder(prefix)
-                        lhs = rn_exponent(gd, cyl)
-                        rhs = rn_exponent(delta, cyl) + \
-                            rn_exponent(gamma, Cylinder(delta * prefix))
-                        ok = ok and lhs == rhs
-        ok = ok and {1, -1} <= exponents
-        details.append("n=%d exponents %s" % (n, sorted(exponents)))
-    _report(4, "ratio-set", ok,
-            "%s, %.1fs" % ("; ".join(details), time.time() - t0))
+    small = battery.ratio_powers(AB, 5, 2)
+    large = battery.ratio_powers(ABC, 5, 0)
+    ok = small.passed and large.passed and \
+        (small.checked, large.checked) == (88128, 135000) and \
+        small.values == large.values == [-2, -1, 0, 1, 2]
+    _report(4, "ratio-set", ok, "n=2 exponents %s; n=3 exponents %s"
+            % (small.values, large.values), t0)
 
 
 def test_criterion_05_oracle_agreement():
     t0 = time.time()
-    alphabet = Alphabet(("a", "b"), 1)
-    product = FreeProduct(CrossedFace("A", alphabet, 1, 16),
-                          CrossedFace("B", alphabet, 2, 16))
-    a = ReducedWord.parse(alphabet, "a")
-    b = ReducedWord.parse(alphabet, "b")
-    ident = ReducedWord.identity(alphabet)
-    gens = [("A", product.face("A").unitary(a)),
-            ("B", product.face("B").unitary(b)),
-            ("A", product.face("A").element({a: CylFn.indicator(Cylinder(b))})),
-            ("B", product.face("B").element(
-                {ident: CylFn.indicator(Cylinder(a * b))}))]
-    ok = True
-    count = 0
-    for length in range(1, 6):
-        for combo in iproduct(range(len(gens)), repeat=length):
-            letters = [gens[i] for i in combo]
-            if product.expectation(letters) != \
-                    product.oracle_expectation(letters):
-                ok = False
-            count += 1
-    _report(5, "oracle-agreement", ok and count >= 200,
-            "%d words of length <= 5, dual routes, %.1fs"
-            % (count, time.time() - t0))
+    product = FreeProduct(CrossedFace("A", AB, 1, 16),
+                          CrossedFace("B", AB, 2, 16))
+    report = battery.oracle_agreement(product, 5)
+    _report(5, "oracle-agreement", report.passed and report.checked == 1364,
+            "%d words of length <= 5, dual routes" % report.checked, t0)
 
 
 def test_criterion_06_corner_moments():
     t0 = time.time()
-    model = cyclic_model(core_size=5, k=3)
-    report = moment_vanishing_report(model, n_limit=2, i_values=(2, 3),
+    report = moment_vanishing_report(cyclic_model(core_size=5, k=3),
+                                     n_limit=2, i_values=(2, 3),
                                      kappa_limit=4)
-    ok = report.passed and report.checked == 5 * 2 * 8
-    _report(6, "corner-moments", ok,
-            "%d moments on %s, %.1fs"
-            % (report.checked, report.fixture, time.time() - t0))
+    _report(6, "corner-moments", report.passed and report.checked == 80,
+            "%d moments on %s" % (report.checked, report.fixture), t0)
 
 
 def test_criterion_07_family_freeness():
     t0 = time.time()
-    model = cyclic_model(core_size=11, k=3)
-    report = family_freeness_report(model, max_len=4, n_limit=2,
-                                    i_values=(2, 3), kappas=(1,))
-    ok = report.passed and report.words_checked == 27870
-    _report(7, "family-freeness", ok,
-            "%d alternating words, %d side-condition shapes, %.1fs"
-            % (report.words_checked, report.shape_checks, time.time() - t0))
+    report = family_freeness_report(cyclic_model(core_size=11, k=3),
+                                    max_len=4, n_limit=2, i_values=(2, 3),
+                                    kappas=(1,))
+    ok = report.passed and \
+        (report.words_checked, report.shape_checks) == (27870, 90)
+    _report(7, "family-freeness", ok, "%d alternating words, %d "
+            "side-condition shapes"
+            % (report.words_checked, report.shape_checks), t0)
 
 
 def test_criterion_08_covariance():
     t0 = time.time()
-    base, alpha, plain = _five_point_core()
-    report = covariance_report(base, alpha, plain, k_values=(2, 3, 4),
-                               n_limit=2, i_values=(2, 3))
+    report = covariance_report(*_core(cyclic_model(core_size=5, k=3)),
+                               k_values=(2, 3, 4), n_limit=2, i_values=(2, 3))
     # k = 2 admits corner index 2 only; k = 3 and 4 admit both indices
     ok = report.passed and report.checked == 5 * 5 + 2 * (5 * 5 * 2)
     _report(8, "covariance", ok,
-            "%d conjugations over k in {2,3,4}, %.1fs"
-            % (report.checked, time.time() - t0))
+            "%d conjugations over k in {2,3,4}" % report.checked, t0)
 
 
 def test_criterion_09_bracket_laws():
     t0 = time.time()
     model = cyclic_model(core_size=5, k=3)
     laws = bracket_law_report(model, k_values=(2, 3, 4))
-    base, alpha, plain = _five_point_core()
-    reductions = reduction_identities_report(base, alpha, plain,
+    reductions = reduction_identities_report(*_core(model),
                                              k_values=(2, 3, 4), n_limit=2)
-    ok = laws.passed and reductions.passed
-    _report(9, "bracket-laws", ok,
-            "%d unit laws, %d reduction checks, %.1fs"
-            % (laws.checked, reductions.checked, time.time() - t0))
+    ok = laws.passed and reductions.passed and \
+        (laws.checked, reductions.checked) == (9028, 964)
+    _report(9, "bracket-laws", ok, "%d unit laws, %d reduction checks"
+            % (laws.checked, reductions.checked), t0)
 
 
 def _brute_closure(r1, r2):
@@ -234,89 +149,25 @@ def _brute_closure(r1, r2):
 
 def test_criterion_10_join_ergodicity():
     t0 = time.time()
-    ok = True
-    pairs_checked = 0
-    for size in range(1, 5):
-        base = FiniteBase.uniform(tuple("p%d" % i for i in range(size)))
-        relations = list(all_equivalence_relations(base))
-        for r1 in relations:
-            for r2 in relations:
-                joined = join(r1, r2)
-                closure = _brute_closure(r1, r2)
-                ok = ok and joined.pairs == closure
-                ok = ok and is_ergodic(joined) == \
-                    (len(closure) == size * size)
-                pairs_checked += 1
+    report = battery.join_ergodicity()
+    ok = report.passed and report.checked == 255 and all(
+        joined.pairs == _brute_closure(r1, r2)
+        for r1, r2, joined in report.values)
     _report(10, "join-ergodicity", ok,
-            "%d relation pairs over |X| <= 4, %.1fs"
-            % (pairs_checked, time.time() - t0))
+            "%d relation pairs over |X| <= 4" % report.checked, t0)
 
 
 def test_criterion_11_modular_scaling():
     t0 = time.time()
-    base = FiniteBase.weighted((("p0", Fraction(1, 2)),
-                                ("p1", Fraction(1, 4)),
-                                ("p2", Fraction(1, 8)),
-                                ("p3", Fraction(1, 8))))
-    full = FiniteRelation.full(base)
-    face_a = FiniteRelation.from_classes(base, (("p0", "p1"), ("p2", "p3")))
-    face_b = FiniteRelation.from_classes(base, (("p0", "p2"), ("p1", "p3")))
-    spans = [FMElement.unit(full, x, y) for (x, y) in sorted(full.pairs)]
-    spans.append(FMElement(full, {pair: 1 for pair in full.pairs}))
-    crossings = [(FMElement.unit(full, x, y), FMElement.unit(full, z, w))
-                 for (x, y) in sorted(face_a.pairs)
-                 for (z, w) in sorted(face_b.pairs) if y == z]
-    rng = random.Random(20260814)
-    ok = True
-    checks = 0
-    for _ in range(20):
-        t = rng.uniform(-12.0, 12.0)
-        for x in spans:
-            scaled = modular_scale(x, t)
-            ok = ok and coefficient_gap(scaled.expectation(),
-                                        modular_scale(x.expectation(), t)) \
-                <= PHASE_TOL
-            ok = ok and coefficient_gap(modular_scale(scaled, -t), x) \
-                <= PHASE_TOL
-            ok = ok and coefficient_gap(modular_scale(x.adjoint(), t),
-                                        scaled.adjoint()) <= PHASE_TOL
-            checks += 3
-        for face in (face_a, face_b):
-            for (x, y) in sorted(face.pairs):
-                inner = modular_scale(FMElement.unit(face, x, y), t)
-                outer = modular_scale(FMElement.unit(full, x, y), t)
-                ok = ok and set(outer.coeffs) <= face.pairs
-                ok = ok and coefficient_gap(inner.cast(full), outer) \
-                    <= PHASE_TOL
-                checks += 1
-        for u, v in crossings:
-            ok = ok and coefficient_gap(
-                modular_scale(u * v, t),
-                modular_scale(u, t) * modular_scale(v, t)) <= PHASE_TOL
-            checks += 1
-    _report(11, "modular-scaling", ok,
-            "%d checks over 20 random t, tol 1e-12, %.1fs"
-            % (checks, time.time() - t0))
+    report = battery.modular_scaling()
+    _report(11, "modular-scaling", report.passed and report.checked == 1660,
+            "%d checks over 20 random t, %s"
+            % (report.checked, report.fixture), t0)
 
 
 def test_criterion_12_adv_intertwining():
     t0 = time.time()
-    base = FiniteBase.uniform(("p0", "p1", "p2", "p3"))
-    ok = True
-    isometries = 0
-    for relation in all_equivalence_relations(base):
-        units = [FMElement.unit(relation, x, y)
-                 for (x, y) in sorted(relation.pairs)]
-        for pb in normalizing_groupoid(relation):
-            v = pb.to_element(relation)
-            v_star = v.adjoint()
-            ok = ok and v_star * v == pb.domain_projection(relation)
-            ok = ok and v * v_star == pb.image_projection(relation)
-            for x in units:
-                moved = v * x * v_star
-                ok = ok and moved.expectation() == \
-                    v * x.expectation() * v_star
-            isometries += 1
-    _report(12, "adv-intertwining", ok,
-            "%d partial isometries across all relations on 4 points, %.1fs"
-            % (isometries, time.time() - t0))
+    report = battery.intertwining()
+    _report(12, "adv-intertwining", report.passed and report.checked == 812,
+            "%d partial isometries across all relations on 4 points"
+            % report.checked, t0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amalgam import battery
 from amalgam.boundary import (
     Cylinder, CylinderUnion, act, block_ball_mass, complement_decomposition,
     complement_series, complement_series_tail, cylinder_measure, point_mass,
@@ -219,18 +220,9 @@ def test_splice_rejects_bad_inputs():
 
 
 def test_splice_factorizes_measure_small_sweep():
-    for block in (1, 2):
-        other = 2 if block == 1 else 1
-        for gamma in ball(AB, 3, block):
-            for x in AB.letters(other):
-                for tail_len in range(3):
-                    for tail in sphere(AB, tail_len):
-                        if tail_len and tail.letters[0] == -x:
-                            continue
-                        prefix = ReducedWord(AB, (x,) + tail.letters)
-                        c = Cylinder(prefix)
-                        assert cylinder_measure(splice(block, gamma, c)) == \
-                            point_mass(AB, block, gamma) * cylinder_measure(c)
+    # criterion 03 at the radius suite67 uses on the default alphabet
+    report = battery.splice_factorization(AB, 3)
+    assert report.passed and report.checked == 364
 
 
 def test_block_ball_mass_converges_for_small_block():

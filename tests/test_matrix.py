@@ -180,6 +180,13 @@ def test_family_freeness_small_window():
     assert report.families == 4
 
 
+def test_cyclic_model_needs_room_for_its_classes():
+    # a ValueError, not an assert: under python -O the model indexed past
+    # its points
+    with pytest.raises(ValueError, match="3 paired classes need 6 core"):
+        cyclic_model(4, 2, paired_classes=3)
+
+
 def test_family_freeness_guards_exponent_stacking():
     # words can telescope all their shift exponents into one bracket, so a
     # short shift period is rejected rather than risking a false violation
