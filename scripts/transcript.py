@@ -9,9 +9,10 @@ files checks that a change kept the outputs byte-identical. The list holds
 the README examples, one or more of every command form, the input errors,
 relations built from configured classes, `suite67` in both formats and
 under three more size mappings (`--max-len 2`, `--depth 3` and a weighted
-three-generator config), and depth sweeps of `moment`, `oracle`, `haar`
-and `freeness boundary` over boundary expressions drawn from a fixed seed.
-LIMIT runs only the first LIMIT commands; the cheap ones come first.
+three-generator config), depth sweeps of `moment`, `oracle`, `haar`
+and `freeness boundary` over boundary expressions drawn from a fixed seed,
+and an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
+one letter deeper. LIMIT runs only the first LIMIT commands.
 """
 
 import contextlib
@@ -23,11 +24,13 @@ import sys
 import tempfile
 
 from amalgam import cli
+from amalgam.words import Alphabet, sphere
 
 SEED = 20
 EXPRESSIONS = 150
 DEPTHS = range(2, 7)
 LETTERS = ("a", "a'", "b", "b'")
+AB = Alphabet(("a", "b"), 1)
 
 CONFIGS = {
     "bad.cfg": "[limits]\nbogus = 3\n",
@@ -151,6 +154,12 @@ def commands():
         for max_len in range(3, 6):
             out.append(["--format", "machine", "--depth", str(depth),
                         "--max-len", str(max_len), "freeness", "boundary"])
+    for length in (1, 2):
+        for word in sphere(AB, length):
+            for prefix in sphere(AB, length + 1):
+                out.append(["--format", "machine", "rn", word.render(),
+                            "O(%s)" % prefix.render()])
+    out.append(["rn", "a b", "O(a)"])  # a cylinder too shallow for the word
     return out
 
 

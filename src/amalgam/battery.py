@@ -12,9 +12,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .boundary import (
-    Cylinder, act, complement_decomposition, complement_series,
-    complement_series_tail, cylinder_measure, point_mass, refine,
-    rn_exponent, rn_ratio, splice,
+    act, complement_decomposition, complement_series, complement_series_tail,
+    cylinder_measure, point_mass, refine, rn_exponent, rn_ratio, splice,
 )
 from .engine import CylFn
 from .fmalg import (
@@ -31,16 +30,15 @@ def measure_exactness(alphabet, depth):
     together; the pieces of the whole space sum to 1."""
     n = alphabet.size
     report = SweepReport("measure_exactness", "n=%d depth=%d" % (n, depth))
-    whole = Cylinder.whole_space(alphabet)
+    whole = ReducedWord.identity(alphabet)
     if sum(map(cylinder_measure, refine(whole, 1))) != 1:
         report.failures.append("whole space")
     for length in range(1, depth + 1):
         want = Fraction(1, 2 * n) * Fraction(1, 2 * n - 1) ** (length - 1)
         for prefix in sphere(alphabet, length):
-            cyl = Cylinder(prefix)
-            ok = cylinder_measure(cyl) == want
+            ok = cylinder_measure(prefix) == want
             if length < depth:
-                pieces = refine(cyl, length + 1)
+                pieces = refine(prefix, length + 1)
                 ok = ok and sum(map(cylinder_measure, pieces)) == want
             report.check(ok, prefix)
     return report
@@ -72,7 +70,7 @@ def splice_factorization(alphabet, radius):
     gamma and the cylinder prefix have length at most the radius."""
     report = SweepReport("splice_factorization", "radius=%d" % radius)
     for block, other in ((1, 2), (2, 1)):
-        cylinders = [Cylinder(w) for w in ball(alphabet, radius)
+        cylinders = [w for w in ball(alphabet, radius)
                      if w.letters and alphabet.block_of(w.letters[0]) == other]
         for gamma in ball(alphabet, radius, block):
             mass = point_mass(alphabet, block, gamma)
@@ -90,7 +88,7 @@ def ratio_powers(alphabet, depth, cocycle_radius):
     length 1..cocycle_radius. values: the sorted exponents."""
     report = SweepReport("ratio_powers", "depth=%d" % depth)
     lam = Fraction(2 * alphabet.size - 1)
-    cylinders = [Cylinder(prefix) for prefix in sphere(alphabet, depth)]
+    cylinders = sphere(alphabet, depth)
     mass = cylinder_measure(cylinders[0])  # one sphere, one measure
     exponents = set()
     for gamma in ball(alphabet, 2)[1:]:
@@ -105,7 +103,7 @@ def ratio_powers(alphabet, depth, cocycle_radius):
     for delta in steps:
         products = [(gamma, gamma * delta) for gamma in steps]
         for cyl in cylinders:
-            moved, k = Cylinder(delta * cyl.prefix), rn_exponent(delta, cyl)
+            moved, k = delta * cyl, rn_exponent(delta, cyl)
             for gamma, product in products:
                 report.check(rn_exponent(product, cyl) ==
                              k + rn_exponent(gamma, moved), (gamma, delta, cyl))
@@ -125,8 +123,8 @@ def oracle_agreement(product, max_len):
     a = ReducedWord.from_letters(alphabet, (alphabet.letters(1)[0],))
     b = ReducedWord.from_letters(alphabet, (alphabet.letters(2)[0],))
     gens = [("A", face_a.unitary(a)), ("B", face_b.unitary(b)),
-            ("A", face_a.element({a: CylFn.indicator(Cylinder(b))})),
-            ("B", face_b.embed_d(CylFn.indicator(Cylinder(a * b))))]
+            ("A", face_a.element({a: CylFn.indicator(b)})),
+            ("B", face_b.embed_d(CylFn.indicator(a * b)))]
     report = SweepReport("oracle_agreement", "max_len=%d" % max_len)
     for length in range(1, max_len + 1):
         for letters in iproduct(gens, repeat=length):

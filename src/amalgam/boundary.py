@@ -1,15 +1,18 @@
 """Shift-space model of the free group boundary and its translation action.
 
-A boundary point is an infinite reduced word; a cylinder is the set of points
-with a given finite reduced prefix.  The probability measure gives the whole
-space mass 1 and a depth-l cylinder mass (1/2n)(1/(2n-1))^(l-1), which is the
-unique measure splitting mass evenly among the extensions at every depth.
-Left translation by a group element is measure-quasi-invariant with rational
-Radon-Nikodym ratios that are integer powers of 2n-1.  The image of O(w)
-under gamma has a closed form: the whole space when w is empty, the single
-cylinder of the reduced product when gamma cancels less than all of w, and
-otherwise, gamma ending in w^-1, the complement of O(p) for p gamma without
-its last |w| - 1 letters.
+A boundary point is an infinite reduced word; the cylinder O(w) is the set of
+points with the finite reduced prefix w, and every function here names a
+cylinder by that prefix, a ReducedWord.  The probability measure gives the
+whole space O(e) mass 1 and a depth-l cylinder mass (1/2n)(1/(2n-1))^(l-1),
+which is the unique measure splitting mass evenly among the extensions at
+every depth.  Left translation by a group element is measure-quasi-invariant
+with rational Radon-Nikodym ratios that are integer powers of 2n-1.  Both the
+image and the ratio follow from k, the number of letters gamma cancels from
+the front of w.  The image of O(w) under gamma is the whole space when w is
+empty, the single cylinder of gamma without its last k letters followed by w
+without its first k when k < |w|, and otherwise, gamma ending in w^-1, the
+complement of O(p) for p gamma without its last |w| - 1 letters.  On O(w)
+with |w| > |gamma| the measure moves by (2n-1)^(2k - |gamma|).
 """
 
 from __future__ import annotations
@@ -21,44 +24,20 @@ from .words import Alphabet, ReducedWord, ball, count_sphere
 
 
 @dataclass(frozen=True)
-class Cylinder:
-    prefix: ReducedWord
-
-    @staticmethod
-    def whole_space(alphabet):
-        return Cylinder(ReducedWord.identity(alphabet))
-
-    @property
-    def alphabet(self):
-        return self.prefix.alphabet
-
-    def depth(self):
-        return len(self.prefix)
-
-    def contains(self, other) -> bool:
-        return other.prefix.starts_with(self.prefix)
-
-    def render(self):
-        return f"O({self.prefix})"
-
-    def __str__(self):
-        return self.render()
-
-
-@dataclass(frozen=True)
 class CylinderUnion:
-    """Disjoint union of cylinders: no prefix extends another."""
+    """Disjoint union of cylinders, named by prefixes none of which extends
+    another."""
 
-    cylinders: tuple[Cylinder, ...]
+    cylinders: tuple[ReducedWord, ...]
 
     def __post_init__(self):
         for i, c in enumerate(self.cylinders):
             for d in self.cylinders[i + 1:]:
-                assert not c.contains(d) and not d.contains(c), \
-                    f"nested cylinders {c} and {d}"
+                if c.starts_with(d) or d.starts_with(c):
+                    raise ValueError(f"nested cylinders O({c}) and O({d})")
 
     def measure(self):
-        return sum((cylinder_measure(c) for c in self.cylinders), Fraction(0))
+        return sum(map(cylinder_measure, self.cylinders), Fraction(0))
 
     def __len__(self):
         return len(self.cylinders)
@@ -66,60 +45,67 @@ class CylinderUnion:
     def __iter__(self):
         return iter(self.cylinders)
 
-    def __str__(self):
-        return " + ".join(str(c) for c in self.cylinders)
 
-
-def cylinder_measure(c: Cylinder) -> Fraction:
-    n2 = 2 * c.alphabet.size
-    if c.depth() == 0:
+def cylinder_measure(prefix: ReducedWord) -> Fraction:
+    d = len(prefix)
+    if d == 0:
         return Fraction(1)
-    return Fraction(1, n2) * Fraction(1, n2 - 1) ** (c.depth() - 1)
+    n2 = 2 * prefix.alphabet.size
+    return Fraction(1, n2 * (n2 - 1) ** (d - 1))
 
 
-def refine(c: Cylinder, depth: int):
-    """Partition of c into all cylinders of the given depth."""
-    assert depth >= c.depth(), "cannot refine to a coarser depth"
-    out = [c.prefix]
-    for _ in range(depth - c.depth()):
+def refine(prefix: ReducedWord, depth: int):
+    """Prefixes of the partition of O(prefix) into cylinders of the given
+    depth."""
+    if depth < len(prefix):
+        raise ValueError("cannot refine to a coarser depth")
+    out = [prefix]
+    for _ in range(depth - len(prefix)):
         out = [ReducedWord(w.alphabet, w.letters + (a,))
                for w in out for a in w.extensions()]
-    return [Cylinder(w) for w in out]
+    return out
 
 
-def act(gamma: ReducedWord, c: Cylinder) -> CylinderUnion:
-    """Image of the cylinder under left translation by gamma."""
-    if gamma.alphabet != c.alphabet:
+def _cancelled(gamma: ReducedWord, prefix: ReducedWord) -> int:
+    """Number of letters gamma cancels from the front of prefix."""
+    if gamma.alphabet != prefix.alphabet:
         raise ValueError("alphabet mismatch")
-    g, w = gamma.letters, c.prefix.letters
-    if not w:
-        return CylinderUnion((c,))
+    g, w = gamma.letters, prefix.letters
     k = 0
     while k < min(len(g), len(w)) and g[-1 - k] == -w[k]:
         k += 1
+    return k
+
+
+def act(gamma: ReducedWord, prefix: ReducedWord) -> CylinderUnion:
+    """Image of O(prefix) under left translation by gamma."""
+    k = _cancelled(gamma, prefix)
+    g, w = gamma.letters, prefix.letters
+    if not w:
+        return CylinderUnion((prefix,))
     if k < len(w):
-        return CylinderUnion((Cylinder(ReducedWord(c.alphabet, g[:len(g) - k] + w[k:])),))
+        return CylinderUnion((ReducedWord(prefix.alphabet, g[:len(g) - k] + w[k:]),))
     # gamma ends in w^-1: the image is the complement of O(p)
     p = g[:len(g) - len(w) + 1]
     return CylinderUnion(tuple(
-        Cylinder(ReducedWord(c.alphabet, p[:j] + (a,)))
+        ReducedWord(prefix.alphabet, p[:j] + (a,))
         for j in range(len(p))
-        for a in ReducedWord(c.alphabet, p[:j]).extensions() if a != p[j]))
+        for a in ReducedWord(prefix.alphabet, p[:j]).extensions() if a != p[j]))
 
 
-def rn_exponent(gamma: ReducedWord, c: Cylinder) -> int:
-    """Exponent k with measure(gamma . c) = (2n-1)^k * measure(c).
+def rn_exponent(gamma: ReducedWord, prefix: ReducedWord) -> int:
+    """Exponent k with measure(gamma . O(prefix)) = (2n-1)^k measure(O(prefix)).
 
     Defined on cylinders deeper than the acting word, where the image is a
-    single cylinder.
+    single cylinder; gamma cancelling c letters makes it 2c - |gamma|.
     """
-    if c.depth() <= len(gamma):
+    if len(prefix) <= len(gamma):
         raise ValueError("cylinder must be deeper than the acting word")
-    return c.depth() - len(gamma * c.prefix)
+    return 2 * _cancelled(gamma, prefix) - len(gamma)
 
 
-def rn_ratio(gamma: ReducedWord, c: Cylinder) -> Fraction:
-    return Fraction(2 * c.alphabet.size - 1) ** rn_exponent(gamma, c)
+def rn_ratio(gamma: ReducedWord, prefix: ReducedWord) -> Fraction:
+    return Fraction(2 * prefix.alphabet.size - 1) ** rn_exponent(gamma, prefix)
 
 
 def complement_decomposition(alphabet: Alphabet, block: int, max_len: int) -> CylinderUnion:
@@ -131,7 +117,7 @@ def complement_decomposition(alphabet: Alphabet, block: int, max_len: int) -> Cy
     out = []
     for gamma in ball(alphabet, max_len, block):
         for x in alphabet.letters(other):
-            out.append(Cylinder(ReducedWord(alphabet, gamma.letters + (x,))))
+            out.append(ReducedWord(alphabet, gamma.letters + (x,)))
     return CylinderUnion(tuple(out))
 
 
@@ -155,20 +141,20 @@ def complement_series_tail(alphabet: Alphabet, block: int, terms: int) -> Fracti
     return Fraction(n_blk, alphabet.size) * ratio ** terms
 
 
-def splice(block: int, gamma: ReducedWord, c: Cylinder) -> Cylinder:
-    """Concatenate a block word onto a cylinder that starts in the other block.
+def splice(block: int, gamma: ReducedWord, prefix: ReducedWord) -> ReducedWord:
+    """Concatenate a block word onto a cylinder prefix that starts in the
+    other block.
 
-    No cancellation can occur, so the result is the cylinder of the plain
-    concatenation; splicing the identity returns the cylinder unchanged.
+    No cancellation can occur, so the result is the prefix of the plain
+    concatenation; splicing the identity returns the prefix unchanged.
     """
     if gamma.block_membership() not in ("identity", block):
         raise ValueError(f"word {gamma} does not lie in block {block}")
-    if c.depth() == 0:
+    if not prefix.letters:
         raise ValueError("cylinder must avoid the block subgroup limit set")
-    first = c.prefix.letters[0]
-    if c.alphabet.block_of(first) == block:
-        raise ValueError(f"cylinder {c} does not start in the other block")
-    return Cylinder(ReducedWord(c.alphabet, gamma.letters + c.prefix.letters))
+    if prefix.alphabet.block_of(prefix.letters[0]) == block:
+        raise ValueError(f"cylinder O({prefix}) does not start in the other block")
+    return ReducedWord(prefix.alphabet, gamma.letters + prefix.letters)
 
 
 def point_mass(alphabet: Alphabet, block: int, gamma: ReducedWord) -> Fraction:

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import battery, dsl
 from .boundary import (
-    Cylinder, act, complement_decomposition, complement_series,
-    complement_series_tail, cylinder_measure, refine, rn_exponent, rn_ratio,
+    act, complement_decomposition, complement_series, complement_series_tail,
+    cylinder_measure, refine, rn_exponent, rn_ratio,
 )
 from .config import default_config, load_config
 from .engine import (
@@ -123,10 +123,10 @@ def emit(records, fmt, out=None):
 
 def cmd_measure(args, config):
     expr = dsl.parse(" ".join(args.expr), config)
-    cyl = dsl.cylinder_value(expr)
-    value = cylinder_measure(cyl)
-    pieces = refine(cyl, cyl.depth() + 1)
-    refined = sum((cylinder_measure(c) for c in pieces), Fraction(0))
+    prefix = dsl.cylinder_value(expr)
+    value = cylinder_measure(prefix)
+    refined = sum(map(cylinder_measure, refine(prefix, len(prefix) + 1)),
+                  Fraction(0))
     return [Record("measure", [
         ("cylinder", dsl.machine_text(expr)),
         ("value", _frac(value)),
@@ -136,14 +136,14 @@ def cmd_measure(args, config):
 
 def cmd_rn(args, config):
     gamma = dsl.word_value(dsl.parse(args.word, config), config)
-    cyl = dsl.cylinder_value(dsl.parse(args.cylinder, config))
-    exponent = rn_exponent(gamma, cyl)
-    ratio = rn_ratio(gamma, cyl)
-    moved = act(gamma, cyl)
-    exact = moved.measure() == ratio * cylinder_measure(cyl)
+    prefix = dsl.cylinder_value(dsl.parse(args.cylinder, config))
+    exponent = rn_exponent(gamma, prefix)
+    ratio = rn_ratio(gamma, prefix)
+    moved = act(gamma, prefix)
+    exact = moved.measure() == ratio * cylinder_measure(prefix)
     return [Record("rn", [
         ("word", _word_text(gamma)),
-        ("cylinder", "O(%s)" % _word_text(cyl.prefix)),
+        ("cylinder", "O(%s)" % _word_text(prefix)),
         ("exponent", str(exponent)),
         ("ratio", _frac(ratio)),
     ], ok=exact)]
@@ -221,7 +221,7 @@ def cmd_freeness(args, config):
         face_a, face_b = product.face("A"), product.face("B")
         a, b = (ReducedWord.from_letters(
             alphabet, (alphabet.letters(block)[0],)) for block in (1, 2))
-        fn = CylFn.indicator(Cylinder(b))
+        fn = CylFn.indicator(b)
         families = [[product.embed("A", face_a.unitary(a))],
                     [product.embed("B", face_b.unitary(b))],
                     [product.embed("A", face_a.element({a: fn}))],

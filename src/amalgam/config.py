@@ -68,9 +68,9 @@ class RunConfig:
         return FreeProduct(CrossedFace("A", self.alphabet, 1, budget),
                            CrossedFace("B", self.alphabet, 2, budget))
 
-    def corner_model(self, k=None):
-        k = self.k if k is None else k
-        return CornerModel(self.base, self.alpha, self.plain_relation(), k)
+    def corner_model(self):
+        return CornerModel(self.base, self.alpha, self.plain_relation(),
+                           self.k)
 
     def fm_faces(self):
         return (FMFace("A", self.plain_relation()),

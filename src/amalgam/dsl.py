@@ -14,7 +14,6 @@ Juxtaposition multiplies, `~` takes adjoints, `^` raises to integer powers
 import re
 from dataclasses import dataclass
 
-from .boundary import Cylinder
 from .engine import CrossedFace, CylFn, MAmbient
 from .words import ReducedWord
 
@@ -32,7 +31,7 @@ class WordAtom:
 
 @dataclass(frozen=True)
 class CylinderAtom:
-    cylinder: Cylinder
+    word: ReducedWord  # the prefix of the cylinder
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ class _Parser:
                 self.expect("(")
                 word = self.group_word()
                 self.expect(")")
-                return CylinderAtom(Cylinder(word))
+                return CylinderAtom(word)
             if token.value in ("A", "B"):
                 return self.bracket(token.value)
             self.fail("unknown name %r" % token.value, token)
@@ -298,7 +297,7 @@ def render(expr):
     if isinstance(expr, WordAtom):
         return expr.word.render()
     if isinstance(expr, CylinderAtom):
-        return "O(%s)" % expr.cylinder.prefix.render()
+        return "O(%s)" % expr.word.render()
     if isinstance(expr, UnitAtom):
         return "e[%s,%s]" % (expr.x, expr.y)
     if isinstance(expr, BracketAtom):
@@ -383,7 +382,7 @@ class BoundaryContext(MAmbient):
         if isinstance(node, CylinderAtom):
             face = self.product.face(self.product.tags[0])
             return self.product.from_d(
-                face.guard(CylFn.indicator(node.cylinder)))
+                face.guard(CylFn.indicator(node.word)))
         if isinstance(node, WordAtom):
             word = node.word
             if word.is_identity():
@@ -403,7 +402,7 @@ class CrossedContext(CrossedFace):
 
     def atom(self, node):
         if isinstance(node, CylinderAtom):
-            return self.embed_d(CylFn.indicator(node.cylinder))
+            return self.embed_d(CylFn.indicator(node.word))
         if isinstance(node, WordAtom):
             return self.unitary(node.word)
         raise DslError("corner atom in a boundary expression")
@@ -474,6 +473,7 @@ def word_value(expr, config):
 
 
 def cylinder_value(expr):
+    """The prefix word of a cylinder expression O(...)."""
     if isinstance(expr, CylinderAtom):
-        return expr.cylinder
+        return expr.word
     raise DslError("expected a cylinder O(...)")

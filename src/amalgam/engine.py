@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .boundary import Cylinder, act
+from .boundary import act
 from .fmalg import FMElement, FiniteRelation
 from .scalars import ONE, QC, conj as scalar_conj, is_zero as scalar_is_zero
 from .words import ReducedWord
@@ -54,8 +54,8 @@ class CylFn:
         return CylFn(alphabet, {ReducedWord.identity(alphabet): ONE})
 
     @staticmethod
-    def indicator(c: Cylinder):
-        return CylFn(c.alphabet, {c.prefix: ONE})
+    def indicator(prefix: ReducedWord):
+        return CylFn(prefix.alphabet, {prefix: ONE})
 
     def depth(self):
         return max((len(w) for w in self.terms), default=0)
@@ -99,8 +99,7 @@ class CylFn:
         """The function composed with translation by gamma inverse."""
         out = {}
         for w, v in self.terms.items():
-            for piece in act(gamma, Cylinder(w)):
-                key = piece.prefix
+            for key in act(gamma, w):
                 out[key] = out[key] + v if key in out else v
         return CylFn(self.alphabet, out)
 
@@ -233,7 +232,8 @@ class CrossedFace(Algebra):
     """Crossed product face; block None means the full group (oracle side)."""
 
     def __init__(self, tag, alphabet, block=None, budget=6):
-        assert block in (None, 1, 2)
+        if block not in (None, 1, 2):
+            raise ValueError(f"block must be None, 1 or 2, not {block!r}")
         self.tag = tag
         self.alphabet = alphabet
         self.block = block

@@ -236,7 +236,8 @@ def coefficient_gap(u: FMElement, v: FMElement) -> float:
 
 def join(r1: FiniteRelation, r2: FiniteRelation) -> FiniteRelation:
     """Smallest equivalence relation containing both."""
-    assert r1.base == r2.base
+    if r1.base != r2.base:
+        raise ValueError("the relations live on different bases")
     parent = {x: x for x in r1.base.points}
 
     def find(x):

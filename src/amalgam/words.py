@@ -44,7 +44,8 @@ class Alphabet:
         return 1 if abs(letter) <= self.block_size else 2
 
     def block_indices(self, block: int):
-        assert block in (1, 2)
+        if block not in (1, 2):
+            raise ValueError(f"block must be 1 or 2, not {block!r}")
         if block == 1:
             return range(self.block_size)
         return range(self.block_size, self.size)

@@ -3,10 +3,11 @@
 Each sweep is defined once, criteria 01-05 and 10-12 in `amalgam.battery`
 and 06-09 as `amalgam.matrix` reports; `amalgam suite67` runs the same
 functions at configured sizes. A test here calls one at its acceptance size
-and pins its counts, so a shrunken sweep fails. The brute-force oracles (the
-series tail of criterion 02, the transitive closure of criterion 10) live
-here. Each test prints `criterion NN <slug>: PASS/FAIL (details)` before
-asserting, so -s shows the scoreboard. All comparisons are exact but those
+and pins its counts, so a shrunken sweep fails. The brute-force oracles are
+the series tail of criterion 02, here, and the transitive closure of
+criterion 10, the `closure_oracle` fixture of conftest.py. Each test prints
+`criterion NN <slug>: PASS/FAIL (details)` before asserting, so -s shows the
+scoreboard. All comparisons are exact but those
 of criterion 11, whose transcendental phases carry the 1e-12 tolerance of
 `battery.modular_scaling`.
 """
@@ -134,24 +135,11 @@ def test_criterion_09_bracket_laws():
             % (laws.checked, reductions.checked), t0)
 
 
-def _brute_closure(r1, r2):
-    pairs = set(r1.pairs) | set(r2.pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in list(pairs):
-            for (z, w) in list(pairs):
-                if y == z and (x, w) not in pairs:
-                    pairs.add((x, w))
-                    changed = True
-    return frozenset(pairs)
-
-
-def test_criterion_10_join_ergodicity():
+def test_criterion_10_join_ergodicity(closure_oracle):
     t0 = time.time()
     report = battery.join_ergodicity()
     ok = report.passed and report.checked == 255 and all(
-        joined.pairs == _brute_closure(r1, r2)
+        joined.pairs == closure_oracle(r1, r2)
         for r1, r2, joined in report.values)
     _report(10, "join-ergodicity", ok,
             "%d relation pairs over |X| <= 4" % report.checked, t0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from amalgam import battery
 from amalgam.boundary import (
-    Cylinder, CylinderUnion, act, block_ball_mass, complement_decomposition,
+    CylinderUnion, act, block_ball_mass, complement_decomposition,
     complement_series, complement_series_tail, cylinder_measure, point_mass,
     refine, rn_exponent, rn_ratio, splice,
 )
@@ -14,60 +14,60 @@ from amalgam.words import Alphabet, ReducedWord, ball, sphere
 
 AB = Alphabet(("a", "b"), 1)
 ABC = Alphabet(("a", "b", "c"), 1)
+WHOLE = ReducedWord.identity(AB)  # the prefix of the whole space
 
 
 def w(alphabet, text):
     return ReducedWord.parse(alphabet, text)
 
 
-def cyl(alphabet, text):
-    return Cylinder(w(alphabet, text))
-
-
 def test_measure_values():
-    assert cylinder_measure(Cylinder.whole_space(AB)) == 1
-    assert cylinder_measure(cyl(AB, "a")) == Fraction(1, 4)
-    assert cylinder_measure(cyl(AB, "a b")) == Fraction(1, 12)
-    assert cylinder_measure(cyl(ABC, "b a' c")) == Fraction(1, 150)
+    assert cylinder_measure(WHOLE) == 1
+    assert cylinder_measure(w(AB, "a")) == Fraction(1, 4)
+    assert cylinder_measure(w(AB, "a b")) == Fraction(1, 12)
+    assert cylinder_measure(w(ABC, "b a' c")) == Fraction(1, 150)
 
 
 def test_refine_example():
-    pieces = refine(cyl(AB, "a"), 2)
-    assert {str(c.prefix) for c in pieces} == {"a a", "a b", "a b'"}
+    pieces = refine(w(AB, "a"), 2)
+    assert {str(c) for c in pieces} == {"a a", "a b", "a b'"}
 
 
 def test_refinement_sums_reproduce_parent():
     for alphabet in (AB, ABC):
-        for prefix in ball(alphabet, 2):
-            parent = Cylinder(prefix)
-            for depth in (len(prefix) + 1, len(prefix) + 2):
+        for parent in ball(alphabet, 2):
+            for depth in (len(parent) + 1, len(parent) + 2):
                 total = sum(cylinder_measure(c) for c in refine(parent, depth))
                 assert total == cylinder_measure(parent)
 
 
+def test_refine_rejects_coarser_depth():
+    with pytest.raises(ValueError, match="cannot refine to a coarser depth"):
+        refine(w(AB, "a b"), 1)
+
+
 def test_union_rejects_nested_cylinders():
-    with pytest.raises(AssertionError):
-        CylinderUnion((cyl(AB, "a"), cyl(AB, "a b")))
+    with pytest.raises(ValueError, match=r"nested cylinders O\(a\) and O\(a b\)"):
+        CylinderUnion((w(AB, "a"), w(AB, "a b")))
 
 
 def test_act_single_cylinder_cases():
-    image = act(w(AB, "a'"), cyl(AB, "a b"))
-    assert [str(c.prefix) for c in image] == ["b"]
-    image = act(w(AB, "a"), cyl(AB, "b"))
-    assert [str(c.prefix) for c in image] == ["a b"]
+    image = act(w(AB, "a'"), w(AB, "a b"))
+    assert [str(c) for c in image] == ["b"]
+    image = act(w(AB, "a"), w(AB, "b"))
+    assert [str(c) for c in image] == ["a b"]
 
 
 def test_act_splits_on_full_cancellation():
-    image = act(w(AB, "a"), cyl(AB, "a'"))
-    assert {str(c.prefix) for c in image} == {"a'", "b", "b'"}
+    image = act(w(AB, "a"), w(AB, "a'"))
+    assert {str(c) for c in image} == {"a'", "b", "b'"}
     assert image.measure() == Fraction(3, 4)
 
 
 def test_act_identity_and_whole_space():
-    c = cyl(AB, "a b")
+    c = w(AB, "a b")
     assert act(ReducedWord.identity(AB), c) == CylinderUnion((c,))
-    assert act(w(AB, "b a"), Cylinder.whole_space(AB)) == \
-        CylinderUnion((Cylinder.whole_space(AB),))
+    assert act(w(AB, "b a"), WHOLE) == CylinderUnion((WHOLE,))
 
 
 def _merge_siblings(prefixes):
@@ -94,9 +94,9 @@ def _merge_siblings(prefixes):
 def act_by_refinement(gamma, c):
     """Reference route for act: refine c until cancellation cannot consume a
     whole piece, translate each piece, merge complete sibling families."""
-    depth = max(c.depth(), len(gamma) + 1)
-    mapped = [gamma * piece.prefix for piece in refine(c, depth)]
-    return CylinderUnion(tuple(Cylinder(w) for w in _merge_siblings(mapped)))
+    depth = max(len(c), len(gamma) + 1)
+    mapped = [gamma * piece for piece in refine(c, depth)]
+    return CylinderUnion(tuple(_merge_siblings(mapped)))
 
 
 def test_act_matches_refinement():
@@ -105,16 +105,15 @@ def test_act_matches_refinement():
     for alphabet, radius in cases:
         words = ball(alphabet, radius)
         for gamma in words:
-            for prefix in words:
-                c = Cylinder(prefix)
+            for c in words:
                 assert act(gamma, c) == act_by_refinement(gamma, c), (gamma, c)
 
 
 def oracle_act_membership(gamma, c, omega):
     """Point-level oracle: omega is in gamma.c iff gamma^-1 omega is in c."""
     pulled = gamma.inverse() * omega
-    assert len(pulled) > c.depth()  # omega long enough to decide membership
-    return pulled.starts_with(c.prefix)
+    assert len(pulled) > len(c)  # omega long enough to decide membership
+    return pulled.starts_with(c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,32 +121,30 @@ def oracle_act_membership(gamma, c, omega):
 def test_act_matches_point_oracle(data):
     gammas = ball(AB, 2)
     gamma = data.draw(st.sampled_from(gammas))
-    prefix = data.draw(st.sampled_from(ball(AB, 2)))
-    c = Cylinder(prefix)
+    c = data.draw(st.sampled_from(ball(AB, 2)))
     image = act(gamma, c)
     for omega in sphere(AB, 5):
-        in_image = any(omega.starts_with(piece.prefix) for piece in image)
+        in_image = any(omega.starts_with(piece) for piece in image)
         assert in_image == oracle_act_membership(gamma, c, omega)
 
 
 def test_act_composes():
     for g1 in ball(AB, 2):
         for g2 in ball(AB, 1):
-            for c in refine(Cylinder.whole_space(AB), 4):
+            for c in refine(WHOLE, 4):
                 once = act(g2 * g1, c)
                 twice_pieces = []
                 for piece in act(g1, c):
                     twice_pieces.extend(act(g2, piece).cylinders)
                 # compare as point sets at depth 7 (deep enough for both)
-                flat_once = {q.prefix for p in once for q in refine(p, 7)}
-                flat_twice = {q.prefix for p in twice_pieces for q in refine(p, 7)}
+                flat_once = {q for p in once for q in refine(p, 7)}
+                flat_twice = {q for p in twice_pieces for q in refine(p, 7)}
                 assert flat_once == flat_twice
 
 
 def test_rn_exponent_matches_measure_ratio():
     for gamma in ball(AB, 2):
-        for prefix in sphere(AB, 4):
-            c = Cylinder(prefix)
+        for c in sphere(AB, 4):
             image = act(gamma, c)
             assert len(image) == 1
             k = rn_exponent(gamma, c)
@@ -156,17 +153,49 @@ def test_rn_exponent_matches_measure_ratio():
 
 
 def test_rn_exponent_realizes_plus_and_minus_one():
-    assert rn_exponent(w(AB, "a"), cyl(AB, "a' b a")) == 1
-    assert rn_exponent(w(AB, "a"), cyl(AB, "b a b")) == -1
+    assert rn_exponent(w(AB, "a"), w(AB, "a' b a")) == 1
+    assert rn_exponent(w(AB, "a"), w(AB, "b a b")) == -1
+
+
+def rn_exponent_by_product(gamma, c):
+    """Reference route for rn_exponent: the depth the reduced product
+    gamma . c loses against c."""
+    return len(c) - len(gamma * c)
+
+
+def _draw_extension(data, word, length):
+    """word extended by random letters to the given length, reduced."""
+    while len(word) < length:
+        a = data.draw(st.sampled_from(word.extensions()))
+        word = ReducedWord(word.alphabet, word.letters + (a,))
+    return word
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rn_exponent_matches_product_oracle(data):
+    alphabet = data.draw(st.sampled_from((AB, ABC)))
+    gamma = _draw_extension(data, ReducedWord.identity(alphabet),
+                            data.draw(st.integers(0, 4)))
+    # start c with the inverse of a tail of gamma, so every amount of
+    # cancellation turns up
+    tail = data.draw(st.integers(0, len(gamma)))
+    head = ReducedWord(alphabet, gamma.letters[len(gamma) - tail:]).inverse()
+    c = _draw_extension(data, head, len(gamma) + data.draw(st.integers(1, 4)))
+    exponent = rn_exponent(gamma, c)
+    assert exponent == rn_exponent_by_product(gamma, c)
+    k = (exponent + len(gamma)) // 2  # letters of c that gamma cancels
+    (piece,) = act(gamma, c)
+    assert len(piece) == len(c) + len(gamma) - 2 * k
 
 
 def test_rn_requires_deep_cylinder():
     with pytest.raises(ValueError):
-        rn_exponent(w(AB, "a b"), cyl(AB, "a"))
+        rn_exponent(w(AB, "a b"), w(AB, "a"))
 
 
 def test_rn_cocycle_identity():
-    cylinders = [Cylinder(p) for p in sphere(AB, 5)]
+    cylinders = sphere(AB, 5)
     small = ball(AB, 2)
     for g1 in small:
         for g2 in small:
@@ -203,20 +232,20 @@ def test_complement_series_matches_decomposition_both_blocks():
 
 
 def test_splice_and_point_mass():
-    c = splice(1, w(AB, "a"), cyl(AB, "b"))
-    assert str(c.prefix) == "a b"
-    assert cylinder_measure(c) == point_mass(AB, 1, w(AB, "a")) * cylinder_measure(cyl(AB, "b"))
-    same = splice(1, ReducedWord.identity(AB), cyl(AB, "b a"))
-    assert same == cyl(AB, "b a")
+    c = splice(1, w(AB, "a"), w(AB, "b"))
+    assert str(c) == "a b"
+    assert cylinder_measure(c) == point_mass(AB, 1, w(AB, "a")) * cylinder_measure(w(AB, "b"))
+    same = splice(1, ReducedWord.identity(AB), w(AB, "b a"))
+    assert same == w(AB, "b a")
 
 
 def test_splice_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        splice(1, w(AB, "b"), cyl(AB, "b"))       # word from the wrong block
+        splice(1, w(AB, "b"), w(AB, "b"))       # word from the wrong block
     with pytest.raises(ValueError):
-        splice(1, w(AB, "a"), cyl(AB, "a b"))     # cylinder starts in block 1
+        splice(1, w(AB, "a"), w(AB, "a b"))     # cylinder starts in block 1
     with pytest.raises(ValueError):
-        splice(1, w(AB, "a"), Cylinder.whole_space(AB))
+        splice(1, w(AB, "a"), WHOLE)
 
 
 def test_splice_factorizes_measure_small_sweep():

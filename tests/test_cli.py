@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import amalgam
 from amalgam import cli, dsl
-from amalgam.boundary import Cylinder
 from amalgam.cli import main
 from amalgam.config import ConfigError, default_config, parse_config
 from amalgam.scalars import QC
@@ -82,7 +81,7 @@ _CORES = st.one_of(
 )
 _ATOMS = st.one_of(
     st.sampled_from(_letter_atoms()),
-    st.sampled_from([CylinderAtom(Cylinder(w)) for w in ball(CFG.alphabet, 2)]),
+    st.sampled_from([CylinderAtom(w) for w in ball(CFG.alphabet, 2)]),
     st.builds(UnitAtom, _POINTS, _POINTS),
     st.builds(BracketAtom, st.sampled_from(("A", "B")), _CORES,
               st.integers(1, 3), st.integers(1, 3)),

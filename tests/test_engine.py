@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import amalgam.boundary
 from amalgam import battery
-from amalgam.boundary import Cylinder
 from amalgam.engine import (
     CrossedFace, CylFn, DepthBudgetExceeded, FMFace, FreeProduct, MAmbient,
     freeness_check, haar_check,
@@ -23,12 +22,8 @@ def w(text, alphabet=AB):
     return ReducedWord.parse(alphabet, text)
 
 
-def cyl(text):
-    return Cylinder(w(text))
-
-
 def indicator(text):
-    return CylFn.indicator(cyl(text))
+    return CylFn.indicator(w(text))
 
 
 # -- cylinder step functions -------------------------------------------------
@@ -36,7 +31,7 @@ def indicator(text):
 def test_cylfn_complete_siblings_merge():
     total = indicator("a a") + indicator("a b") + indicator("a b'")
     assert total == indicator("a")
-    everything = sum((CylFn.indicator(Cylinder(p)) for p in sphere(AB, 1)),
+    everything = sum((CylFn.indicator(p) for p in sphere(AB, 1)),
                      CylFn.zero(AB))
     assert everything == CylFn.one(AB)
 
@@ -320,6 +315,11 @@ def test_crossed_hot_path_never_refines(monkeypatch):
     product = FreeProduct(CrossedFace("A", AB, 1, 16), CrossedFace("B", AB, 2, 16))
     report = battery.oracle_agreement(product, 3)
     assert report.passed and report.checked == 84
+
+
+def test_crossed_face_rejects_bad_block():
+    with pytest.raises(ValueError, match="block must be None, 1 or 2"):
+        CrossedFace("A", AB, 3)
 
 
 def test_oracle_requires_boundary_backend():

@@ -102,20 +102,7 @@ def test_adjoint_commutes_with_expectation(u):
     assert u.expectation().adjoint() == u.adjoint().expectation()
 
 
-def closure_oracle(r1, r2):
-    """Brute-force transitive closure of the union, by repeated composition."""
-    pairs = set(r1.pairs) | set(r2.pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (x, y), (y2, z) in itertools.product(list(pairs), repeat=2):
-            if y == y2 and (x, z) not in pairs:
-                pairs.add((x, z))
-                changed = True
-    return pairs
-
-
-def test_join_matches_closure_oracle_small():
+def test_join_matches_closure_oracle_small(closure_oracle):
     for base in (B2, B3):
         relations = list(all_equivalence_relations(base))
         for r1, r2 in itertools.product(relations, repeat=2):
@@ -125,6 +112,11 @@ def test_join_matches_closure_oracle_small():
             for r in relations:
                 if r.pairs >= r1.pairs | r2.pairs:
                     assert r.pairs >= j.pairs
+
+
+def test_join_rejects_different_bases():
+    with pytest.raises(ValueError, match="different bases"):
+        join(FiniteRelation.full(B2), FiniteRelation.full(B3))
 
 
 def test_relation_counts():

@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
 from amalgam.words import (
@@ -49,6 +50,12 @@ def test_alphabet_mismatch_rejected():
         assert "alphabet" in str(err)
     else:
         assert False, "expected a mismatch error"
+
+
+def test_block_indices_rejects_a_third_block():
+    assert list(ABC.block_indices(2)) == [1, 2]
+    with pytest.raises(ValueError, match="block must be 1 or 2"):
+        ABC.block_indices(3)
 
 
 def test_block_membership():
