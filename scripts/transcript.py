@@ -89,6 +89,8 @@ FIXED = [
     ["measure", "O(a e a')"],
     ["--config", "overlap.cfg", "join"],
     ["--config", "offbase.cfg", "join"],
+    ["haar", "a", "0"],
+    ["series", "1", "-3"],
     # relations from config classes
     ["--format", "machine", "--config", "repeat.cfg", "join"],
     ["--format", "machine", "--config", "repeat.cfg", "ergodic"],

@@ -7,7 +7,6 @@ sizes and pins their counts. Each sweep returns a `matrix.SweepReport`.
 Criteria 10-12 run on fixed small bases, so they take no size.
 """
 
-import random
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -18,7 +17,7 @@ from .boundary import (
 from .engine import CylFn
 from .fmalg import (
     FiniteBase, FiniteRelation, FMElement, all_equivalence_relations,
-    coefficient_gap, is_ergodic, join, modular_scale, normalizing_groupoid,
+    is_ergodic, join, modular_spectrum, normalizing_groupoid,
 )
 from .matrix import SweepReport
 from .words import ReducedWord, ball, sphere
@@ -153,47 +152,60 @@ def join_ergodicity():
     return report
 
 
+def _convolve(su, sv):
+    """The spectrum a product must have: grade r collects every u_r1 v_r2
+    with r1 r2 = r."""
+    out = {}
+    for r1, u in su.items():
+        for r2, v in sv.items():
+            r = r1 * r2
+            out[r] = out[r] + u * v if r in out else u * v
+    return {r: g for r, g in out.items() if not g.is_zero()}
+
+
 def modular_scaling():
-    """Criterion 11: on a base weighted 1/2, 1/4, 1/8, 1/8 and at 20 seeded
-    times t, modular scaling commutes with the expectation and the adjoint,
-    is undone by -t, restricts to each face, and is multiplicative on
-    face-A face-B crossings, all within the phase tolerance."""
-    base = FiniteBase.weighted((("p0", Fraction(1, 2)),
-                                ("p1", Fraction(1, 4)),
-                                ("p2", Fraction(1, 8)),
-                                ("p3", Fraction(1, 8))))
+    """Criterion 11: on a base weighted 1/2, 1/4, 1/8, 1/8, the modular
+    flow sigma_t(e[x,y]) = (w_x/w_y)^{it} e[x,y] is checked grade by grade,
+    so for every real t at once and exactly. For each span x (the matrix
+    units and the all-ones element) the grades sum to x and carry the ratio
+    of the weights; the expectation keeps grade 1 only; the adjoint sends
+    grade r to 1/r. Each face unit keeps its grades inside the face, and
+    every product of two spans has the convolved spectrum of its factors.
+    values: the grades of e[p0,p1] and e[p3,p0], which must be 2 and 1/4."""
+    weights = {"p0": Fraction(1, 2), "p1": Fraction(1, 4),
+               "p2": Fraction(1, 8), "p3": Fraction(1, 8)}
+    base = FiniteBase.weighted(weights.items())
     full = FiniteRelation.full(base)
-    face_a = FiniteRelation.from_classes(base, (("p0", "p1"), ("p2", "p3")))
-    face_b = FiniteRelation.from_classes(base, (("p0", "p2"), ("p1", "p3")))
+    faces = (FiniteRelation.from_classes(base, (("p0", "p1"), ("p2", "p3"))),
+             FiniteRelation.from_classes(base, (("p0", "p2"), ("p1", "p3"))))
     spans = [FMElement.unit(full, x, y) for (x, y) in sorted(full.pairs)]
     spans.append(FMElement(full, {pair: 1 for pair in full.pairs}))
-    crossings = [(FMElement.unit(full, x, y), FMElement.unit(full, z, w))
-                 for (x, y) in sorted(face_a.pairs)
-                 for (z, w) in sorted(face_b.pairs) if y == z]
-    tolerance = 1e-12  # the phases are transcendental: the one inexact check
-    report = SweepReport("modular_scaling", "tolerance=%g" % tolerance)
-    rng = random.Random(20260814)
-    for _ in range(20):
-        t = rng.uniform(-12.0, 12.0)
-        pairs = []  # (u, v) that must agree within the tolerance
-        for x in spans:
-            scaled = modular_scale(x, t)
-            pairs += [
-                (scaled.expectation(), modular_scale(x.expectation(), t)),
-                (modular_scale(scaled, -t), x),
-                (modular_scale(x.adjoint(), t), scaled.adjoint())]
-        for face in (face_a, face_b):
-            for (x, y) in sorted(face.pairs):
-                outer = modular_scale(FMElement.unit(full, x, y), t)
-                if not set(outer.coeffs) <= face.pairs:
-                    report.failures.append(("support", t, face))
-                pairs.append((modular_scale(FMElement.unit(face, x, y), t)
-                              .cast(full), outer))
-        for u, v in crossings:
-            pairs.append((modular_scale(u * v, t),
-                          modular_scale(u, t) * modular_scale(v, t)))
-        for u, v in pairs:
-            report.check(coefficient_gap(u, v) <= tolerance, (t, u, v))
+    spectra = [modular_spectrum(x) for x in spans]
+    zero = FMElement.zero(full)
+    report = SweepReport("modular_scaling", "exact, all t")
+    for x, sx in zip(spans, spectra):
+        report.check(sum(sx.values(), zero) == x and all(
+            weights[p] / weights[q] == r
+            for r, g in sx.items() for p, q in g.coeffs), ("grades", x))
+        e = x.expectation()
+        report.check(set(modular_spectrum(e)) <= {1} and
+                     e == sx.get(1, zero).expectation(), ("expectation", x))
+        report.check(modular_spectrum(x.adjoint()) ==
+                     {1 / r: g.adjoint() for r, g in sx.items()},
+                     ("adjoint", x))
+    for face in faces:
+        for (x, y) in sorted(face.pairs):
+            inner = modular_spectrum(FMElement.unit(face, x, y))
+            report.check(
+                {r: g.cast(full) for r, g in inner.items()} ==
+                modular_spectrum(FMElement.unit(full, x, y)),
+                ("face", face, x, y))
+    for (u, su), (v, sv) in iproduct(zip(spans, spectra), repeat=2):
+        report.check(modular_spectrum(u * v) == _convolve(su, sv), (u, v))
+    report.values = [next(iter(modular_spectrum(
+        FMElement.unit(full, x, y)))) for x, y in (("p0", "p1"), ("p3", "p0"))]
+    if report.values != [2, Fraction(1, 4)]:
+        report.failures.append("frozen")
     return report
 
 

@@ -26,7 +26,6 @@ from .matrix import (
     bracket_law_report, covariance_report, family_freeness_report,
     moment_vanishing_report, reduction_identities_report,
 )
-from .scalars import QC
 from .words import ReducedWord
 
 
@@ -48,14 +47,12 @@ def _frac(value):
 
 
 def _scalar(value):
-    if isinstance(value, QC):
-        if value.im == 0:
-            return _frac(value.re)
-        if value.re == 0:
-            return "%si" % _frac(value.im)
-        sign = "+" if value.im > 0 else ""
-        return "%s%s%si" % (_frac(value.re), sign, _frac(value.im))
-    return str(value)
+    if value.im == 0:
+        return _frac(value.re)
+    if value.re == 0:
+        return "%si" % _frac(value.im)
+    sign = "+" if value.im > 0 else ""
+    return "%s%s%si" % (_frac(value.re), sign, _frac(value.im))
 
 
 def _point(p):
@@ -84,11 +81,8 @@ def _fm_text(x):
 
 
 def _value_text(value):
-    if isinstance(value, CylFn):
-        return _cylfn_text(value)
-    if hasattr(value, "coeffs"):
-        return _fm_text(value)
-    return _scalar(value)
+    """An expectation: a CylFn on the boundary, an FMElement in the corner."""
+    return _cylfn_text(value) if isinstance(value, CylFn) else _fm_text(value)
 
 
 def _yes(flag):
@@ -154,6 +148,8 @@ def cmd_series(args, config):
     block = args.block
     if block not in (1, 2):
         raise ValueError("block must be 1 or 2")
+    if args.terms < 0:
+        raise ValueError("terms must be at least 0, not %d" % args.terms)
     partial = complement_series(alphabet, block, args.terms)
     tail = complement_series_tail(alphabet, block, args.terms)
     ok = partial + tail == 1
@@ -201,6 +197,8 @@ def cmd_oracle(args, config):
 
 
 def cmd_haar(args, config):
+    if args.kmax < 1:
+        raise ValueError("kmax must be at least 1, not %d" % args.kmax)
     expr = dsl.parse(" ".join(args.expr), config)
     kind, context = _context_for(expr, config)
     element = dsl.evaluate(expr, context)

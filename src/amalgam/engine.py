@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .boundary import act
 from .fmalg import FMElement, FiniteRelation
-from .scalars import ONE, QC, conj as scalar_conj, is_zero as scalar_is_zero
+from .scalars import ONE, QC
 from .words import ReducedWord
 
 
@@ -93,7 +93,7 @@ class CylFn:
         return CylFn(self.alphabet, {w: scalar * v for w, v in self.terms.items()})
 
     def adjoint(self):
-        return CylFn(self.alphabet, {w: scalar_conj(v) for w, v in self.terms.items()})
+        return CylFn(self.alphabet, {w: v.conjugate() for w, v in self.terms.items()})
 
     def translate(self, gamma: ReducedWord):
         """The function composed with translation by gamma inverse."""
@@ -139,7 +139,7 @@ def _canonical(alphabet, terms):
     def walk(node, last):
         value, children = node
         if not children:
-            return {(): value} if not scalar_is_zero(value) else {}
+            return {(): value} if value else {}
         exts = [a for a in alphabet.letters() if a != -last]
         submaps = []
         for a in exts:

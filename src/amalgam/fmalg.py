@@ -4,18 +4,18 @@ Points carry positive rational weights summing to 1.  An element is a
 complex combination of matrix units e[x,y] with (x,y) in a fixed equivalence
 relation; multiplication is groupoid convolution e[x,y] e[z,w] = d_yz e[x,w],
 the 2-cocycle being trivial throughout.  The conditional expectation onto
-the diagonal keeps the (x,x) coefficients.  All coefficient arithmetic is
-exact except modular scaling, whose phases are transcendental.
+the diagonal keeps the (x,x) coefficients.  The modular flow of the state
+is the grading of `modular_spectrum`, so all of it is exact; only the
+display helpers `modular_scale` and `coefficient_gap` evaluate its phases
+in floats.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import ONE, QC, conj, is_zero
+from .scalars import ONE, QC
 
 GROUPOID_POINT_BOUND = 8  # hard bound for exhaustive partial-bijection sweeps
 
@@ -119,7 +119,7 @@ class FMElement:
             if pair not in relation.pairs:
                 raise ValueError(f"support outside the relation: {pair}")
             value = QC.coerce(value)
-            if not is_zero(value):
+            if value:
                 clean[pair] = value
         self.coeffs = clean
 
@@ -187,8 +187,8 @@ class FMElement:
         return FMElement(self.relation, {p: scalar * v for p, v in self.coeffs.items()})
 
     def adjoint(self):
-        return FMElement._result(
-            self.relation, {(y, x): conj(v) for (x, y), v in self.coeffs.items()})
+        return FMElement._result(self.relation, {
+            (y, x): v.conjugate() for (x, y), v in self.coeffs.items()})
 
     def expectation(self):
         """Conditional expectation onto the diagonal."""
@@ -222,16 +222,6 @@ class FMElement:
         for (x, y), v in sorted(self.coeffs.items(), key=lambda kv: repr(kv[0])):
             bits.append(f"{v!r} e[{x},{y}]")
         return " + ".join(bits)
-
-
-def coefficient_gap(u: FMElement, v: FMElement) -> float:
-    """Largest absolute coefficient difference, for tolerance comparisons."""
-    gap = 0.0
-    for pair in set(u.coeffs) | set(v.coeffs):
-        du = complex(u.coeffs.get(pair, QC(0)))
-        dv = complex(v.coeffs.get(pair, QC(0)))
-        gap = max(gap, abs(du - dv))
-    return gap
 
 
 def join(r1: FiniteRelation, r2: FiniteRelation) -> FiniteRelation:
@@ -326,21 +316,32 @@ def normalizing_groupoid(relation: FiniteRelation):
     return out
 
 
-def modular_scale(u: FMElement, t: float) -> FMElement:
-    """Scale e[x,y] by (w_x/w_y)^{it}; fixes the diagonal pointwise.
+def modular_spectrum(u: FMElement) -> dict:
+    """The grades of u under the modular flow of the state, by weight ratio.
 
-    Ratio-1 entries keep their exact coefficients; all others pick up a
-    floating phase (documented tolerance 1e-12 in the checks).
+    The flow is sigma_t(e[x,y]) = (w_x/w_y)^{it} e[x,y], so u is the sum of
+    its grades u_r and sigma_t(u_r) = r^{it} u_r.  Distinct ratios r give
+    independent functions of t: a flow identity holds for every real t
+    exactly when it holds grade by grade.
     """
-    base = u.relation.base
-    out = {}
+    base, grades = u.relation.base, {}
     for (x, y), value in u.coeffs.items():
-        ratio = base.weight(x) / base.weight(y)
-        if ratio == 1:
-            out[(x, y)] = value
-        else:
-            out[(x, y)] = complex(value) * cmath.exp(1j * t * math.log(ratio))
-    return FMElement(u.relation, out)
+        grades.setdefault(base.weight(x) / base.weight(y), {})[(x, y)] = value
+    return {r: FMElement._result(u.relation, coeffs)
+            for r, coeffs in grades.items()}
+
+
+def modular_scale(u: FMElement, t: float) -> dict:
+    """sigma_t(u) for display, as {pair: complex}: r^{it} on each grade."""
+    return {pair: complex(float(v.re), float(v.im)) * float(r) ** (1j * t)
+            for r, grade in modular_spectrum(u).items()
+            for pair, v in grade.coeffs.items()}
+
+
+def coefficient_gap(a: dict, b: dict) -> float:
+    """Largest coefficient difference of two {pair: complex} displays."""
+    return max((abs(a.get(p, 0) - b.get(p, 0)) for p in a.keys() | b.keys()),
+               default=0.0)
 
 
 def all_equivalence_relations(base: FiniteBase):

@@ -1,8 +1,8 @@
 """Exact complex scalars with rational real and imaginary parts.
 
-Coefficient arithmetic throughout the package is exact.  The one deliberate
-exception is modular scaling, which introduces transcendental phases; mixing
-a QC with a python complex falls through to floating complex arithmetic.
+Coefficient arithmetic throughout the package is exact, and every
+coefficient is a QC: a QC mixes with ints and Fractions, and a float or a
+python complex operand is a TypeError.
 
 Each part is an int when integral and a Fraction otherwise, so integral
 arithmetic never builds a Fraction; a QC is never mutated, so ONE is shared.
@@ -34,13 +34,11 @@ class QC:
 
     @staticmethod
     def coerce(value):
-        """Return value as a QC, or as-is when it is a floating complex."""
+        """Return an int, Fraction or QC value as a QC."""
         if isinstance(value, QC):
             return value
         if isinstance(value, (int, Fraction)):
             return QC(value)
-        if isinstance(value, (float, complex)):
-            return complex(value)
         raise TypeError(f"cannot use {type(value).__name__} as a scalar")
 
     def __add__(self, other):
@@ -50,8 +48,6 @@ class QC:
             return QC(self.re + other.re)
         if isinstance(other, (int, Fraction)):
             return QC(self.re + other, self.im)
-        if isinstance(other, (float, complex)):
-            return complex(self) + other
         return NotImplemented
 
     __radd__ = __add__
@@ -75,8 +71,6 @@ class QC:
             return QC(self.re * other.re)
         if isinstance(other, (int, Fraction)):
             return QC(self.re * other, self.im * other)
-        if isinstance(other, (float, complex)):
-            return complex(self) * other
         return NotImplemented
 
     __rmul__ = __mul__
@@ -89,8 +83,6 @@ class QC:
             if n == 0:
                 raise ZeroDivisionError("division by zero scalar")
             return self * QC(Fraction(other.re) / n, -Fraction(other.im) / n)
-        if isinstance(other, (float, complex)):
-            return complex(self) / other
         return NotImplemented
 
     def conjugate(self):
@@ -101,8 +93,6 @@ class QC:
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
-        if isinstance(other, (float, complex)):
-            return complex(self) == other
         return NotImplemented
 
     def __hash__(self):
@@ -113,9 +103,6 @@ class QC:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         if self.im == 0:
             return str(self.re)
@@ -124,22 +111,3 @@ class QC:
 
 ONE = QC(1)
 
-
-def conj(value):
-    """Conjugate a scalar of any accepted kind."""
-    if isinstance(value, QC):
-        return value.conjugate()
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, complex):
-        return value.conjugate()
-    if isinstance(value, float):
-        return value
-    raise TypeError(f"cannot conjugate {type(value).__name__}")
-
-
-def is_zero(value):
-    """Exact zero test; floats count as zero only when exactly 0.0."""
-    if isinstance(value, QC):
-        return not value
-    return value == 0

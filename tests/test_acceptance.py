@@ -7,9 +7,8 @@ and pins its counts, so a shrunken sweep fails. The brute-force oracles are
 the series tail of criterion 02, here, and the transitive closure of
 criterion 10, the `closure_oracle` fixture of conftest.py. Each test prints
 `criterion NN <slug>: PASS/FAIL (details)` before asserting, so -s shows the
-scoreboard. All comparisons are exact but those
-of criterion 11, whose transcendental phases carry the 1e-12 tolerance of
-`battery.modular_scaling`.
+scoreboard. All comparisons are exact, criterion 11 too: it checks the
+modular flow grade by grade, which covers every real t at once.
 """
 
 import time
@@ -148,9 +147,10 @@ def test_criterion_10_join_ergodicity(closure_oracle):
 def test_criterion_11_modular_scaling():
     t0 = time.time()
     report = battery.modular_scaling()
-    _report(11, "modular-scaling", report.passed and report.checked == 1660,
-            "%d checks over 20 random t, %s"
-            % (report.checked, report.fixture), t0)
+    ok = report.passed and report.checked == 356 and \
+        report.values == [2, Fraction(1, 4)]
+    _report(11, "modular-scaling", ok, "%d exact grade checks, grades %s"
+            % (report.checked, ",".join(map(str, report.values))), t0)
 
 
 def test_criterion_12_adv_intertwining():

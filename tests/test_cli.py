@@ -293,6 +293,24 @@ def test_error_exits_with_two(capsys, tmp_path):
     assert run(capsys, "--config", str(tmp_path / "missing.cfg"), "join")[0] == 2
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("haar", "a", "0"), "kmax must be at least 1, not 0"),
+    (("haar", "A[e]{1,2}", "-2"), "kmax must be at least 1, not -2"),
+    (("series", "1", "-3"), "terms must be at least 0, not -3"),
+    (("series", "2", "-1"), "terms must be at least 0, not -1"),
+])
+def test_bad_window_exits_with_two(capsys, argv, err):
+    # an empty haar window checked nothing and a negative series window
+    # summed nothing, yet both printed a record
+    assert run(capsys, "--format", "machine", *argv) == (2, "", "error: %s\n" % err)
+
+
+def test_series_accepts_zero_terms(capsys):
+    # the smallest haar window, K = 1, runs in test_haar_pass_and_fail
+    code, out, _ = run(capsys, "--format", "machine", "series", "1", "0")
+    assert code == 0 and "terms=0" in out and "ok=yes" in out
+
+
 @pytest.mark.parametrize("key", ["max_len", "depth"])
 @pytest.mark.parametrize("value", ["-1", "0"])
 @pytest.mark.parametrize("command", [("freeness", "boundary"), ("suite67",)],
@@ -504,7 +522,7 @@ record=covariance checked=165 ok=yes
 record=reduction_identities checked=402 ok=yes
 record=bracket_laws checked=2516 ok=yes
 record=join_ergodicity pairs=255 ok=yes
-record=modular_scaling checks=1660 ok=yes
+record=modular_scaling checks=356 ok=yes
 record=intertwining isometries=812 ok=yes
 record=suite67 checks=13 failed=0 ok=yes
 """
@@ -516,14 +534,26 @@ def test_suite67_light(capsys):
         (0, SUITE67_LIGHT, "")
 
 
+def load_script(name):
+    path = SRC.parent / "scripts" / (name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_transcript_script_first_commands(capsys):
-    path = SRC.parent / "scripts" / "transcript.py"
-    spec = importlib.util.spec_from_file_location("transcript", path)
-    transcript = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(transcript)
+    transcript = load_script("transcript")
     transcript.main(["20"])
     out = capsys.readouterr().out
     assert out.count("$ amalgam ") == 20
     assert out.startswith("$ amalgam measure 'O(a b)'\nexit 0\n--- stdout\n"
                           "measure\n  cylinder = O(a.b)\n  value = 1/12\n")
     assert "exit 0" in out and "exit 4" not in out
+
+
+def test_modular_sweep_script_runs(capsys):
+    assert load_script("modular_sweep").main(["modular_sweep", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "e[p0,p1] grade 2 " in out
+    assert "exact grade checks, every real t: 356, passed" in out

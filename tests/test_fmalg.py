@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from amalgam.fmalg import (
     FMElement, FiniteBase, FiniteRelation, PartialBijection,
     all_equivalence_relations, coefficient_gap, is_ergodic, join,
-    modular_scale, normalizing_groupoid,
+    modular_scale, modular_spectrum, normalizing_groupoid,
 )
 from amalgam.matrix import cyclic_model
 from amalgam.scalars import QC
@@ -251,38 +251,63 @@ WFULL = FiniteRelation.full(WEIGHTED)
 
 
 def test_modular_scale_uniform_state_is_identity():
+    # equal weights put everything in grade 1, where the flow is trivial
     u = FMElement(FULL3, {("x", "y"): QC(2), ("y", "y"): QC(5)})
+    assert modular_spectrum(u) == {1: u}
     for t in (0.0, 1.0, -2.7, 31.4):
-        assert modular_scale(u, t) == u
+        assert modular_scale(u, t) == {("x", "y"): 2, ("y", "y"): 5}
 
 
 def test_modular_scale_fixes_diagonal_exactly():
     d = FMElement.diagonal(WFULL, {"x": QC(3), "z": QC(Fraction(1, 7))})
-    assert modular_scale(d, 1.73) == d
+    assert modular_spectrum(d) == {1: d}
 
 
 def test_modular_scale_frozen_phase():
     u = unit(WFULL, "y", "x")  # weight ratio (1/3)/(1/2) = 2/3
-    got = modular_scale(u, 1.0).coeffs[("y", "x")]
+    assert modular_spectrum(u) == {Fraction(2, 3): u}
+    # the display helper evaluates the phase (2/3)^{it} in floats
+    got = modular_scale(u, 1.0)[("y", "x")]
     assert abs(got - complex(Fraction(2, 3)) ** 1j) < 1e-12
 
 
 def test_modular_scale_group_law_and_multiplicativity():
+    # sigma_t(u v) = sigma_t(u) sigma_t(v) for every real t says, grade by
+    # grade, that (u v)_r is the sum of u_r1 v_r2 over r1 r2 = r
     u = FMElement(WFULL, {("x", "y"): QC(1), ("y", "z"): QC(2)})
     v = FMElement(WFULL, {("y", "x"): QC(1, 1), ("z", "x"): QC(-2)})
-    for t in (0.31, 1.0, 2.5):
-        lhs = modular_scale(u * v, t)
-        rhs = modular_scale(u, t) * modular_scale(v, t)
-        assert coefficient_gap(lhs, rhs) < 1e-12
-        twice = modular_scale(modular_scale(u, t), t)
-        assert coefficient_gap(twice, modular_scale(u, 2 * t)) < 1e-12
+    want = {}
+    for (r1, a), (r2, b) in itertools.product(modular_spectrum(u).items(),
+                                              modular_spectrum(v).items()):
+        want[r1 * r2] = want.get(r1 * r2, FMElement.zero(WFULL)) + a * b
+    want = {r: g for r, g in want.items() if not g.is_zero()}
+    assert modular_spectrum(u * v) == want == {
+        1: FMElement(WFULL, {("x", "x"): QC(1, 1)}),
+        Fraction(2, 3): FMElement(WFULL, {("y", "x"): QC(-4)})}
+    # the float display obeys the group law sigma_s sigma_t = sigma_(s+t)
+    ones = FMElement(WFULL, {pair: 1 for pair in WFULL.pairs})
+    for s, t in ((0.31, 1.0), (2.5, -0.7)):
+        first, then = modular_scale(ones, s), modular_scale(ones, t)
+        assert coefficient_gap({p: first[p] * then[p] for p in first},
+                               modular_scale(ones, s + t)) < 1e-12
 
 
 def test_modular_scale_commutes_with_expectation():
+    # E(sigma_t(u)) = sigma_t(E(u)) = E(u) for every t: E keeps grade 1 only
     u = FMElement(WFULL, {("x", "y"): QC(1), ("x", "x"): QC(4), ("z", "y"): QC(0, 2)})
-    for t in (0.5, -1.25):
-        assert coefficient_gap(modular_scale(u, t).expectation(),
-                               u.expectation()) < 1e-12
+    spectrum = modular_spectrum(u)
+    assert sorted(spectrum) == [Fraction(1, 2), 1, Fraction(3, 2)]
+    assert modular_spectrum(u.expectation()) == {1: u.expectation()}
+    assert spectrum[1].expectation() == u.expectation()
+    assert all(g.expectation().is_zero() for r, g in spectrum.items() if r != 1)
+
+
+def test_modular_spectrum_adjoint_inverts_the_ratio():
+    u = FMElement(WFULL, {("x", "z"): QC(1, -2), ("y", "x"): QC(3), ("z", "z"): QC(0, 1)})
+    assert modular_spectrum(u.adjoint()) == {
+        1 / r: g.adjoint() for r, g in modular_spectrum(u).items()}
+    assert sorted(modular_spectrum(u.adjoint())) == [Fraction(1, 3), 1,
+                                                     Fraction(3, 2)]
 
 
 def test_state_validation():

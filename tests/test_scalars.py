@@ -105,3 +105,15 @@ def test_integral_parts_are_ints_and_division_stays_exact():
     exact(QC(3) / QC(0, 2), (0, Fraction(-3, 2)))
     exact(QC(1) / QC(0, 3), (0, Fraction(-1, 3)))
     exact(QC(1, 1) * QC(1, -1), (2, 0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QC.coerce(0.5), lambda: QC.coerce(1j), lambda: QC(1) + 0.5,
+    lambda: QC(1) * 1j, lambda: 0.5 - QC(1), lambda: QC(1) / 2.0,
+], ids=["coerce-float", "coerce-complex", "add-float", "mul-complex",
+        "rsub-float", "div-float"])
+def test_floats_are_not_scalars(make):
+    # every coefficient is exact: a float or complex operand is refused,
+    # not carried along as an approximation
+    with pytest.raises(TypeError):
+        make()
