@@ -91,6 +91,9 @@ FIXED = [
     ["--config", "offbase.cfg", "join"],
     ["haar", "a", "0"],
     ["series", "1", "-3"],
+    ["moment", "A[u]{1,2}^0"],
+    ["moment", "A[e]{9,1}^0"],
+    ["--depth", "2", "moment", "O(a b a)^0"],
     # relations from config classes
     ["--format", "machine", "--config", "repeat.cfg", "join"],
     ["--format", "machine", "--config", "repeat.cfg", "ergodic"],

@@ -363,9 +363,9 @@ def evaluate(expr, context):
     if isinstance(expr, Adjoint):
         return context.adjoint(evaluate(expr.inner, context))
     if isinstance(expr, Power):
+        base = evaluate(expr.inner, context)
         if expr.n == 0:
             return context.one()
-        base = evaluate(expr.inner, context)
         if expr.n < 0:
             base = context.adjoint(base)
         out = base

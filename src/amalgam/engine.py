@@ -64,7 +64,8 @@ class CylFn:
         return not self.terms
 
     def __add__(self, other):
-        assert self.alphabet == other.alphabet
+        if self.alphabet != other.alphabet:
+            raise ValueError("cylinder functions over different alphabets")
         out = dict(self.terms)
         for w, v in other.terms.items():
             out[w] = out[w] + v if w in out else v
@@ -78,7 +79,8 @@ class CylFn:
 
     def __mul__(self, other):
         """Pointwise product; supports pair off only when nested."""
-        assert self.alphabet == other.alphabet
+        if self.alphabet != other.alphabet:
+            raise ValueError("cylinder functions over different alphabets")
         out = {}
         for w1, v1 in self.terms.items():
             for w2, v2 in other.terms.items():
@@ -108,7 +110,9 @@ class CylFn:
 
     def value_at(self, word: ReducedWord):
         """Value on any point extending the given word; word must be deep."""
-        assert len(word) >= self.depth()
+        if len(word) < self.depth():
+            raise ValueError(
+                f"word {word} is shallower than depth {self.depth()}")
         for w, v in self.terms.items():
             if word.starts_with(w):
                 return v
@@ -201,35 +205,12 @@ class Algebra:
 # ---------------------------------------------------------------------------
 # crossed product of the boundary action (full group or one block)
 
-class CrossedElement:
-    """Finite sum of (cylinder function) x (group unitary) terms."""
-
-    __slots__ = ("alphabet", "terms")
-
-    def __init__(self, alphabet, terms):
-        self.alphabet = alphabet
-        self.terms = terms  # ReducedWord -> CylFn
-
-    def coefficient(self, word):
-        fn = self.terms.get(word)
-        return CylFn.zero(self.alphabet) if fn is None else fn
-
-    def __eq__(self, other):
-        if not isinstance(other, CrossedElement):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w.sort_key())):
-            bits.append(f"({self.terms[w]!r})u[{w}]")
-        return " + ".join(bits)
-
-
 class CrossedFace(Algebra):
-    """Crossed product face; block None means the full group (oracle side)."""
+    """Crossed product face; block None means the full group (oracle side).
+
+    An element, the finite sum of f_g u_g, is the plain dict {group word g:
+    nonzero CylFn f_g}; the empty dict is zero.
+    """
 
     def __init__(self, tag, alphabet, block=None, budget=6):
         if block not in (None, 1, 2):
@@ -256,7 +237,7 @@ class CrossedFace(Algebra):
             self.guard(fn)
             if not fn.is_zero():
                 clean[word] = fn
-        return CrossedElement(self.alphabet, clean)
+        return clean
 
     def unitary(self, word):
         return self.element({word: CylFn.one(self.alphabet)})
@@ -265,13 +246,14 @@ class CrossedFace(Algebra):
         return self.unitary(self.identity)
 
     def zero(self):
-        return CrossedElement(self.alphabet, {})
+        return {}
 
     def embed_d(self, fn: CylFn):
         return self.element({self.identity: fn})
 
-    def expect(self, x: CrossedElement) -> CylFn:
-        return x.coefficient(self.identity)
+    def expect(self, x) -> CylFn:
+        fn = x.get(self.identity)
+        return CylFn.zero(self.alphabet) if fn is None else fn
 
     # mul, add and adjoint trust their operands, elements of this face: block
     # words multiply within the block, and sums and products of cylinder
@@ -279,36 +261,36 @@ class CrossedFace(Algebra):
     # the depth guard and only sums can cancel to zero
     def mul(self, x, y):
         out = {}
-        for g, f in x.terms.items():
-            for h, k in y.terms.items():
+        for g, f in x.items():
+            for h, k in y.items():
                 word = g * h
                 fn = f * self.guard(k.translate(g))
                 if not fn.is_zero():
                     out[word] = out[word] + fn if word in out else fn
-        return CrossedElement(self.alphabet, {w: fn for w, fn in out.items() if fn.terms})
+        return {w: fn for w, fn in out.items() if fn.terms}
 
     def add(self, x, y):
-        out = dict(x.terms)
-        for w, fn in y.terms.items():
+        out = dict(x)
+        for w, fn in y.items():
             out[w] = out[w] + fn if w in out else fn
-        return CrossedElement(self.alphabet, {w: fn for w, fn in out.items() if fn.terms})
+        return {w: fn for w, fn in out.items() if fn.terms}
 
     def neg(self, x):
-        return CrossedElement(self.alphabet, {w: -fn for w, fn in x.terms.items()})
+        return {w: -fn for w, fn in x.items()}
 
     def adjoint(self, x):
         out = {}
-        for g, f in x.terms.items():
+        for g, f in x.items():
             out[g.inverse()] = self.guard(f.adjoint().translate(g.inverse()))
-        return CrossedElement(self.alphabet, out)
+        return out
 
     def is_zero(self, x):
-        return not x.terms
+        return not x
 
     def right_support(self, x) -> CylFn:
         """Smallest diagonal projection q with x q = x."""
         supp = CylFn.zero(self.alphabet)
-        for g, f in x.terms.items():
+        for g, f in x.items():
             supp = supp + f.support_projection().translate(g.inverse())
         return CylFn(self.alphabet, {w: ONE for w in supp.terms})
 
@@ -392,7 +374,8 @@ class MElement:
         return not self.words
 
     def __add__(self, other):
-        assert other.product is self.product
+        if other.product is not self.product:
+            raise ValueError("elements of different free products")
         return MElement(self.product, self.d_part + other.d_part,
                         self.words + other.words)
 
@@ -408,7 +391,8 @@ class MElement:
         return self + (-other)
 
     def __mul__(self, other):
-        assert other.product is self.product
+        if other.product is not self.product:
+            raise ValueError("elements of different free products")
         return self.product.multiply(self, other)
 
     def adjoint(self):
@@ -418,13 +402,18 @@ class MElement:
         return MElement(self.product, self.d_part.adjoint(), words)
 
     def __eq__(self, other):
-        """Structural equality of normal forms (sufficient, not necessary)."""
+        """Equal diagonal parts and equal words as a multiset, letter by
+        letter (sufficient, not necessary)."""
         if not isinstance(other, MElement):
             return NotImplemented
         if self.d_part != other.d_part:
             return False
-        key = lambda w: (len(w), repr(w))
-        return sorted(self.words, key=key) == sorted(other.words, key=key)
+        rest = list(other.words)
+        for word in self.words:
+            if word not in rest:
+                return False
+            rest.remove(word)
+        return not rest
 
     def __repr__(self):
         bits = [repr(self.d_part)] if not self.d_part.is_zero() else []
@@ -618,7 +607,7 @@ class FreeProduct:
         for tag, x in letters:
             if tag == "D":
                 x = full.embed_d(x)
-            out = full.mul(out, CrossedElement(x.alphabet, dict(x.terms)))
+            out = full.mul(out, x)
         return full.expect(out)
 
     # -- semantic equality up to padded moments ------------------------------

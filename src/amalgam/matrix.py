@@ -139,7 +139,8 @@ class AmplifiedFace:
         return FMElement.unit(self.core_relation, x, y)
 
     def shift_power(self, n):
-        assert self.alpha is not None, "only the shift face has a unitary"
+        if self.alpha is None:
+            raise ValueError("only the shift face has a unitary")
         move = self.alpha.power(n)
         return FMElement(self.core_relation,
                          {(move(x), x): ONE for x in self.core_base.points})
@@ -294,7 +295,8 @@ class CornerModel:
 
     def corner_letter_sequence(self, n, index, kappa):
         """The 2|kappa|-letter raw word behind corner_power."""
-        assert kappa != 0
+        if kappa == 0:
+            raise ValueError("kappa must be nonzero")
         (tag_a, fa), (tag_b, fb) = self.corner_unitary(n, index).letters
         if kappa > 0:
             return [(tag_a, fa), (tag_b, fb)] * kappa

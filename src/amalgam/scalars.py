@@ -15,6 +15,8 @@ from fractions import Fraction
 
 def _rational(x):
     """x as an exact rational in canonical type: int when integral."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot use {type(x).__name__} as a scalar")
     q = Fraction(x)
     return q.numerator if q.denominator == 1 else q
 
@@ -35,11 +37,7 @@ class QC:
     @staticmethod
     def coerce(value):
         """Return an int, Fraction or QC value as a QC."""
-        if isinstance(value, QC):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QC(value)
-        raise TypeError(f"cannot use {type(value).__name__} as a scalar")
+        return value if isinstance(value, QC) else QC(value)
 
     def __add__(self, other):
         if isinstance(other, QC):

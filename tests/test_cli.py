@@ -360,6 +360,19 @@ def test_lone_cylinder_held_to_the_depth_budget(capsys, argv):
     assert err == "error: cylinder depth 3 exceeds budget 2\n"
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (("moment", "A[u]{1,2}^0"), 2, "the plain face has no shift unitary"),
+    (("moment", "A[e]{9,1}^0"), 2, "slot index out of range"),
+    (("--depth", "2", "moment", "O(a b a)^0"), 3,
+     "cylinder depth 3 exceeds budget 2"),
+], ids=["plain-shift", "bad-slot", "too-deep"])
+def test_zeroth_power_checks_its_base(capsys, argv, code, err):
+    # x^0 is the unit only for an x that exists: the base fails as it would
+    # alone
+    assert run(capsys, "--format", "machine", *argv) == \
+        (code, "", "error: %s\n" % err)
+
+
 def test_internal_error_exits_with_four(capsys, monkeypatch):
     def broken(args, config):
         raise AssertionError("invariant broke")

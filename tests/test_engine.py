@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -51,6 +52,18 @@ def test_cylfn_cancellation_to_zero():
     assert g.is_zero()
 
 
+def test_cylfn_value_at_needs_a_deep_word():
+    with pytest.raises(ValueError, match="shallower"):
+        indicator("a b").value_at(w("a"))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul])
+def test_cylfn_rejects_another_alphabet(op):
+    other = CylFn.one(Alphabet(("a", "b", "c"), 1))
+    with pytest.raises(ValueError, match="different alphabets"):
+        op(indicator("a"), other)
+
+
 cylfn_st = st.dictionaries(
     st.sampled_from(ball(AB, 2)),
     st.builds(QC, st.integers(-3, 3).map(Fraction)),
@@ -87,8 +100,8 @@ def test_crossed_conjugation_translates_functions():
     f = indicator("b a")
     prod = face_a.mul(face_a.unitary(w("a")), face_a.embed_d(f))
     prod = face_a.mul(prod, face_a.unitary(w("a'")))
-    assert prod.terms.keys() == {w("e")}
-    assert prod.coefficient(w("e")) == f.translate(w("a"))
+    assert prod.keys() == {w("e")}
+    assert prod[w("e")] == f.translate(w("a"))
 
 
 def test_crossed_adjoint_is_involutive():
@@ -113,8 +126,8 @@ def test_crossed_results_are_clean(x, y):
     # what element() builds from its terms
     for r in (FACE_A.mul(x, y), FACE_A.add(x, y), FACE_A.sub(x, x),
               FACE_A.sub(x, y), FACE_A.adjoint(x)):
-        assert FACE_A.element(r.terms) == r
-        assert all(not fn.is_zero() for fn in r.terms.values())
+        assert FACE_A.element(r) == r
+        assert all(not fn.is_zero() for fn in r.values())
 
 
 def test_crossed_block_membership_enforced():
@@ -263,6 +276,12 @@ def test_melement_unit_and_structural_equality():
     assert x - x == product.zero()
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.mul])
+def test_melement_rejects_another_product(op):
+    with pytest.raises(ValueError, match="different free products"):
+        op(fm_product().one(), fm_product().one())
+
+
 # -- free product over boundary faces ----------------------------------------
 
 def boundary_product(budget=14):
@@ -360,6 +379,25 @@ def test_normal_form_words_alternate_and_are_centered(backend, first, second):
     y = product.letters_product([gens[i] for i in second])
     for z in (x, x + y, x - y, x * y, x.adjoint(), -x):
         assert_normal_form(product, z)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_equality_compares_words_by_value_not_repr(monkeypatch, backend):
+    # two face-A words whose letters print alike: the order of the words
+    # must not matter, and a differing coefficient must
+    product, _ = BACKENDS[backend]
+    face = product.face("A")
+    if backend == "finite":
+        monkeypatch.setattr(FMElement, "__repr__", lambda self: "x")
+        u, v = face.unit("x", "y"), face.unit("y", "x")
+    else:
+        monkeypatch.setattr(CylFn, "__repr__", lambda self: "f")
+        u, v = (face.element({w("a"): indicator("b")}),
+                face.element({w("a"): indicator("a")}))
+    x, y = product.embed("A", u), product.embed("A", v)
+    assert x + y == y + x
+    assert x + x != x + y and x + y != x + x
+    assert x + y != x + product.embed("A", face.add(v, v))
 
 
 # -- freeness and haar checks -------------------------------------------------

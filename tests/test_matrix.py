@@ -125,6 +125,17 @@ def test_corner_unitary_validation():
         model.corner_unitary(1, 4)
 
 
+def test_plain_face_has_no_shift_power():
+    face = AmplifiedFace("A", BASE5, 3, relation=PLAIN5)
+    with pytest.raises(ValueError, match="only the shift face"):
+        face.shift_power(1)
+
+
+def test_corner_letter_sequence_needs_a_nonzero_power():
+    with pytest.raises(ValueError, match="kappa must be nonzero"):
+        small_model(3).corner_letter_sequence(1, 2, 0)
+
+
 def test_corner_word_is_unitary_in_the_corner():
     model = small_model(3)
     p = model.corner_identity()

@@ -110,8 +110,9 @@ def test_integral_parts_are_ints_and_division_stays_exact():
 @pytest.mark.parametrize("make", [
     lambda: QC.coerce(0.5), lambda: QC.coerce(1j), lambda: QC(1) + 0.5,
     lambda: QC(1) * 1j, lambda: 0.5 - QC(1), lambda: QC(1) / 2.0,
+    lambda: QC(0.5), lambda: QC(1, 0.5), lambda: QC("1/2"),
 ], ids=["coerce-float", "coerce-complex", "add-float", "mul-complex",
-        "rsub-float", "div-float"])
+        "rsub-float", "div-float", "init-float", "init-float-im", "init-str"])
 def test_floats_are_not_scalars(make):
     # every coefficient is exact: a float or complex operand is refused,
     # not carried along as an approximation
