@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One command per invocation; structured reports in a human or a machine
-rendering (one record per line, key=value pairs, rationals as p/q). The
+rendering (one record per line, key=value pairs). A value prints as its
+text, rationals as p/q, with each space as '.' so that it is one token. The
 exit status is 0 when every asserted check passes, 1 when one fails, 2 on
 bad input, 3 when a cylinder depth budget is exceeded and 4 on an internal
 error.
@@ -36,71 +37,18 @@ class Record:
     ok: object = None  # True/False for asserted checks, None for plain facts
 
 
-# -- value rendering (machine-safe: no spaces inside values) --------------------
-
-def _word_text(word):
-    return word.render().replace(" ", ".")
-
-
-def _frac(value):
-    return str(Fraction(value))
-
-
-def _scalar(value):
-    if value.im == 0:
-        return _frac(value.re)
-    if value.re == 0:
-        return "%si" % _frac(value.im)
-    sign = "+" if value.im > 0 else ""
-    return "%s%s%si" % (_frac(value.re), sign, _frac(value.im))
-
-
-def _point(p):
-    if isinstance(p, tuple):
-        return "%s:%s" % (p[0], p[1])
-    return str(p)
-
-
-def _cylfn_text(fn):
-    if fn.is_zero():
-        return "0"
-    bits = []
-    for word in sorted(fn.terms, key=lambda w: w.sort_key()):
-        bits.append("%s*O(%s)" % (_scalar(fn.terms[word]), _word_text(word)))
-    return "+".join(bits)
-
-
-def _fm_text(x):
-    if x.is_zero():
-        return "0"
-    bits = []
-    for (p, q) in sorted(x.coeffs, key=lambda pair: (str(pair[0]), str(pair[1]))):
-        bits.append("%s*e[%s,%s]" % (_scalar(x.coeffs[(p, q)]),
-                                     _point(p), _point(q)))
-    return "+".join(bits)
-
-
-def _value_text(value):
-    """An expectation: a CylFn on the boundary, an FMElement in the corner."""
-    return _cylfn_text(value) if isinstance(value, CylFn) else _fm_text(value)
-
-
 def _yes(flag):
     return "yes" if flag else "no"
-
-
-def _classes_text(relation):
-    return "+".join(
-        "{%s}" % ".".join(_point(p) for p in cls)
-        for cls in sorted(relation.classes(), key=lambda c: str(c)))
 
 
 # -- report emission --------------------------------------------------------------
 
 def emit(records, fmt, out=None):
+    """Print the records; each value is one token, a space printing as '.'."""
     out = sys.stdout if out is None else out
     for record in records:
-        fields = list(record.fields)
+        fields = [(key, str(value).replace(" ", "."))
+                  for key, value in record.fields]
         if record.ok is not None:
             fields.append(("ok", _yes(record.ok)))
         if fmt == "machine":
@@ -123,8 +71,8 @@ def cmd_measure(args, config):
                   Fraction(0))
     return [Record("measure", [
         ("cylinder", dsl.machine_text(expr)),
-        ("value", _frac(value)),
-        ("refinement", _frac(refined)),
+        ("value", value),
+        ("refinement", refined),
     ], ok=(refined == value))]
 
 
@@ -136,10 +84,10 @@ def cmd_rn(args, config):
     moved = act(gamma, prefix)
     exact = moved.measure() == ratio * cylinder_measure(prefix)
     return [Record("rn", [
-        ("word", _word_text(gamma)),
-        ("cylinder", "O(%s)" % _word_text(prefix)),
-        ("exponent", str(exponent)),
-        ("ratio", _frac(ratio)),
+        ("word", gamma),
+        ("cylinder", "O(%s)" % prefix),
+        ("exponent", exponent),
+        ("ratio", ratio),
     ], ok=exact)]
 
 
@@ -157,10 +105,10 @@ def cmd_series(args, config):
         decomposition = complement_decomposition(alphabet, block, args.terms)
         ok = ok and decomposition.measure() == partial
     return [Record("series", [
-        ("block", str(block)),
-        ("terms", str(args.terms)),
-        ("partial", _frac(partial)),
-        ("tail", _frac(tail)),
+        ("block", block),
+        ("terms", args.terms),
+        ("partial", partial),
+        ("tail", tail),
     ], ok=ok)]
 
 
@@ -177,7 +125,7 @@ def cmd_moment(args, config):
     value = context.expect(dsl.evaluate(expr, context))
     return [Record("moment", [
         ("expr", dsl.machine_text(expr)),
-        ("value", _value_text(value)),
+        ("value", value),
     ])]
 
 
@@ -191,8 +139,8 @@ def cmd_oracle(args, config):
     oracle_value = oracle_ctx.expect(dsl.evaluate(expr, oracle_ctx))
     return [Record("oracle", [
         ("expr", dsl.machine_text(expr)),
-        ("engine", _value_text(engine_value)),
-        ("oracle", _value_text(oracle_value)),
+        ("engine", engine_value),
+        ("oracle", oracle_value),
     ], ok=(engine_value == oracle_value))]
 
 
@@ -206,7 +154,7 @@ def cmd_haar(args, config):
     report = haar_check(context, element, args.kmax, unit=unit)
     return [Record("haar", [
         ("expr", dsl.machine_text(expr)),
-        ("kmax", str(args.kmax)),
+        ("kmax", args.kmax),
         ("unitary", _yes(report.unitary_ok)),
         ("failed_exponents", ",".join(map(str, report.failed_exponents)) or "none"),
     ], ok=report.passed)]
@@ -227,9 +175,9 @@ def cmd_freeness(args, config):
         report = freeness_check(MAmbient(product), families, config.max_len)
         return [Record("freeness", [
             ("suite", "boundary"),
-            ("max_len", str(config.max_len)),
-            ("words", str(report.words_checked)),
-            ("violations", str(len(report.violations))),
+            ("max_len", config.max_len),
+            ("words", report.words_checked),
+            ("violations", len(report.violations)),
         ], ok=report.passed)]
     if args.suite == "corner":
         model = config.corner_model()
@@ -240,11 +188,11 @@ def cmd_freeness(args, config):
         return [Record("freeness", [
             ("suite", "corner"),
             ("fixture", report.fixture.replace(" ", ",")),
-            ("max_len", str(config.max_len)),
-            ("families", str(report.families)),
-            ("words", str(report.words_checked)),
-            ("shape_checks", str(report.shape_checks)),
-            ("violations", str(len(report.violations))),
+            ("max_len", config.max_len),
+            ("families", report.families),
+            ("words", report.words_checked),
+            ("shape_checks", report.shape_checks),
+            ("violations", len(report.violations)),
         ], ok=report.passed)]
     raise ValueError("unknown suite %r (use boundary or corner)" % args.suite)
 
@@ -256,23 +204,21 @@ def cmd_join(args, config):
     contains = rel_a.pairs <= joined.pairs and rel_b.pairs <= joined.pairs
     stable = join(joined, rel_a).pairs == joined.pairs
     return [Record("join", [
-        ("classes_a", _classes_text(rel_a)),
-        ("classes_b", _classes_text(rel_b)),
-        ("classes", _classes_text(joined)),
+        ("classes_a", rel_a),
+        ("classes_b", rel_b),
+        ("classes", joined),
         ("ergodic", _yes(is_ergodic(joined))),
     ], ok=(contains and stable))]
 
 
 def cmd_ergodic(args, config):
     joined = join(config.plain_relation(), config.alpha.orbit_relation())
-    masses = []
-    for cls in sorted(joined.classes(), key=lambda c: str(c)):
-        mass = sum((config.base.weight(p) for p in cls), Fraction(0))
-        masses.append(_frac(mass))
+    masses = (sum((config.base.weight(p) for p in cls), Fraction(0))
+              for cls in sorted(joined.classes(), key=str))
     return [Record("ergodic", [
         ("ergodic", _yes(is_ergodic(joined))),
-        ("class_count", str(len(joined.classes()))),
-        ("class_masses", ",".join(masses)),
+        ("class_count", len(joined.classes())),
+        ("class_masses", ",".join(map(str, masses))),
     ])]
 
 
@@ -282,8 +228,7 @@ def cmd_suite67(args, config):
     records = []
 
     def add(name, report, **fields):
-        records.append(Record(
-            name, [(k, str(v)) for k, v in fields.items()], ok=report.passed))
+        records.append(Record(name, list(fields.items()), ok=report.passed))
 
     alphabet = config.alphabet
     depth = min(config.depth, 4)
@@ -291,7 +236,7 @@ def cmd_suite67(args, config):
     add("measure_exactness", report, depth=depth, cylinders=report.checked)
     report = battery.series_closure(alphabet, 6)
     add("series_closure", report, terms=6,
-        frozen=",".join(_frac(f) for f in report.values) or "n/a")
+        frozen=",".join(map(str, report.values)) or "n/a")
     report = battery.splice_factorization(alphabet, 3)
     add("splice_factorization", report, pairs=report.checked)
     report = battery.ratio_powers(alphabet, 4, 1)
@@ -343,8 +288,8 @@ def cmd_suite67(args, config):
 
     failed = sum(1 for r in records if r.ok is False)
     records.append(Record("suite67", [
-        ("checks", str(len(records))),
-        ("failed", str(failed)),
+        ("checks", len(records)),
+        ("failed", failed),
     ], ok=(failed == 0)))
     return records
 

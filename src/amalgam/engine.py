@@ -124,11 +124,9 @@ class CylFn:
         return self.alphabet == other.alphabet and self.terms == other.terms
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = [f"{v!r} O({w})" for w, v in
-                sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0].sort_key()))]
-        return " + ".join(bits)
+        """1*O(a b)+...: one term per cylinder, in sort_key order."""
+        words = sorted(self.terms, key=ReducedWord.sort_key)
+        return "+".join(f"{self.terms[w]!r}*O({w!r})" for w in words) or "0"
 
 
 def _canonical(alphabet, terms):

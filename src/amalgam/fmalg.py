@@ -20,6 +20,11 @@ from .scalars import ONE, QC
 GROUPOID_POINT_BOUND = 8  # hard bound for exhaustive partial-bijection sweeps
 
 
+def _point_text(x):
+    """A base point as text; a point (x, i) of an amplified base is x:i."""
+    return "%s:%s" % x if isinstance(x, tuple) else str(x)
+
+
 @dataclass(frozen=True)
 class FiniteBase:
     """Finite point set with a faithful state given by rational weights."""
@@ -53,7 +58,7 @@ class FiniteBase:
         return self.weights[self.points.index(x)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FiniteRelation:
     """Equivalence relation on the base, stored as its partition.
 
@@ -105,6 +110,11 @@ class FiniteRelation:
 
     def class_of(self, x):
         return next((cls for cls in self.blocks if x in cls), ())
+
+    def __repr__(self):
+        """{x0 x1}+{x2}: the classes, sorted by their tuples' text."""
+        return "+".join("{%s}" % " ".join(map(_point_text, cls))
+                        for cls in sorted(self.blocks, key=str))
 
 
 class FMElement:
@@ -198,9 +208,6 @@ class FMElement:
     def is_zero(self):
         return not self.coeffs
 
-    def is_diagonal(self):
-        return all(x == y for x, y in self.coeffs)
-
     def right_support(self):
         """Smallest diagonal projection q with self * q = self."""
         cols = {y for _, y in self.coeffs}
@@ -216,12 +223,11 @@ class FMElement:
         return self.relation == other.relation and self.coeffs == other.coeffs
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (x, y), v in sorted(self.coeffs.items(), key=lambda kv: repr(kv[0])):
-            bits.append(f"{v!r} e[{x},{y}]")
-        return " + ".join(bits)
+        """1*e[x0:1,x0:2]+...: one term per pair, sorted by point text."""
+        pairs = sorted(self.coeffs, key=lambda pair: (str(pair[0]), str(pair[1])))
+        return "+".join(
+            f"{self.coeffs[x, y]!r}*e[{_point_text(x)},{_point_text(y)}]"
+            for x, y in pairs) or "0"
 
 
 def join(r1: FiniteRelation, r2: FiniteRelation) -> FiniteRelation:

@@ -444,7 +444,7 @@ def moment_vanishing_report(model, n_limit=2, i_values=(2, 3), kappa_limit=4):
                 raw = model.product.expectation(letters)
                 folded = model.corner_power(n, i, kappa).expectation()
                 report.check(raw.is_zero() and folded.is_zero(),
-                             (n, i, kappa, repr(raw)))
+                             (n, i, kappa, raw))
     return report
 
 

@@ -102,9 +102,13 @@ class QC:
         return bool(self.re) or bool(self.im)
 
     def __repr__(self):
-        if self.im == 0:
+        """1/2, 2i or 1-2i: no spaces and no brackets."""
+        if not self.im:
             return str(self.re)
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+        im = f"{self.im}i"
+        if not self.re:
+            return im
+        return f"{self.re}{'+' if self.im > 0 else ''}{im}"
 
 
 ONE = QC(1)

@@ -77,7 +77,7 @@ def _reduce(letters):
     return tuple(stack)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ReducedWord:
     alphabet: Alphabet
     letters: tuple[int, ...]
@@ -137,8 +137,7 @@ class ReducedWord:
             return "e"
         return " ".join(self.alphabet.render_letter(a) for a in self.letters)
 
-    def __str__(self):
-        return self.render()
+    __repr__ = render
 
     def sort_key(self):
         return tuple((abs(a), a < 0) for a in self.letters)

@@ -1,6 +1,7 @@
 """Expression language round trips, config parsing, CLI exit codes."""
 
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -17,7 +18,6 @@ import amalgam
 from amalgam import cli, dsl
 from amalgam.cli import main
 from amalgam.config import ConfigError, default_config, parse_config
-from amalgam.scalars import QC
 from amalgam.dsl import (
     Adjoint, BracketAtom, CylinderAtom, DslError, Power, Product, UnitAtom,
     WordAtom,
@@ -230,13 +230,30 @@ def test_moment_identity_word(capsys):
     assert out.strip() == "record=moment expr=a.a' value=1*O(e)"
 
 
-def test_complex_scalar_keeps_its_sign():
-    # the machine format promises exact p/q parts, signed between them
-    cases = [(QC(1, 2), "1+2i"), (QC(Fraction(1, 2), Fraction(3, 4)), "1/2+3/4i"),
-             (QC(1, -2), "1-2i"), (QC(0, 2), "2i"), (QC(0, -2), "-2i"),
-             (QC(Fraction(-1, 3)), "-1/3")]
-    for value, text in cases:
-        assert cli._scalar(value) == text
+@pytest.mark.parametrize("expr", ["a b O(a) b' a'", "A[e]{1,1}"],
+                         ids=["boundary", "corner"])
+def test_moment_value_is_the_values_repr(capsys, expr):
+    # one text form: the record prints the value's own repr, spaces as '.'
+    parsed = dsl.parse(expr, CFG)
+    if dsl.domain(parsed) == "boundary":
+        context = dsl.BoundaryContext(CFG.boundary_product())
+    else:
+        context = dsl.CornerContext(CFG.corner_model())
+    value = context.expect(dsl.evaluate(parsed, context))
+    assert not value.is_zero()
+    code, out, _ = run(capsys, "--format", "machine", "moment", expr)
+    assert code == 0
+    assert out.split()[-1] == "value=" + repr(value).replace(" ", ".")
+
+
+def test_emit_prints_a_value_with_spaces_as_one_token():
+    word = ReducedWord.parse(CFG.alphabet, "a b'")
+    record = cli.Record("probe", [("word", word)], ok=True)
+    for fmt, text in [("machine", "record=probe word=a.b' ok=yes\n"),
+                      ("human", "probe\n  word = a.b'\n  ok = yes\n")]:
+        out = io.StringIO()
+        cli.emit([record], fmt, out)
+        assert out.getvalue() == text
 
 
 def test_rn_frozen(capsys):
@@ -510,6 +527,10 @@ def test_machine_lines_are_flat_records(capsys):
         ["--format", "machine", "series", "2", "3"],
         ["--format", "machine", "moment", "~(a b)^2"],
         ["--format", "machine", "join"],
+        ["--format", "machine", "rn", "a b", "O(b' a' b)"],
+        ["--format", "machine", "oracle", "a b O(a) b' a'"],
+        ["--format", "machine", "haar", "A[e]{1,3} B[u^-2]{3,1}", "4"],
+        ["--format", "machine", "freeness", "corner"],
     ]
     for argv in probes:
         code = main(argv)

@@ -300,6 +300,14 @@ def boundary_letters(product):
     ]
 
 
+def test_boundary_letter_repr_shows_words_as_text():
+    product = boundary_product()
+    text = repr(product.embed("A", {w("a"): indicator("b")}))
+    assert text == "[A:{a: 1*O(b)}]"
+    assert "ReducedWord(" not in text
+    assert repr(indicator("b a'") + indicator("a")) == "1*O(a)+1*O(b a')"
+
+
 def test_d_zero_is_the_empty_diagonal():
     for product in (fm_product(), boundary_product()):
         zero = product.d_zero()

@@ -44,6 +44,15 @@ def test_involution_is_conjugate_linear():
         u.adjoint().scale(QC(Fraction(2, 3), Fraction(1, 5)))
 
 
+def test_repr_orders_terms_by_point_text():
+    # by repr of the pair, ('p!', 'p!') would come before ('p', 'p')
+    rel = FiniteRelation.full(FiniteBase.uniform(("p", "p!")))
+    x = FMElement(rel, {("p!", "p!"): QC(0, -1), ("p", "p!"): 2, ("p", "p"): 1})
+    assert repr(x) == "1*e[p,p]+2*e[p,p!]+-1i*e[p!,p!]"
+    assert repr(rel) == "{p p!}"
+    assert repr(FMElement.zero(rel)) == "0"
+
+
 def test_relation_mismatch_rejected():
     r_small = FiniteRelation.from_classes(B3, [("x", "y")])
     with pytest.raises(ValueError):
@@ -81,7 +90,6 @@ def test_results_are_clean(u, v, c, d):
 def test_expectation_is_linear_and_idempotent(u, v):
     assert (u + v).expectation() == u.expectation() + v.expectation()
     assert u.expectation().expectation() == u.expectation()
-    assert u.expectation().is_diagonal()
 
 
 @given(elements_st(FULL3))

@@ -118,3 +118,12 @@ def test_floats_are_not_scalars(make):
     # not carried along as an approximation
     with pytest.raises(TypeError):
         make()
+
+
+def test_complex_repr_keeps_its_sign():
+    # the text the command line prints: exact p/q parts, signed between them
+    cases = [(QC(1, 2), "1+2i"), (QC(Fraction(1, 2), Fraction(3, 4)), "1/2+3/4i"),
+             (QC(1, -2), "1-2i"), (QC(0, 2), "2i"), (QC(0, -2), "-2i"),
+             (QC(Fraction(-1, 3)), "-1/3"), (QC(0), "0")]
+    for value, text in cases:
+        assert repr(value) == text
