@@ -35,9 +35,7 @@ def main():
           % (report.fixture, report.checked,
              "ok" if report.passed else "FAILED"))
 
-    report = covariance_report(model.core_base, model.face_b.alpha,
-                               model.face_a.core_relation,
-                               k_values=(args.k,),
+    report = covariance_report(model, k_values=(args.k,),
                                n_limit=args.n_max, i_values=i_values)
     print("covariance %s: %d checked, %s"
           % (report.fixture, report.checked,

@@ -24,22 +24,24 @@ def table(alphabet, block, terms):
     for m in range(1, terms + 1):
         partial = complement_series(alphabet, block, m)
         tail = complement_series_tail(alphabet, block, m)
-        assert partial + tail == 1
+        if partial + tail != 1:
+            print("M=%d: partial %s + tail %s is not 1" % (m, partial, tail),
+                  file=sys.stderr)
+            return 1
         pieces = len(complement_decomposition(alphabet, block, m)) \
             if m <= 5 else "-"
         print("  %3d  %-12s %-12s %s" % (m, partial, tail, pieces))
     print()
+    return 0
 
 
 def main(argv):
     terms = int(argv[1]) if len(argv) > 1 else 8
     for rank in (2, 3, 4):
-        alphabet = Alphabet(tuple(NAMES[:rank]), 1)
-        table(alphabet, 1, terms)
+        if table(Alphabet(tuple(NAMES[:rank]), 1), 1, terms):
+            return 1
     # a fatter first block changes the ratio but not the closure
-    alphabet = Alphabet(("a", "c", "b"), 2)
-    table(alphabet, 1, terms)
-    return 0
+    return table(Alphabet(("a", "c", "b"), 2), 1, terms)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ relations built from configured classes, `suite67` in both formats and
 under three more size mappings (`--max-len 2`, `--depth 3` and a weighted
 three-generator config), depth sweeps of `moment`, `oracle`, `haar`
 and `freeness boundary` over boundary expressions drawn from a fixed seed,
-and an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
-one letter deeper. LIMIT runs only the first LIMIT commands.
+an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
+one letter deeper, and three late additions at the end, so that the earlier
+commands keep their places. LIMIT runs only the first LIMIT commands.
 """
 
 import contextlib
@@ -44,6 +45,7 @@ CONFIGS = {
                  "classes = {p q} {s r} {u t}\n[alpha]\ncycles = (q s)\n",
     "mass.cfg": "[base]\npoints = p q r s\nclasses = {q p}\n"
                 "[state]\nweights = 1/2 1/4 1/8 1/8\n[alpha]\ncycles = (r q)\n",
+    "zero.cfg": "[base]\npoints = p q\n[state]\nweights = 1/0 1\n",
     # three generators over a weighted base (CUSTOM in tests/test_cli.py)
     "custom.cfg": "[alphabet]\nblock1 = a c\nblock2 = b\n"
                   "[base]\npoints = p q r s\nclasses = {p q}\n"
@@ -165,6 +167,12 @@ def commands():
                 out.append(["--format", "machine", "rn", word.render(),
                             "O(%s)" % prefix.render()])
     out.append(["rn", "a b", "O(a)"])  # a cylinder too shallow for the word
+    # overlapping classes fail at parse time, so also for a command that
+    # never builds the relation; a zero denominator is a bad weight; a
+    # large shift power moves each point once
+    out += [["--config", "overlap.cfg", "measure", "O(a)"],
+            ["--config", "zero.cfg", "ergodic"],
+            ["--format", "machine", "moment", "B[u^1000000]{1,2}"]]
     return out
 
 

@@ -266,14 +266,12 @@ def cmd_suite67(args, config):
         violations=len(report.violations))
 
     k_values = tuple(sorted({2, config.k}))
-    report = covariance_report(config.base, config.alpha,
-                               config.plain_relation(), k_values=k_values,
+    report = covariance_report(model, k_values=k_values,
                                n_limit=config.n_max, i_values=i_values)
     add("covariance", report, checked=report.checked)
 
-    report = reduction_identities_report(
-        config.base, config.alpha, config.plain_relation(),
-        k_values=k_values, n_limit=min(config.n_max, 2))
+    report = reduction_identities_report(model, k_values=k_values,
+                                         n_limit=min(config.n_max, 2))
     add("reduction_identities", report, checked=report.checked)
 
     report = bracket_law_report(model, k_values=k_values)

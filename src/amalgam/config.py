@@ -15,27 +15,10 @@ from .fmalg import FiniteBase, FiniteRelation
 from .matrix import CornerModel, Permutation
 from .words import Alphabet
 
-# stacked shift exponents in freeness sweeps reach max_len * n_max, so the
-# default base is large enough to keep that below one shift period
-DEFAULT_CONFIG = """\
-[alphabet]
-block1 = a
-block2 = b
-
-[base]
-points = x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10
-classes = {x0 x1} {x2 x3}
-
-[alpha]
-cycles = (x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10)
-
-[limits]
-depth = 8
-k = 3
-n_max = 2
-kappa_max = 4
-max_len = 4
-"""
+# every key is optional; the built-in default adds only the plain classes.
+# Stacked shift exponents in freeness sweeps reach max_len * n_max, so the
+# default base of 11 points keeps that below one shift period
+DEFAULT_CONFIG = "[base]\nclasses = {x0 x1} {x2 x3}\n"
 
 
 class ConfigError(ValueError):
@@ -47,7 +30,7 @@ class RunConfig:
     alphabet: Alphabet
     base: FiniteBase
     alpha: Permutation
-    plain_classes: tuple
+    plain: FiniteRelation
     depth: int = 8
     k: int = 3
     n_max: int = 2
@@ -61,7 +44,7 @@ class RunConfig:
             raise ConfigError("limits must be positive")
 
     def plain_relation(self):
-        return FiniteRelation.from_classes(self.base, self.plain_classes)
+        return self.plain
 
     def boundary_product(self, budget=None):
         budget = self.depth if budget is None else budget
@@ -69,11 +52,10 @@ class RunConfig:
                            CrossedFace("B", self.alphabet, 2, budget))
 
     def corner_model(self):
-        return CornerModel(self.base, self.alpha, self.plain_relation(),
-                           self.k)
+        return CornerModel(self.base, self.alpha, self.plain, self.k)
 
     def fm_faces(self):
-        return (FMFace("A", self.plain_relation()),
+        return (FMFace("A", self.plain),
                 FMFace("B", self.alpha.orbit_relation()))
 
 
@@ -110,7 +92,7 @@ def parse_config(text):
     if "weights" in state_spec:
         try:
             weights = tuple(Fraction(w) for w in state_spec["weights"].split())
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError("bad weight: %s" % exc) from exc
         if len(weights) != len(points):
             raise ConfigError("need one weight per base point")
@@ -140,6 +122,10 @@ def parse_config(text):
         for x in cls:
             if x not in points:
                 raise ConfigError("class point %s is not in the base" % x)
+    try:
+        plain = FiniteRelation.from_classes(base, classes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     limit_spec = sections.get("limits", {})
     limits = {}
@@ -154,7 +140,7 @@ def parse_config(text):
         raise ConfigError("unknown limit(s): %s" % ", ".join(sorted(extra)))
 
     return RunConfig(alphabet=alphabet, base=base, alpha=alpha,
-                     plain_classes=classes, **limits)
+                     plain=plain, **limits)
 
 
 def _split_sections(text):

@@ -272,13 +272,18 @@ class _Parser:
             self.fail("unknown bracket core %r" % token.value, token)
         self.expect("]")
         self.expect("{")
-        i = self.signed_int()
+        i = self.slot_index()
         self.expect(",")
-        j = self.signed_int()
+        j = self.slot_index()
         self.expect("}")
-        if i < 1 or j < 1:
-            self.fail("slot indices start at 1")
         return BracketAtom(tag, core, i, j)
+
+    def slot_index(self):
+        token = self.peek()
+        index = self.signed_int()
+        if index < 1:
+            self.fail("slot indices start at 1", token)
+        return index
 
 
 def parse(text, config):

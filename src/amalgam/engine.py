@@ -148,7 +148,7 @@ def _canonical(alphabet, terms):
             child = children.get(a, [QC(0), {}])
             submaps.append((a, walk([child[0] + value, child[1]], a)))
         first = submaps[0][1]
-        if len(first) <= 1 and all(m == first for _, m in submaps):
+        if (not first or () in first) and all(m == first for _, m in submaps):
             return dict(first)  # all siblings constant and equal: merge up
         out = {}
         for a, sub in submaps:

@@ -17,9 +17,9 @@ from .scalars import ONE, QC
 
 
 class Permutation:
-    """Bijection of the points of a finite base."""
+    """Bijection of the points of a finite base, kept with its cycles."""
 
-    __slots__ = ("base", "mapping")
+    __slots__ = ("base", "mapping", "cycles")
 
     def __init__(self, base, mapping):
         if set(mapping) != set(base.points):
@@ -28,6 +28,15 @@ class Permutation:
             raise ValueError("must be onto")
         self.base = base
         self.mapping = dict(mapping)
+        seen, cycles = set(), []
+        for x in base.points:
+            if x not in seen:
+                cycle = [x]
+                while mapping[cycle[-1]] != x:
+                    cycle.append(mapping[cycle[-1]])
+                seen.update(cycle)
+                cycles.append(tuple(cycle))
+        self.cycles = tuple(cycles)
 
     @classmethod
     def identity(cls, base):
@@ -50,41 +59,25 @@ class Permutation:
         return all(y == x for x, y in self.mapping.items())
 
     def inverse(self):
-        return Permutation(self.base, {y: x for x, y in self.mapping.items()})
+        return self.power(-1)
 
     def power(self, n):
-        step = self.mapping if n >= 0 else self.inverse().mapping
-        out = {x: x for x in self.base.points}
-        for _ in range(abs(n)):
-            out = {x: step[y] for x, y in out.items()}
-        return Permutation(self.base, out)
+        """Each point moves n mod its cycle's length along its cycle."""
+        return Permutation(self.base, {
+            x: cycle[(pos + n) % len(cycle)]
+            for cycle in self.cycles for pos, x in enumerate(cycle)})
 
     def orbits(self):
-        seen, out = set(), []
-        for x in self.base.points:
-            if x in seen:
-                continue
-            orbit = [x]
-            seen.add(x)
-            y = self.mapping[x]
-            while y != x:
-                orbit.append(y)
-                seen.add(y)
-                y = self.mapping[y]
-            out.append(tuple(orbit))
-        return tuple(out)
+        return self.cycles
 
     def order(self):
-        out = 1
-        for orbit in self.orbits():
-            out = lcm(out, len(orbit))
-        return out
+        return lcm(*map(len, self.cycles))
 
     def orbit_relation(self):
-        return FiniteRelation(self.base, self.orbits())
+        return FiniteRelation(self.base, self.cycles)
 
     def __repr__(self):
-        cycles = [c for c in self.orbits() if len(c) > 1]
+        cycles = [c for c in self.cycles if len(c) > 1]
         if not cycles:
             return "Permutation(id)"
         return "Permutation(%s)" % " ".join(
@@ -259,7 +252,6 @@ class CornerModel:
         self.k = k
         self.face_a = AmplifiedFace("A", core_base, k, relation=plain_relation)
         self.face_b = AmplifiedFace("B", core_base, k, alpha=alpha)
-        assert self.face_a.fm_base == self.face_b.fm_base
         self.product = FreeProduct(FMFace("A", self.face_a.fm_relation),
                                    FMFace("B", self.face_b.fm_relation))
         self.drel = self.product.face("A").drel
@@ -319,18 +311,16 @@ class CornerModel:
             len(self.core_base.points), self.k, self.face_b.alpha.order())
 
 
-def cyclic_model(core_size=5, k=3, paired_classes=2):
+def cyclic_model(core_size=5, k=3):
     """Uniform core with a single-cycle shift; the plain face pairs up the
-    first 2*paired_classes points and leaves the rest alone."""
-    if 2 * paired_classes > core_size:
-        raise ValueError("%d paired classes need %d core points, not %d"
-                         % (paired_classes, 2 * paired_classes, core_size))
+    first four points, {x0 x1} {x2 x3}, and leaves the rest alone."""
+    if core_size < 4:
+        raise ValueError("2 paired classes need 4 core points, not %d"
+                         % core_size)
     points = tuple("x%d" % i for i in range(core_size))
     base = FiniteBase.uniform(points)
     alpha = Permutation.from_cycles(base, (points,))
-    classes = tuple((points[2 * i], points[2 * i + 1])
-                    for i in range(paired_classes))
-    relation = FiniteRelation.from_classes(base, classes)
+    relation = FiniteRelation.from_classes(base, (points[0:2], points[2:4]))
     return CornerModel(base, alpha, relation, k)
 
 
@@ -376,16 +366,23 @@ class FamilyReport:
         return self.engine_report.passed
 
 
+def _size_sweep(name, model, k_values):
+    """An empty report for a sweep over the matrix sizes in k_values, and
+    the model's core amplified at each of them."""
+    report = SweepReport(name, "base=%d shift_order=%d k in %s" % (
+        len(model.core_base.points), model.face_b.alpha.order(),
+        list(k_values)))
+    return report, [model if k == model.k else CornerModel(
+        model.core_base, model.face_b.alpha, model.face_a.core_relation, k)
+        for k in k_values]
+
+
 def bracket_law_report(model, k_values=(2, 3, 4)):
     """Slot contraction, adjoint, and expectation laws for brackets, each
     checked against the amplified convolution route."""
-    report = SweepReport(name="bracket-laws", fixture=model.fixture_line())
-    core_base = model.core_base
-    alpha = model.face_b.alpha
-    plain = model.face_a.core_relation
-    for k in k_values:
-        for face in (AmplifiedFace("A", core_base, k, relation=plain),
-                     AmplifiedFace("B", core_base, k, alpha=alpha)):
+    report, models = _size_sweep("bracket-laws", model, k_values)
+    for sized in models:
+        for face in (sized.face_a, sized.face_b):
             cores = _core_samples(face)
             slots = face.slots
             for i, j, l, m in iproduct(slots, slots, slots, slots):
@@ -398,7 +395,8 @@ def bracket_law_report(model, k_values=(2, 3, 4)):
                             else face.zero_bracket()
                         fm_ok = lhs.to_fm() == x.to_fm() * y.to_fm()
                         report.check(lhs == rhs and fm_ok,
-                                     ("product", face.tag, k, (i, j, l, m)))
+                                     ("product", face.tag, face.k,
+                                      (i, j, l, m)))
             for i, j in iproduct(slots, slots):
                 for a in cores:
                     x = face.bracket(a, i, j)
@@ -407,7 +405,7 @@ def bracket_law_report(model, k_values=(2, 3, 4)):
                     exp_ok = x.expectation().to_fm() == \
                         x.to_fm().expectation()
                     report.check(adj_ok and exp_ok,
-                                 ("adjoint", face.tag, k, (i, j)))
+                                 ("adjoint", face.tag, face.k, (i, j)))
     return report
 
 
@@ -506,50 +504,42 @@ def _adjoint_pair_shapes(model, pairs):
     return checked
 
 
-def covariance_report(core_base, alpha, plain_relation, k_values=(2, 3, 4),
-                      n_limit=2, i_values=(2, 3)):
+def covariance_report(model, k_values=(2, 3, 4), n_limit=2, i_values=(2, 3)):
     """Conjugating a slot-one corner diagonal by a corner word shifts its
     points: u(n,i) (d in corner) u(n,i)* lands back in the diagonal, moved
     by the n-th shift power. Swept over matrix sizes in k_values."""
-    report = SweepReport(
-        name="covariance",
-        fixture="base=%d shift_order=%d k in %s" % (
-            len(core_base.points), alpha.order(), list(k_values)))
-    for k in k_values:
-        model = CornerModel(core_base, alpha, plain_relation, k)
-        usable = [i for i in i_values if i <= k]
+    report, models = _size_sweep("covariance", model, k_values)
+    for sized in models:
+        usable = [i for i in i_values if i <= sized.k]
         for n in range(-n_limit, n_limit + 1):
             for i in usable:
-                u = model.corner_unitary(n, i).element
-                for x in core_base.points:
-                    lhs = u * model.base_diagonal({x: 1}) * u.adjoint()
-                    rhs = model.shifted_diagonal({x: 1}, n)
-                    report.check(lhs.is_pure_d() and lhs == rhs, (k, n, i, x))
+                u = sized.corner_unitary(n, i).element
+                for x in sized.core_base.points:
+                    lhs = u * sized.base_diagonal({x: 1}) * u.adjoint()
+                    rhs = sized.shifted_diagonal({x: 1}, n)
+                    report.check(lhs.is_pure_d() and lhs == rhs,
+                                 (sized.k, n, i, x))
     return report
 
 
-def reduction_identities_report(core_base, alpha, plain_relation,
-                                k_values=(2, 3, 4), n_limit=2):
+def reduction_identities_report(model, k_values=(2, 3, 4), n_limit=2):
     """The three exact collapse identities for slot-compressed products:
     compressing an ambient plain-face element, a bare slot unit, and a
     shifted slot bracket."""
-    report = SweepReport(
-        name="reduction",
-        fixture="base=%d shift_order=%d k in %s" % (
-            len(core_base.points), alpha.order(), list(k_values)))
-    for k in k_values:
-        model = CornerModel(core_base, alpha, plain_relation, k)
-        face_a, face_b = model.face_a, model.face_b
+    report, models = _size_sweep("reduction", model, k_values)
+    for sized in models:
+        k = sized.k
+        face_a, face_b = sized.face_a, sized.face_b
         slots = face_a.slots
         cores = [face_a.core_unit(x, y)
                  for x, y in sorted(face_a.core_relation.pairs)]
         for i, j in iproduct(slots, slots):
-            left = model.embed(face_a.matrix_unit(1, i))
-            right = model.embed(face_a.matrix_unit(j, 1))
+            left = sized.embed(face_a.matrix_unit(1, i))
+            right = sized.embed(face_a.matrix_unit(j, 1))
             for a in cores:
-                got = left * model.embed(face_a.ambient(a)) * right
-                want = model.embed(face_a.bracket(a, 1, 1)) if i == j \
-                    else model.product.zero()
+                got = left * sized.embed(face_a.ambient(a)) * right
+                want = sized.embed(face_a.bracket(a, 1, 1)) if i == j \
+                    else sized.product.zero()
                 bracket_got = face_a.matrix_unit(1, i) * face_a.ambient(a) \
                     * face_a.matrix_unit(j, 1)
                 bracket_want = face_a.bracket(a, 1, 1) if i == j \
@@ -567,10 +557,10 @@ def reduction_identities_report(core_base, alpha, plain_relation,
             for kk, j in iproduct(slots, slots):
                 for n in range(-n_limit, n_limit + 1):
                     shifted = face_b.bracket(face_b.shift_power(n), kk, 1)
-                    got = model.embed(face_a.matrix_unit(1, i)) * \
-                        model.embed(shifted) * \
-                        model.embed(face_a.matrix_unit(j, 1))
-                    want = model.corner_unitary(n, i).element \
-                        if i == kk and j == 1 else model.product.zero()
+                    got = sized.embed(face_a.matrix_unit(1, i)) * \
+                        sized.embed(shifted) * \
+                        sized.embed(face_a.matrix_unit(j, 1))
+                    want = sized.corner_unitary(n, i).element \
+                        if i == kk and j == 1 else sized.product.zero()
                     report.check(got == want, ("corner", k, (i, kk, j, n)))
     return report

@@ -28,11 +28,6 @@ AB = Alphabet(("a", "b"), 1)
 ABC = Alphabet(("a", "b", "c"), 1)
 
 
-def _core(model):
-    """Base, shift and plain relation of a corner model's core."""
-    return model.core_base, model.face_b.alpha, model.face_a.core_relation
-
-
 def _report(num, name, ok, detail, t0):
     line = "criterion %02d %s: %s (%s, %.2fs)" % (
         num, name, "PASS" if ok else "FAIL", detail, time.time() - t0)
@@ -114,7 +109,7 @@ def test_criterion_07_family_freeness():
 
 def test_criterion_08_covariance():
     t0 = time.time()
-    report = covariance_report(*_core(cyclic_model(core_size=5, k=3)),
+    report = covariance_report(cyclic_model(core_size=5, k=3),
                                k_values=(2, 3, 4), n_limit=2, i_values=(2, 3))
     # k = 2 admits corner index 2 only; k = 3 and 4 admit both indices
     ok = report.passed and report.checked == 5 * 5 + 2 * (5 * 5 * 2)
@@ -126,8 +121,8 @@ def test_criterion_09_bracket_laws():
     t0 = time.time()
     model = cyclic_model(core_size=5, k=3)
     laws = bracket_law_report(model, k_values=(2, 3, 4))
-    reductions = reduction_identities_report(*_core(model),
-                                             k_values=(2, 3, 4), n_limit=2)
+    reductions = reduction_identities_report(model, k_values=(2, 3, 4),
+                                             n_limit=2)
     ok = laws.passed and reductions.passed and \
         (laws.checked, reductions.checked) == (9028, 964)
     _report(9, "bracket-laws", ok, "%d unit laws, %d reduction checks"

@@ -121,6 +121,10 @@ def test_parse_errors_carry_positions():
         dsl.parse("a )", CFG)
     with pytest.raises(DslError, match="slot indices"):
         dsl.parse("A[e]{0,1}", CFG)
+    # each slot index is checked where it is read, so the message names it
+    with pytest.raises(DslError,
+                       match="^line 1, column 8: slot indices start at 1$"):
+        dsl.parse("A[e]{1,-1}", CFG)
     with pytest.raises(DslError, match="bracket core"):
         dsl.parse("A[q]{1,1}", CFG)
     with pytest.raises(DslError, match="mixes"):
@@ -165,7 +169,7 @@ def test_parse_config_custom():
     assert cfg.base.points == ("p", "q", "r", "s")
     assert cfg.base.weight("p") == Fraction(1, 2)
     assert cfg.alpha.mapping["p"] == "q" and cfg.alpha.order() == 4
-    assert cfg.plain_classes == (("p", "q"),)
+    assert cfg.plain_relation().classes() == (("p", "q"), ("r",), ("s",))
     assert (cfg.depth, cfg.k) == (5, 2)
     # unspecified limits keep their defaults
     assert (cfg.n_max, cfg.kappa_max, cfg.max_len) == (2, 4, 4)
@@ -177,6 +181,11 @@ def test_default_config_is_consistent():
     assert len(cfg.base.points) == 11
     assert cfg.alpha.order() == 11
     assert sum(cfg.base.weight(p) for p in cfg.base.points) == 1
+    # the built-in text states only the classes; the rest are the defaults
+    assert repr(cfg.plain_relation()) == \
+        "{x0 x1}+{x10}+{x2 x3}+{x4}+{x5}+{x6}+{x7}+{x8}+{x9}"
+    assert (cfg.depth, cfg.k, cfg.n_max, cfg.kappa_max, cfg.max_len) == \
+        (8, 3, 2, 4, 4)
 
 
 @pytest.mark.parametrize("text,match", [
@@ -189,6 +198,9 @@ def test_default_config_is_consistent():
     ("[base]\npoints = p q\n[alpha]\ncycles = (p z)\n", "not in the base"),
     ("[base]\npoints = p q\nclasses = {p q} junk\n", "unparsed text"),
     ("[base]\npoints = p q\n[state]\nweights = 1/2\n", "one weight per"),
+    ("[base]\npoints = p q\n[state]\nweights = 1/0 1\n", "bad weight"),
+    ("[base]\npoints = p q r\nclasses = {p q} {q r}\n",
+     "^point in two classes$"),
     ("stray line\n", "line 1"),
 ])
 def test_parse_config_rejects(text, match):
@@ -308,6 +320,11 @@ def test_error_exits_with_two(capsys, tmp_path):
     bad.write_text("[limits]\nbogus = 3\n")
     assert run(capsys, "--config", str(bad), "join")[0] == 2
     assert run(capsys, "--config", str(tmp_path / "missing.cfg"), "join")[0] == 2
+    # the plain relation is built when the file is read, so a command that
+    # never uses it refuses overlapping classes too
+    bad.write_text("[base]\npoints = p q r\nclasses = {p q} {q r}\n")
+    assert run(capsys, "--config", str(bad), "measure", "O(a)") == \
+        (2, "", "error: point in two classes\n")
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import amalgam.boundary
 from amalgam import battery
@@ -35,6 +35,16 @@ def test_cylfn_complete_siblings_merge():
     everything = sum((CylFn.indicator(p) for p in sphere(AB, 1)),
                      CylFn.zero(AB))
     assert everything == CylFn.one(AB)
+
+
+def test_cylfn_deeper_siblings_stay_apart():
+    # equal one-term maps one letter deeper are not constant: merging them
+    # would name a cylinder in none of the summands
+    f = indicator("a a a") + indicator("a b a") + indicator("a b' a")
+    assert f.terms == {w("a a a"): QC(1), w("a b a"): QC(1),
+                       w("a b' a"): QC(1)}
+    assert f.value_at(w("a a b a b a")) == QC(0)
+    assert f.value_at(w("a b a b a b")) == QC(1)
 
 
 def test_cylfn_nested_supports_push_down():
@@ -83,6 +93,9 @@ def test_cylfn_pointwise_semantics(f, g):
 
 @settings(max_examples=30, deadline=None)
 @given(cylfn_st, st.sampled_from(ball(AB, 2)))
+# translated by a, the cylinders are a a a, a b a and a b' a: equal
+# one-term maps one letter below the siblings of a, which must stay apart
+@example(indicator("a a") + indicator("b a") + indicator("b' a"), w("a"))
 def test_cylfn_translate_matches_point_action(f, gamma):
     moved = f.translate(gamma)
     for omega in sphere(AB, 6)[:40]:

@@ -38,6 +38,17 @@ def test_permutation_cycles_and_order():
     two = Permutation.from_cycles(BASE5, (("x0", "x1"), ("x2", "x3", "x4")))
     assert two.order() == 6
     assert set(two.orbit_relation().class_of("x2")) == {"x2", "x3", "x4"}
+    assert two.inverse()("x0") == "x1" and two.inverse()("x2") == "x4"
+    assert two.orbits() == (("x0", "x1"), ("x2", "x3", "x4"))
+
+
+def test_permutation_power_reduces_mod_each_cycle():
+    # a power moves each point n mod its cycle's length in one pass; a
+    # loop over n would take 10**9 steps here
+    for n in (10**9, -10**9):
+        assert SHIFT5.power(n).mapping == SHIFT5.power(n % 5).mapping
+    two = Permutation.from_cycles(BASE5, (("x0", "x1"), ("x2", "x3", "x4")))
+    assert two.power(-7).mapping == two.power(5).mapping
 
 
 def test_permutation_must_be_bijective():
@@ -194,8 +205,8 @@ def test_family_freeness_small_window():
 def test_cyclic_model_needs_room_for_its_classes():
     # a ValueError, not an assert: under python -O the model indexed past
     # its points
-    with pytest.raises(ValueError, match="3 paired classes need 6 core"):
-        cyclic_model(4, 2, paired_classes=3)
+    with pytest.raises(ValueError, match="2 paired classes need 4 core"):
+        cyclic_model(3, 2)
 
 
 def test_family_freeness_guards_exponent_stacking():
@@ -262,8 +273,8 @@ def test_checker_flags_a_planted_dependence():
 # -- covariance and reduction -----------------------------------------------------
 
 def test_covariance_shifts_corner_diagonals():
-    report = covariance_report(BASE5, SHIFT5, PLAIN5, k_values=(2, 3),
-                               n_limit=2, i_values=(2, 3))
+    report = covariance_report(small_model(), k_values=(2, 3), n_limit=2,
+                               i_values=(2, 3))
     # k = 2 only admits corner index 2; k = 3 admits both
     assert report.passed and report.checked == 5 * 5 + 2 * 5 * 5
 
@@ -284,8 +295,8 @@ def test_covariance_single_case_frozen():
 
 
 def test_reduction_identities_sweep():
-    report = reduction_identities_report(BASE5, SHIFT5, PLAIN5,
-                                         k_values=(2, 3), n_limit=1)
+    report = reduction_identities_report(small_model(), k_values=(2, 3),
+                                         n_limit=1)
     assert report.passed
 
 
