@@ -12,7 +12,7 @@ under three more size mappings (`--max-len 2`, `--depth 3` and a weighted
 three-generator config), depth sweeps of `moment`, `oracle`, `haar`
 and `freeness boundary` over boundary expressions drawn from a fixed seed,
 an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
-one letter deeper, and three late additions at the end, so that the earlier
+one letter deeper, and five late additions at the end, so that the earlier
 commands keep their places. LIMIT runs only the first LIMIT commands.
 """
 
@@ -46,6 +46,7 @@ CONFIGS = {
     "mass.cfg": "[base]\npoints = p q r s\nclasses = {q p}\n"
                 "[state]\nweights = 1/2 1/4 1/8 1/8\n[alpha]\ncycles = (r q)\n",
     "zero.cfg": "[base]\npoints = p q\n[state]\nweights = 1/0 1\n",
+    "typo.cfg": "[base]\nclasses_ = {x0 x1}\n",
     # three generators over a weighted base (CUSTOM in tests/test_cli.py)
     "custom.cfg": "[alphabet]\nblock1 = a c\nblock2 = b\n"
                   "[base]\npoints = p q r s\nclasses = {p q}\n"
@@ -173,6 +174,10 @@ def commands():
     out += [["--config", "overlap.cfg", "measure", "O(a)"],
             ["--config", "zero.cfg", "ergodic"],
             ["--format", "machine", "moment", "B[u^1000000]{1,2}"]]
+    # a misspelt config key is an error, not a silent default; a slot index
+    # above k fails where it is read
+    out += [["--config", "typo.cfg", "join"],
+            ["moment", "A[e]{1,4}"]]
     return out
 
 

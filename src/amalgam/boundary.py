@@ -90,7 +90,8 @@ def act(gamma: ReducedWord, prefix: ReducedWord) -> CylinderUnion:
     return CylinderUnion(tuple(
         ReducedWord(prefix.alphabet, p[:j] + (a,))
         for j in range(len(p))
-        for a in ReducedWord(prefix.alphabet, p[:j]).extensions() if a != p[j]))
+        for a in prefix.alphabet.extensions(p[j - 1] if j else 0)
+        if a != p[j]))
 
 
 def rn_exponent(gamma: ReducedWord, prefix: ReducedWord) -> int:
@@ -148,7 +149,7 @@ def splice(block: int, gamma: ReducedWord, prefix: ReducedWord) -> ReducedWord:
     No cancellation can occur, so the result is the prefix of the plain
     concatenation; splicing the identity returns the prefix unchanged.
     """
-    if gamma.block_membership() not in ("identity", block):
+    if not gamma.in_block(block):
         raise ValueError(f"word {gamma} does not lie in block {block}")
     if not prefix.letters:
         raise ValueError("cylinder must avoid the block subgroup limit set")
@@ -161,7 +162,7 @@ def point_mass(alphabet: Alphabet, block: int, gamma: ReducedWord) -> Fraction:
     """Weight (1/(2n-1))^len on a block word; the factor measure for which
     splicing becomes measure-preserving against the cylinder measure.
     """
-    if gamma.block_membership() not in ("identity", block):
+    if not gamma.in_block(block):
         raise ValueError(f"word {gamma} does not lie in block {block}")
     return Fraction(1, 2 * alphabet.size - 1) ** len(gamma)
 

@@ -242,7 +242,7 @@ def cmd_suite67(args, config):
     report = battery.ratio_powers(alphabet, 4, 1)
     add("ratio_powers", report, exponents=",".join(map(str, report.values)))
     report = battery.oracle_agreement(
-        config.boundary_product(max(config.depth, 10)), 3)
+        replace(config, depth=max(config.depth, 10)).boundary_product(), 3)
     add("oracle_agreement", report, words=report.checked)
 
     model = config.corner_model()

@@ -20,6 +20,11 @@ from .words import Alphabet
 # default base of 11 points keeps that below one shift period
 DEFAULT_CONFIG = "[base]\nclasses = {x0 x1} {x2 x3}\n"
 
+# the keys each section may hold; any other section or key is an error
+KEYS = {"alphabet": ("block1", "block2"), "base": ("points", "classes"),
+        "state": ("weights",), "alpha": ("cycles",),
+        "limits": ("depth", "k", "n_max", "kappa_max", "max_len")}
+
 
 class ConfigError(ValueError):
     pass
@@ -46,10 +51,9 @@ class RunConfig:
     def plain_relation(self):
         return self.plain
 
-    def boundary_product(self, budget=None):
-        budget = self.depth if budget is None else budget
-        return FreeProduct(CrossedFace("A", self.alphabet, 1, budget),
-                           CrossedFace("B", self.alphabet, 2, budget))
+    def boundary_product(self):
+        return FreeProduct(CrossedFace("A", self.alphabet, 1, self.depth),
+                           CrossedFace("B", self.alphabet, 2, self.depth))
 
     def corner_model(self):
         return CornerModel(self.base, self.alpha, self.plain, self.k)
@@ -70,9 +74,12 @@ def load_config(path):
 
 def parse_config(text):
     sections = _split_sections(text)
-    unknown = set(sections) - {"alphabet", "base", "state", "alpha", "limits"}
-    if unknown:
-        raise ConfigError("unknown section(s): %s" % ", ".join(sorted(unknown)))
+    for name, spec in sections.items():
+        if name not in KEYS:
+            raise ConfigError("unknown section: [%s]" % name)
+        for key in spec:
+            if key not in KEYS[name]:
+                raise ConfigError("unknown key in [%s]: %s" % (name, key))
 
     alphabet_spec = sections.get("alphabet", {})
     block1 = tuple(alphabet_spec.get("block1", "a").split())
@@ -90,14 +97,16 @@ def parse_config(text):
 
     state_spec = sections.get("state", {})
     if "weights" in state_spec:
-        try:
-            weights = tuple(Fraction(w) for w in state_spec["weights"].split())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError("bad weight: %s" % exc) from exc
+        weights = []
+        for token in state_spec["weights"].split():
+            try:
+                weights.append(Fraction(token))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ConfigError("bad weight: %s" % token) from exc
         if len(weights) != len(points):
             raise ConfigError("need one weight per base point")
         try:
-            base = FiniteBase(points, weights)
+            base = FiniteBase(points, tuple(weights))
         except ValueError as exc:
             raise ConfigError("bad state: %s" % exc) from exc
     else:
@@ -129,15 +138,11 @@ def parse_config(text):
 
     limit_spec = sections.get("limits", {})
     limits = {}
-    for key in ("depth", "k", "n_max", "kappa_max", "max_len"):
-        if key in limit_spec:
-            try:
-                limits[key] = int(limit_spec[key])
-            except ValueError as exc:
-                raise ConfigError("limit %s must be an integer" % key) from exc
-    extra = set(limit_spec) - {"depth", "k", "n_max", "kappa_max", "max_len"}
-    if extra:
-        raise ConfigError("unknown limit(s): %s" % ", ".join(sorted(extra)))
+    for key, value in limit_spec.items():
+        try:
+            limits[key] = int(value)
+        except ValueError as exc:
+            raise ConfigError("limit %s must be an integer" % key) from exc
 
     return RunConfig(alphabet=alphabet, base=base, alpha=alpha,
                      plain=plain, **limits)

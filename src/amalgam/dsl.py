@@ -283,6 +283,9 @@ class _Parser:
         index = self.signed_int()
         if index < 1:
             self.fail("slot indices start at 1", token)
+        if index > self.config.k:
+            self.fail("slot index %d is above k = %d" % (index, self.config.k),
+                      token)
         return index
 
 
@@ -446,11 +449,8 @@ class CornerContext(MAmbient):
                 core = face.core_unit(*pair)
             else:
                 core = face.core_unit(node.core[1], node.core[1])
-            try:
-                bracket = face.matrix_unit(node.i, node.j) if core is None \
-                    else face.bracket(core, node.i, node.j)
-            except ValueError as exc:
-                raise DslError(str(exc)) from exc
+            bracket = face.matrix_unit(node.i, node.j) if core is None \
+                else face.bracket(core, node.i, node.j)
             return model.embed(bracket)
         raise DslError("boundary atom in a corner expression")
 

@@ -142,9 +142,8 @@ def _canonical(alphabet, terms):
         value, children = node
         if not children:
             return {(): value} if value else {}
-        exts = [a for a in alphabet.letters() if a != -last]
         submaps = []
-        for a in exts:
+        for a in alphabet.extensions(last):
             child = children.get(a, [QC(0), {}])
             submaps.append((a, walk([child[0] + value, child[1]], a)))
         first = submaps[0][1]
@@ -188,16 +187,10 @@ class Algebra:
     def is_zero(self, x):
         return x.is_zero()
 
-    def equal(self, x, y):
-        return x == y
-
     def split(self, x):
         """(E(x), x - E(x)): the diagonal part and the centered rest."""
         d = self.expect(x)
         return d, self.sub(x, self.embed_d(d))
-
-    def center(self, x):
-        return self.split(x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +222,7 @@ class CrossedFace(Algebra):
     def element(self, terms):
         clean = {}
         for word, fn in terms.items():
-            if self.block is not None and \
-                    word.block_membership() not in ("identity", self.block):
+            if self.block is not None and not word.in_block(self.block):
                 raise ValueError(f"word {word} is not in block {self.block}")
             self.guard(fn)
             if not fn.is_zero():
@@ -469,7 +461,7 @@ class FreeProduct:
         """Fold a (tag, element) sequence into the product algebra."""
         out = self.one()
         for tag, x in letters:
-            out = out * (self.from_d(x) if tag == "D" else self.embed(tag, x))
+            out = out * self.embed(tag, x)
         return out
 
     # -- multiplication -----------------------------------------------------
@@ -529,20 +521,14 @@ class FreeProduct:
     # -- expectation of raw letter sequences ---------------------------------
 
     def expectation(self, letters):
-        """Expectation of a product of raw face elements.
+        """Expectation of a product of raw (face tag, face element) letters.
 
         Independent of the MElement normal form: merges same-face
         neighbours, then expands letters into centered + diagonal parts.
         The all-centered alternating term vanishes; every other term drops
         at least two letters, so the recursion terminates.
         """
-        seq = []
-        for tag, x in letters:
-            if tag == "D":
-                tag = self.tags[0]
-                x = self.faces[tag].embed_d(x)
-            seq.append((tag, x))
-        return self._expect(self._merge_neighbours(seq), 0)
+        return self._expect(self._merge_neighbours(letters), 0)
 
     def _merge_neighbours(self, seq):
         out = []
@@ -602,9 +588,7 @@ class FreeProduct:
         if not self.is_boundary:
             raise ValueError("the oracle needs the boundary backend")
         full, out = self._oracle_start
-        for tag, x in letters:
-            if tag == "D":
-                x = full.embed_d(x)
+        for _, x in letters:
             out = full.mul(out, x)
         return full.expect(out)
 
@@ -666,7 +650,7 @@ def freeness_check(algebra, families, max_len) -> FreenessReport:
     expectation, for every word of length 2..max_len with letters drawn
     from the given family generator lists.
     """
-    centered = [[algebra.center(x) for x in fam] for fam in families]
+    centered = [[algebra.split(x)[1] for x in fam] for fam in families]
     report = FreenessReport(max_len=max_len)
 
     def extend(path, value):
@@ -709,8 +693,8 @@ def haar_check(algebra, u, max_k, unit=None) -> HaarReport:
     """
     unit = algebra.one() if unit is None else unit
     u_star = algebra.adjoint(u)
-    unitary_ok = algebra.equal(algebra.mul(u, u_star), unit) and \
-        algebra.equal(algebra.mul(u_star, u), unit)
+    unitary_ok = algebra.mul(u, u_star) == unit and \
+        algebra.mul(u_star, u) == unit
     report = HaarReport(max_k=max_k, unitary_ok=unitary_ok)
     for base, sign in ((u, 1), (u_star, -1)):
         power = base

@@ -3,7 +3,8 @@
 Generators are indexed 0..n-1; the first block_size of them form block 1 and
 the rest form block 2.  A letter is a nonzero int: +(i+1) for generator i and
 -(i+1) for its inverse, so a letter's inverse is its negation and a cancels b
-exactly when a == -b.  Only Alphabet maps a letter to its index, name or block.
+exactly when a == -b.  Only Alphabet maps a letter to its index, name or block,
+and only Alphabet.extensions says which letters may follow a letter.
 A word is a tuple of letters with no cancelling adjacent pair.  Everything
 downstream (cylinders, crossed products) indexes by these words, so reduction
 is eager: parse and from_letters reduce; the ReducedWord constructor trusts
@@ -54,6 +55,11 @@ class Alphabet:
         """All letters, by generator index, each generator before its inverse."""
         indices = range(self.size) if block is None else self.block_indices(block)
         return [sign * (i + 1) for i in indices for sign in (1, -1)]
+
+    def extensions(self, last=0, block=None):
+        """Letters of the block that may follow last without cancelling it,
+        in letters() order; last 0 is no letter."""
+        return [a for a in self.letters(block) if a != -last]
 
     def letter(self, name: str) -> int:
         base = name[:-1] if name.endswith("'") else name
@@ -118,19 +124,13 @@ class ReducedWord:
         """True when other is a prefix of self."""
         return self.letters[:len(other.letters)] == other.letters
 
-    def block_membership(self):
-        """'identity', 1, 2, or 'mixed' depending on which block the letters use."""
-        blocks = {self.alphabet.block_of(a) for a in self.letters}
-        if not blocks:
-            return "identity"
-        if len(blocks) == 1:
-            return blocks.pop()
-        return "mixed"
+    def in_block(self, block) -> bool:
+        """True when every letter lies in the block; the identity lies in both."""
+        return all(self.alphabet.block_of(a) == block for a in self.letters)
 
     def extensions(self):
-        """Letters that extend this word without cancellation, sorted."""
-        last = self.letters[-1] if self.letters else 0
-        return [a for a in self.alphabet.letters() if a != -last]
+        """Letters that extend this word without cancellation."""
+        return self.alphabet.extensions(self.letters[-1] if self.letters else 0)
 
     def render(self):
         if not self.letters:
@@ -156,22 +156,11 @@ def sphere(alphabet: Alphabet, length: int, block=None):
 
     With block set, only letters from that block are used.
     """
-    letters = alphabet.letters(block)
-    out = []
-
-    def grow(prefix):
-        if len(prefix) == length:
-            out.append(ReducedWord(alphabet, tuple(prefix)))
-            return
-        for a in letters:
-            if prefix and prefix[-1] == -a:
-                continue
-            prefix.append(a)
-            grow(prefix)
-            prefix.pop()
-
-    grow([])
-    return out
+    words = [()]
+    for _ in range(length):
+        words = [w + (a,) for w in words
+                 for a in alphabet.extensions(w[-1] if w else 0, block)]
+    return [ReducedWord(alphabet, w) for w in words]
 
 
 def ball(alphabet: Alphabet, radius: int, block=None):

@@ -125,6 +125,9 @@ def test_parse_errors_carry_positions():
     with pytest.raises(DslError,
                        match="^line 1, column 8: slot indices start at 1$"):
         dsl.parse("A[e]{1,-1}", CFG)
+    with pytest.raises(DslError,
+                       match="^line 1, column 8: slot index 4 is above k = 3$"):
+        dsl.parse("A[e]{1,4}", CFG)
     with pytest.raises(DslError, match="bracket core"):
         dsl.parse("A[q]{1,1}", CFG)
     with pytest.raises(DslError, match="mixes"):
@@ -191,14 +194,21 @@ def test_default_config_is_consistent():
 @pytest.mark.parametrize("text,match", [
     ("[bogus]\nx = 1\n", "unknown section"),
     ("[limits]\nk = 1\n", "at least 2"),
-    ("[limits]\nwidth = 3\n", "unknown limit"),
+    ("[limits]\nwidth = 3\n", "unknown key"),
+    # a misspelt key in any section is an error, not a silent default
+    ("[alphabet]\nblok1 = a c\n", r"^unknown key in \[alphabet\]: blok1$"),
+    ("[base]\nclases = {x0 x1}\n", r"^unknown key in \[base\]: clases$"),
+    ("[state]\nweight = 1\n", r"^unknown key in \[state\]: weight$"),
+    ("[alpha]\ncycle = (x0 x1)\n", r"^unknown key in \[alpha\]: cycle$"),
+    ("[limits]\nmax-len = 3\n", r"^unknown key in \[limits\]: max-len$"),
     ("[limits]\ndepth = soon\n", "must be an integer"),
     ("[base]\npoints = p p\n", "distinct"),
     ("[base]\npoints = p q\nclasses = {p z}\n", "not in the base"),
     ("[base]\npoints = p q\n[alpha]\ncycles = (p z)\n", "not in the base"),
     ("[base]\npoints = p q\nclasses = {p q} junk\n", "unparsed text"),
     ("[base]\npoints = p q\n[state]\nweights = 1/2\n", "one weight per"),
-    ("[base]\npoints = p q\n[state]\nweights = 1/0 1\n", "bad weight"),
+    ("[base]\npoints = p q\n[state]\nweights = 1/0 1\n", "bad weight: 1/0$"),
+    ("[base]\npoints = p q\n[state]\nweights = 1 x\n", "bad weight: x$"),
     ("[base]\npoints = p q r\nclasses = {p q} {q r}\n",
      "^point in two classes$"),
     ("stray line\n", "line 1"),
@@ -396,7 +406,8 @@ def test_lone_cylinder_held_to_the_depth_budget(capsys, argv):
 
 @pytest.mark.parametrize("argv, code, err", [
     (("moment", "A[u]{1,2}^0"), 2, "the plain face has no shift unitary"),
-    (("moment", "A[e]{9,1}^0"), 2, "slot index out of range"),
+    (("moment", "A[e]{9,1}^0"), 2,
+     "line 1, column 6: slot index 9 is above k = 3"),
     (("--depth", "2", "moment", "O(a b a)^0"), 3,
      "cylinder depth 3 exceeds budget 2"),
 ], ids=["plain-shift", "bad-slot", "too-deep"])

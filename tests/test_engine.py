@@ -194,12 +194,15 @@ def test_expectation_is_a_conditional_expectation():
     drel = product.face("A").drel
     d1 = FMElement.diagonal(drel, {"x": QC(2), "y": QC(1)})
     d2 = FMElement.diagonal(drel, {"y": QC(Fraction(1, 3)), "z": QC(5)})
+    # a diagonal letter is a face letter: d embedded in face A
+    face_a = product.face("A")
+    left, right = ("A", face_a.embed_d(d1)), ("A", face_a.embed_d(d2))
     letters = fm_letters(product)
     for tag, x in letters:
-        seq = [("D", d1), (tag, x), ("D", d2)]
+        seq = [left, (tag, x), right]
         assert product.expectation(seq) == d1 * product.face(tag).expect(x) * d2
     seq = [letters[0], letters[2], letters[1]]
-    padded = [("D", d1)] + seq + [("D", d2)]
+    padded = [left] + seq + [right]
     assert product.expectation(padded) == d1 * product.expectation(seq) * d2
 
 

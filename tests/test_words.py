@@ -58,11 +58,25 @@ def test_block_indices_rejects_a_third_block():
         ABC.block_indices(3)
 
 
-def test_block_membership():
-    assert w(ABC, "e").block_membership() == "identity"
-    assert w(ABC, "a a").block_membership() == 1
-    assert w(ABC, "b c'").block_membership() == 2
-    assert w(ABC, "a b").block_membership() == "mixed"
+def test_in_block():
+    assert w(ABC, "e").in_block(1) and w(ABC, "e").in_block(2)
+    assert w(ABC, "a a").in_block(1) and not w(ABC, "a a").in_block(2)
+    assert w(ABC, "b c'").in_block(2) and not w(ABC, "b c'").in_block(1)
+    assert not w(ABC, "a b").in_block(1) and not w(ABC, "a b").in_block(2)
+
+
+def test_extensions_by_hand():
+    a, b = AB.letter("a"), AB.letter("b")
+    assert AB.extensions() == [a, -a, b, -b]
+    assert AB.extensions(a) == [a, b, -b]
+    assert AB.extensions(-a) == [-a, b, -b]
+    assert AB.extensions(0, 1) == [a, -a]
+    assert AB.extensions(a, 1) == [a]
+    assert AB.extensions(-a, 1) == [-a]
+    assert AB.extensions(a, 2) == [b, -b]  # a cancels nothing in block 2
+    a, b, c = (ABC.letter(name) for name in "abc")
+    assert ABC.extensions(-c) == [a, -a, b, -b, -c]
+    assert ABC.extensions(b, 2) == [b, c, -c]
 
 
 letters_st = st.lists(
