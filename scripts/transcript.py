@@ -47,6 +47,8 @@ CONFIGS = {
                 "[state]\nweights = 1/2 1/4 1/8 1/8\n[alpha]\ncycles = (r q)\n",
     "zero.cfg": "[base]\npoints = p q\n[state]\nweights = 1/0 1\n",
     "typo.cfg": "[base]\nclasses_ = {x0 x1}\n",
+    "twice.cfg": "[base]\npoints = p q r\nclasses = {p q}\nclasses = {q r}\n",
+    "resection.cfg": "[limits]\ndepth = 3\n[limits]\ndepth = 5\n",
     # three generators over a weighted base (CUSTOM in tests/test_cli.py)
     "custom.cfg": "[alphabet]\nblock1 = a c\nblock2 = b\n"
                   "[base]\npoints = p q r s\nclasses = {p q}\n"
@@ -178,6 +180,11 @@ def commands():
     # above k fails where it is read
     out += [["--config", "typo.cfg", "join"],
             ["moment", "A[e]{1,4}"]]
+    # a repeated key or section is an error too; a bad limit names itself
+    out += [["--config", "twice.cfg", "join"],
+            ["--config", "resection.cfg", "measure", "O(a)"],
+            ["--max-len", "0", "join"],
+            ["--depth", "0", "measure", "O(a)"]]
     return out
 
 

@@ -12,6 +12,7 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 from . import battery, dsl
 from .boundary import (
@@ -306,7 +307,9 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser():
+    # one parser per process: parse_args reads it and never changes it
     parser = argparse.ArgumentParser(
         prog="amalgam",
         description="Exact checks for a two-face amalgamated free product "
@@ -349,7 +352,10 @@ def main(argv=None):
         config = load_config(args.config) if args.config else default_config()
         overrides = {key: getattr(args, key) for key in ("max_len", "depth")
                      if getattr(args, key) is not None}
-        config = replace(config, **overrides)
+        if overrides:
+            # a new config, with a corner model of its own; the shared
+            # default keeps the model it built
+            config = replace(config, **overrides)
         records = COMMANDS[args.command](args, config)
     except (OSError, ValueError) as exc:
         # ConfigError and DslError are ValueErrors

@@ -9,6 +9,7 @@ holds depth budgets and exponent windows.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .engine import CrossedFace, FMFace, FreeProduct
 from .fmalg import FiniteBase, FiniteRelation
@@ -30,7 +31,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     alphabet: Alphabet
     base: FiniteBase
@@ -44,9 +45,12 @@ class RunConfig:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ConfigError("k must be at least 2")
-        if min(self.depth, self.n_max, self.kappa_max, self.max_len) < 1:
-            raise ConfigError("limits must be positive")
+            raise ConfigError("k must be at least 2, not %d" % self.k)
+        for name in ("depth", "n_max", "kappa_max", "max_len"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError("%s must be at least 1, not %d"
+                                  % (name, value))
 
     def plain_relation(self):
         return self.plain
@@ -56,6 +60,12 @@ class RunConfig:
                            CrossedFace("B", self.alphabet, 2, self.depth))
 
     def corner_model(self):
+        return self._corner_model
+
+    @cached_property
+    def _corner_model(self):
+        # a config is frozen, so its model is built once; a config with
+        # other limits comes from `replace` and builds its own
         return CornerModel(self.base, self.alpha, self.plain, self.k)
 
     def fm_faces(self):
@@ -63,6 +73,7 @@ class RunConfig:
                 FMFace("B", self.alpha.orbit_relation()))
 
 
+@cache
 def default_config():
     return parse_config(DEFAULT_CONFIG)
 
@@ -157,13 +168,19 @@ def _split_sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            sections.setdefault(current, {})
+            if current in sections:
+                raise ConfigError(
+                    "line %d: repeated section: [%s]" % (lineno, current))
+            sections[current] = {}
             continue
         if current is None or "=" not in line:
             raise ConfigError(
                 "line %d: expected `key = value` inside a section" % lineno)
-        key, value = line.split("=", 1)
-        sections[current][key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in sections[current]:
+            raise ConfigError("line %d: repeated key in [%s]: %s"
+                              % (lineno, current, key))
+        sections[current][key] = value
     return sections
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -191,6 +192,20 @@ def test_default_config_is_consistent():
         (8, 3, 2, 4, 4)
 
 
+def test_default_config_is_shared_and_frozen():
+    cfg = default_config()
+    assert default_config() is cfg
+    with pytest.raises(FrozenInstanceError):
+        cfg.max_len = 2
+
+
+def test_corner_model_is_built_once_per_config():
+    cfg = default_config()
+    assert cfg.corner_model() is cfg.corner_model()
+    other = replace(cfg, k=2)
+    assert other.corner_model().k == 2 and cfg.corner_model().k == 3
+
+
 @pytest.mark.parametrize("text,match", [
     ("[bogus]\nx = 1\n", "unknown section"),
     ("[limits]\nk = 1\n", "at least 2"),
@@ -212,6 +227,14 @@ def test_default_config_is_consistent():
     ("[base]\npoints = p q r\nclasses = {p q} {q r}\n",
      "^point in two classes$"),
     ("stray line\n", "line 1"),
+    # a repeated key or section is an error, not a silent last-one-wins
+    ("[base]\npoints = p q r\nclasses = {p q}\nclasses = {q r}\n",
+     r"^line 4: repeated key in \[base\]: classes$"),
+    ("[limits]\ndepth = 3\n[limits]\ndepth = 5\n",
+     r"^line 3: repeated section: \[limits\]$"),
+    ("[limits]\nk = 0\n", r"^k must be at least 2, not 0$"),
+    ("[limits]\nn_max = 0\n", r"^n_max must be at least 1, not 0$"),
+    ("[limits]\nkappa_max = -2\n", r"^kappa_max must be at least 1, not -2$"),
 ])
 def test_parse_config_rejects(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -360,14 +383,14 @@ def test_series_accepts_zero_terms(capsys):
 @pytest.mark.parametrize("command", [("freeness", "boundary"), ("suite67",)],
                          ids=["freeness", "suite67"])
 def test_limit_overrides_are_validated(capsys, tmp_path, key, value, command):
-    # a flag and a config file line are checked alike
+    # a flag and a config file line are checked alike, and the message
+    # names the limit and its value
+    err = "error: %s must be at least 1, not %s\n" % (key, value)
     flag = "--" + key.replace("_", "-")
-    assert run(capsys, flag, value, *command) == \
-        (2, "", "error: limits must be positive\n")
+    assert run(capsys, flag, value, *command) == (2, "", err)
     cfg = tmp_path / "limits.cfg"
     cfg.write_text("[limits]\n%s = %s\n" % (key, value))
-    assert run(capsys, "--config", str(cfg), *command) == \
-        (2, "", "error: limits must be positive\n")
+    assert run(capsys, "--config", str(cfg), *command) == (2, "", err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -416,6 +439,41 @@ def test_zeroth_power_checks_its_base(capsys, argv, code, err):
     # alone
     assert run(capsys, "--format", "machine", *argv) == \
         (code, "", "error: %s\n" % err)
+
+
+def test_repeated_calls_answer_alike(capsys, tmp_path):
+    # main keeps its parser, the default config and that config's corner
+    # model for the process: no call may change the answer of a later one
+    probes = [("--format", "machine", "haar", "A[e]{1,3} B[u^-2]{3,1}", "4"),
+              ("--format", "machine", "freeness", "boundary")]
+
+    def answers():
+        return [run(capsys, *argv) for argv in probes]
+
+    first = answers()
+    assert [code for code, _, _ in first] == [0, 0]
+    assert "max_len=4 " in first[1][1]
+    with pytest.raises(SystemExit) as exc:  # an argparse usage error
+        main(["no-such-command"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert answers() == first
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[limits]\nmax_len = 3\n")
+    assert run(capsys, "--config", str(cfg), "join")[0] == 0
+    assert answers() == first
+    assert run(capsys, "--max-len", "2", "freeness", "corner")[0] == 0
+    assert answers() == first
+
+
+def test_config_file_is_read_on_every_call(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    argv = ("--config", str(cfg), "--format", "machine", "freeness",
+            "boundary")
+    for max_len in (2, 3, 2):
+        cfg.write_text("[limits]\nmax_len = %d\n" % max_len)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "max_len=%d " % max_len in out
 
 
 def test_internal_error_exits_with_four(capsys, monkeypatch):
