@@ -13,7 +13,7 @@ from amalgam.engine import (
     freeness_check, haar_check,
 )
 from amalgam.fmalg import FMElement, FiniteBase, FiniteRelation
-from amalgam.scalars import QC
+from amalgam.scalars import ONE, QC
 from amalgam.words import Alphabet, ReducedWord, ball, sphere
 
 AB = Alphabet(("a", "b"), 1)
@@ -271,6 +271,47 @@ def test_word_product_detects_disjoint_supports():
     assert (x * y).is_pure_d() and (x * y).expectation().is_zero()
     z = product.embed("B", product.face("B").unit("y", "z"))
     assert not (x * z).is_pure_d()
+
+
+def test_seam_projection_drops_terms_of_the_right_letter():
+    # a = e[x,y] has right support e[y,y], so a b = a (e[y,y] b): the seam
+    # keeps the y row of b and drops the rest
+    product = fm_product()
+    face_a, face_b = product.face("A"), product.face("B")
+    a = face_a.unit("x", "y")
+    b = face_b.element({("y", "z"): QC(1), ("z", "y"): QC(Fraction(1, 2))})
+    ab = product.embed("A", a) * product.embed("B", b)
+    assert ab.d_part.is_zero()
+    assert ab.words == ((("A", a), ("B", face_b.unit("y", "z"))),)
+    # e[y,y] e[z,y] = 0: the whole product vanishes
+    c = face_b.element({("z", "y"): QC(3)})
+    assert product.embed("A", a) * product.embed("B", c) == product.zero()
+
+
+REL_FULL = FiniteRelation.full(BASE)
+FULL_FACE = FMFace("A", REL_FULL)
+d_entry_st = st.sampled_from(
+    [ONE, QC(2), QC(Fraction(-1, 3)), QC(0, 1), QC(Fraction(1, 2), -1)])
+diagonal_st = st.dictionaries(st.sampled_from(BASE.points), d_entry_st).map(
+    lambda values: FMElement.diagonal(FULL_FACE.drel, values))
+full_element_st = st.dictionaries(
+    st.sampled_from(sorted(REL_FULL.pairs)),
+    st.builds(QC, st.integers(-3, 3).map(lambda n: Fraction(n, 2)),
+              st.integers(-1, 1)),
+    max_size=6,
+).map(FULL_FACE.element)
+
+
+@settings(max_examples=80, deadline=None)
+@given(diagonal_st, full_element_st, st.booleans())
+@example(FULL_FACE.d_zero(), FULL_FACE.one(), True)
+@example(FULL_FACE.d_one(), FULL_FACE.one(), False)
+def test_fm_d_mul_is_the_product_with_the_embedded_diagonal(d, x, left):
+    face = FULL_FACE
+    embedded = face.embed_d(d)
+    expected = face.mul(embedded, x) if left else face.mul(x, embedded)
+    assert face.d_mul(d, x, left) == expected
+    assert face.d_mul(face.d_one(), x, left) is x
 
 
 def test_embed_is_weakly_multiplicative_within_a_face():
