@@ -12,8 +12,8 @@ under three more size mappings (`--max-len 2`, `--depth 3` and a weighted
 three-generator config), depth sweeps of `moment`, `oracle`, `haar`
 and `freeness boundary` over boundary expressions drawn from a fixed seed,
 an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
-one letter deeper, and five late additions at the end, so that the earlier
-commands keep their places. LIMIT runs only the first LIMIT commands.
+one letter deeper, and thirteen late additions at the end, so that the
+earlier commands keep their places. LIMIT runs only the first LIMIT commands.
 """
 
 import contextlib
@@ -185,6 +185,13 @@ def commands():
             ["--config", "resection.cfg", "measure", "O(a)"],
             ["--max-len", "0", "join"],
             ["--depth", "0", "measure", "O(a)"]]
+    # long cancelling products merge 1,200 seams; nesting past the
+    # parser's bound is an input error
+    corner = "A[e]{1,2} B[u]{2,1}"
+    out += [["--format", "machine", "moment", "(a b)^600 ~((a b)^600)"],
+            ["--format", "machine", "moment",
+             "(%s)^600 ~((%s)^600)" % (corner, corner)],
+            ["moment", "(" * 101 + "a" + ")" * 101]]
     return out
 
 

@@ -22,6 +22,9 @@ class DslError(ValueError):
     pass
 
 
+_NESTING_BOUND = 100  # ( and ~ levels: each costs a few stack frames
+
+
 # -- syntax trees ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -109,6 +112,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.config = config
+        self.depth = 0
 
     def fail(self, message, token=None):
         if token is None:
@@ -161,12 +165,22 @@ class _Parser:
         token = self.peek()
         if token is not None and token.value == "~":
             self.take()
-            return Adjoint(self.factor())
+            return Adjoint(self.nested(token, self.factor))
         node = self.primary()
         token = self.peek()
         if token is not None and token.value == "^":
             self.take()
             node = Power(node, self.signed_int())
+        return node
+
+    def nested(self, token, parse):
+        """parse() one level inside the ( or ~ at token."""
+        if self.depth == _NESTING_BOUND:
+            self.fail("%r nested deeper than %d levels"
+                      % (token.value, _NESTING_BOUND), token)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
         return node
 
     def signed_int(self):
@@ -182,7 +196,7 @@ class _Parser:
     def primary(self):
         token = self.take()
         if token.value == "(":
-            expr = self.expression()
+            expr = self.nested(token, self.expression)
             self.expect(")")
             return expr
         if token.kind == "upper":
@@ -196,12 +210,7 @@ class _Parser:
             self.fail("unknown name %r" % token.value, token)
         if token.kind == "name":
             if token.value == "e" and self._next_is("["):
-                self.take()
-                x = self.point()
-                self.expect(",")
-                y = self.point()
-                self.expect("]")
-                return UnitAtom(x, y)
+                return UnitAtom(*self.point_pair())
             return WordAtom(self.group_letter(token))
         self.fail("expected an expression", token)
 
@@ -243,6 +252,15 @@ class _Parser:
             self.fail("unresolved identifier %r" % token.value, token)
         return token.value
 
+    def point_pair(self):
+        """[x,y] after an e: the two base points."""
+        self.expect("[")
+        x = self.point()
+        self.expect(",")
+        y = self.point()
+        self.expect("]")
+        return x, y
+
     def bracket(self, tag):
         self.expect("[")
         token = self.take()
@@ -255,12 +273,7 @@ class _Parser:
                 n = self.signed_int()
             core = ("shift", n)
         elif token.value == "e" and self._next_is("["):
-            self.take()
-            x = self.point()
-            self.expect(",")
-            y = self.point()
-            self.expect("]")
-            core = ("unit", x, y)
+            core = ("unit",) + self.point_pair()
         elif token.value == "e":
             core = ("one",)
         elif token.value == "d":

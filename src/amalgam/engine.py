@@ -16,7 +16,7 @@ recursively computed expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .boundary import act
 from .fmalg import FMElement, FiniteRelation
@@ -284,10 +284,9 @@ class CrossedFace(Algebra):
 
     def right_support(self, x) -> CylFn:
         """Smallest diagonal projection q with x q = x."""
-        supp = CylFn.zero(self.alphabet)
-        for g, f in x.items():
-            supp = supp + f.support_projection().translate(g.inverse())
-        return CylFn(self.alphabet, {w: ONE for w in supp.terms})
+        ones = {image: ONE for g, f in x.items() for w in f.terms
+                for image in act(g.inverse(), w)}
+        return CylFn(self.alphabet, ones).support_projection()
 
     def d_one(self):
         return CylFn.one(self.alphabet)
@@ -299,13 +298,10 @@ class CrossedFace(Algebra):
 # ---------------------------------------------------------------------------
 # finite measured-relation face
 
-_DIAG_CACHE = {}
-
-
+@cache
 def _diagonal_relation(base):
-    if base not in _DIAG_CACHE:
-        _DIAG_CACHE[base] = FiniteRelation.diagonal(base)
-    return _DIAG_CACHE[base]
+    # both faces of a product share one diagonal relation
+    return FiniteRelation.diagonal(base)
 
 
 class FMFace(Algebra):
@@ -382,9 +378,6 @@ class MElement:
 
     def expectation(self):
         return self.d_part
-
-    def is_pure_d(self):
-        return not self.words
 
     def __add__(self, other):
         if other.product is not self.product:
@@ -521,28 +514,31 @@ class FreeProduct:
         return ((tag, value),) + word[1:] if left else word[:-1] + ((tag, value),)
 
     def _word_mul(self, left, right):
-        """Product of two words: (nonzero diagonal or None, [word])."""
-        (tag, a), (tag_b, b) = left[-1], right[0]
-        if tag != tag_b:
-            # no merge; tighten the seam with the right support of the left
-            # letter, since a b = a q b for that projection q
-            seamed = self._word_times_d(right, self.faces[tag].right_support(a),
-                                        left=True)
-            return None, [] if seamed is None else [left + seamed]
-        face = self.faces[tag]
-        d, centered = face.split(face.mul(a, b))
+        """Product of two words: (nonzero diagonal or None, [word]).
+        A loop, one turn per merged seam, so long cancelling words fit."""
         words = []
-        if not face.is_zero(centered):
-            words.append(left[:-1] + ((tag, centered),) + right[1:])
-        lrest, rrest = left[:-1], right[1:]
-        if lrest and rrest:
-            absorbed = self._word_times_d(rrest, d, left=True)
-            if absorbed is None:
+        while True:
+            (tag, a), (tag_b, b) = left[-1], right[0]
+            if tag != tag_b:
+                # no merge; tighten the seam with the right support of the
+                # left letter, since a b = a q b for that projection q
+                seamed = self._word_times_d(
+                    right, self.faces[tag].right_support(a), left=True)
+                if seamed is not None:
+                    words.append(left + seamed)
                 return None, words
-            sub_d, sub_words = self._word_mul(lrest, absorbed)
-            return sub_d, words + sub_words
-        if lrest or rrest:
-            scaled = self._word_times_d(lrest or rrest, d, left=not lrest)
+            face = self.faces[tag]
+            d, centered = face.split(face.mul(a, b))
+            if not face.is_zero(centered):
+                words.append(left[:-1] + ((tag, centered),) + right[1:])
+            left, right = left[:-1], right[1:]
+            if not (left and right):
+                break
+            right = self._word_times_d(right, d, left=True)
+            if right is None:
+                return None, words
+        if left or right:
+            scaled = self._word_times_d(left or right, d, left=not left)
             if scaled is not None:
                 words.append(scaled)
             return None, words

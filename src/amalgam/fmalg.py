@@ -276,12 +276,6 @@ class PartialBijection:
     def image(self):
         return tuple(y for _, y in self.graph)
 
-    def __call__(self, x):
-        for z, y in self.graph:
-            if z == x:
-                return y
-        raise KeyError(x)
-
     def to_element(self, relation: FiniteRelation) -> FMElement:
         """Partial isometry sum of e[map(x), x] over the domain."""
         return FMElement(relation, {(y, x): ONE for x, y in self.graph})

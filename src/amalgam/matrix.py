@@ -238,8 +238,6 @@ class BracketElement:
 class CornerUnitary:
     """Two-letter corner word: slot unit on the plain face times a shifted
     slot bracket on the other, unitary in the slot-one corner."""
-    n: int
-    index: int
     element: object
     letters: tuple
 
@@ -282,8 +280,7 @@ class CornerModel:
             self.face_b.shift_power(n), index, 1).to_fm()
         element = self.product.embed("A", a_letter) * \
             self.product.embed("B", b_letter)
-        return CornerUnitary(n, index, element,
-                             (("A", a_letter), ("B", b_letter)))
+        return CornerUnitary(element, (("A", a_letter), ("B", b_letter)))
 
     def corner_letter_sequence(self, n, index, kappa):
         """The 2|kappa|-letter raw word behind corner_power."""
@@ -351,19 +348,12 @@ class FamilyReport:
     fixture: str
     families: int
     shape_checks: int
-    engine_report: object
-
-    @property
-    def words_checked(self):
-        return self.engine_report.words_checked
-
-    @property
-    def violations(self):
-        return self.engine_report.violations
+    words_checked: int
+    violations: list
 
     @property
     def passed(self):
-        return self.engine_report.passed
+        return not self.violations
 
 
 def _size_sweep(name, model, k_values):
@@ -473,9 +463,8 @@ def family_freeness_report(model, max_len=4, n_limit=2, i_values=(2, 3),
             families.append([model.corner_power(n, i, kp) for kp in kappas])
     shape_checks = _adjoint_pair_shapes(model, pairs)
     engine_report = freeness_check(MAmbient(model.product), families, max_len)
-    return FamilyReport(fixture=model.fixture_line(), families=len(families),
-                        shape_checks=shape_checks,
-                        engine_report=engine_report)
+    return FamilyReport(model.fixture_line(), len(families), shape_checks,
+                        engine_report.words_checked, engine_report.violations)
 
 
 def _adjoint_pair_shapes(model, pairs):
@@ -517,8 +506,7 @@ def covariance_report(model, k_values=(2, 3, 4), n_limit=2, i_values=(2, 3)):
                 for x in sized.core_base.points:
                     lhs = u * sized.base_diagonal({x: 1}) * u.adjoint()
                     rhs = sized.shifted_diagonal({x: 1}, n)
-                    report.check(lhs.is_pure_d() and lhs == rhs,
-                                 (sized.k, n, i, x))
+                    report.check(lhs == rhs, (sized.k, n, i, x))
     return report
 
 

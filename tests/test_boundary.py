@@ -254,6 +254,16 @@ def test_splice_factorizes_measure_small_sweep():
     assert report.passed and report.checked == 364
 
 
+def test_ratio_powers_checks_rn_ratio(monkeypatch):
+    # criterion 04 measures the image of each cylinder, so a derivative
+    # with the wrong exponent fails it on every (word, cylinder) pair
+    assert battery.ratio_powers(AB, 3, 1).passed
+    monkeypatch.setattr(battery, "rn_ratio", lambda gamma, cyl: Fraction(
+        2 * AB.size - 1) ** (rn_exponent(gamma, cyl) + 1))
+    report = battery.ratio_powers(AB, 3, 1)
+    assert len(report.failures) == len(ball(AB, 2)[1:]) * len(sphere(AB, 3))
+
+
 def test_block_ball_mass_converges_for_small_block():
     # block of size 1 inside n=2: ball mass tends to 1 + 2*sum 3^-m = 2
     assert block_ball_mass(AB, 1, 0) == 1

@@ -331,6 +331,31 @@ def test_haar_pass_and_fail(capsys):
     assert "unitary=no" in out and "ok=no" in out
 
 
+@pytest.mark.parametrize("word", ["a b", "A[e]{1,2} B[u]{2,1}"],
+                         ids=["boundary", "corner"])
+def test_long_cancelling_product(capsys, word):
+    # 1,200 seams merge one after another; each is a step of a loop in
+    # the word product, not a stack frame
+    one = CFG.boundary_product().d_one() if word == "a b" \
+        else CFG.corner_model().corner_identity().d_part
+    code, out, err = run(capsys, "--format", "machine", "moment",
+                         "(%s)^600 ~((%s)^600)" % (word, word))
+    assert code == 0 and err == ""
+    assert out.split()[-1] == "value=" + repr(one).replace(" ", ".")
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("~", "")],
+                         ids=["parentheses", "adjoints"])
+def test_nesting_bound(capsys, opening, closing):
+    bound = dsl._NESTING_BOUND
+    expr = opening * bound + "a" + closing * bound
+    assert run(capsys, "moment", expr)[0] == 0
+    expr = opening * (bound + 1) + "a" + closing * (bound + 1)
+    assert run(capsys, "moment", expr) == (
+        2, "", "error: line 1, column %d: %r nested deeper than %d levels\n"
+        % (bound + 1, opening, bound))
+
+
 def test_freeness_boundary(capsys):
     code, out, _ = run(capsys, "--format", "machine", "--max-len", "3",
                        "freeness", "boundary")
@@ -677,3 +702,17 @@ def test_modular_sweep_script_runs(capsys):
     out = capsys.readouterr().out
     assert "e[p0,p1] grade 2 " in out
     assert "exact grade checks, every real t: 356, passed" in out
+
+
+def test_corner_report_script_runs(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["corner_report.py", "--max-len", "2"])
+    assert load_script("corner_report").main() == 0
+    out = capsys.readouterr().out
+    assert "freeness   base=11 k=3 shift_order=11: 170 words, 90 shapes, " \
+        "0 violations\n" in out
+
+
+def test_series_table_script_runs(capsys):
+    assert load_script("series_table").main(["series_table", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "    2  17/18        1/18         10\n" in out
