@@ -12,7 +12,7 @@ under three more size mappings (`--max-len 2`, `--depth 3` and a weighted
 three-generator config), depth sweeps of `moment`, `oracle`, `haar`
 and `freeness boundary` over boundary expressions drawn from a fixed seed,
 an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
-one letter deeper, and thirteen late additions at the end, so that the
+one letter deeper, and nineteen late additions at the end, so that the
 earlier commands keep their places. LIMIT runs only the first LIMIT commands.
 """
 
@@ -49,6 +49,7 @@ CONFIGS = {
     "typo.cfg": "[base]\nclasses_ = {x0 x1}\n",
     "twice.cfg": "[base]\npoints = p q r\nclasses = {p q}\nclasses = {q r}\n",
     "resection.cfg": "[limits]\ndepth = 3\n[limits]\ndepth = 5\n",
+    "offcycle.cfg": "[base]\npoints = p q r\n[alpha]\ncycles = (p z)\n",
     # three generators over a weighted base (CUSTOM in tests/test_cli.py)
     "custom.cfg": "[alphabet]\nblock1 = a c\nblock2 = b\n"
                   "[base]\npoints = p q r s\nclasses = {p q}\n"
@@ -192,6 +193,16 @@ def commands():
             ["--format", "machine", "moment",
              "(%s)^600 ~((%s)^600)" % (corner, corner)],
             ["moment", "(" * 101 + "a" + ")" * 101]]
+    # a 1,201-letter translate meets the depth budget, not the stack; a
+    # third block, the unit and the zeroth power of a cylinder, and a cycle
+    # point off the base
+    out += [["moment", "a^1200 O(b)"],
+            ["--format", "machine", "--depth", "1300", "moment",
+             "a^1200 O(b)"],
+            ["series", "3", "2"],
+            ["--format", "machine", "moment", "e"],
+            ["--format", "machine", "moment", "O(a)^0"],
+            ["--config", "offcycle.cfg", "join"]]
     return out
 
 

@@ -3,7 +3,9 @@
 Sections in square brackets, `key = value` lines, `#` comments. The
 [alphabet] section names the two generator blocks, [base]/[state]/[alpha]
 describe the finite base with its state weights and shift, and [limits]
-holds depth budgets and exponent windows.
+holds depth budgets and exponent windows. This module only parses: the
+constructors it calls check the rules of the objects they build, and their
+ValueErrors come back as ConfigErrors.
 """
 
 import re
@@ -103,8 +105,6 @@ def parse_config(text):
     base_spec = sections.get("base", {})
     default_points = " ".join("x%d" % i for i in range(11))
     points = tuple(base_spec.get("points", default_points).split())
-    if len(set(points)) != len(points) or not points:
-        raise ConfigError("base points must be distinct and nonempty")
 
     state_spec = sections.get("state", {})
     if "weights" in state_spec:
@@ -114,22 +114,19 @@ def parse_config(text):
                 weights.append(Fraction(token))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError("bad weight: %s" % token) from exc
-        if len(weights) != len(points):
-            raise ConfigError("need one weight per base point")
         try:
             base = FiniteBase(points, tuple(weights))
         except ValueError as exc:
             raise ConfigError("bad state: %s" % exc) from exc
     else:
-        base = FiniteBase.uniform(points)
+        try:
+            base = FiniteBase.uniform(points)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     alpha_spec = sections.get("alpha", {})
     if "cycles" in alpha_spec:
         cycles = _parse_groups(alpha_spec["cycles"], "(", ")")
-        for cycle in cycles:
-            for x in cycle:
-                if x not in points:
-                    raise ConfigError("cycle point %s is not in the base" % x)
         try:
             alpha = Permutation.from_cycles(base, cycles)
         except ValueError as exc:
@@ -138,10 +135,6 @@ def parse_config(text):
         alpha = Permutation.from_cycles(base, (points,))
 
     classes = _parse_groups(base_spec.get("classes", ""), "{", "}")
-    for cls in classes:
-        for x in cls:
-            if x not in points:
-                raise ConfigError("class point %s is not in the base" % x)
     try:
         plain = FiniteRelation.from_classes(base, classes)
     except ValueError as exc:

@@ -451,15 +451,9 @@ class CornerContext(MAmbient):
             if kind == "one":
                 core = None
             elif kind == "shift":
-                if face.alpha is None:
-                    raise DslError("the plain face has no shift unitary")
                 core = face.shift_power(node.core[1])
             elif kind == "unit":
-                pair = node.core[1:]
-                if pair not in face.core_relation.pairs:
-                    raise DslError("e[%s,%s] is not in the %s face relation"
-                                   % (pair + (node.tag,)))
-                core = face.core_unit(*pair)
+                core = face.core_unit(*node.core[1:])
             else:
                 core = face.core_unit(node.core[1], node.core[1])
             bracket = face.matrix_unit(node.i, node.j) if core is None \

@@ -130,33 +130,35 @@ class CylFn:
 
 
 def _canonical(alphabet, terms):
-    """Push coefficients down a prefix trie, then merge complete siblings."""
+    """Push coefficients down a prefix trie, then merge complete siblings;
+    both passes loop, so no term is too deep for the call stack."""
     root = [QC(0), {}]
     for word, value in terms.items():
         node = root
         for letter in word.letters:
             node = node[1].setdefault(letter, [QC(0), {}])
         node[0] = node[0] + value
-
-    def walk(node, last):
-        value, children = node
+    leaves, order, families = {}, [], []
+    stack = [((), 0, *root)]  # 0 is no letter: the root excludes none
+    while stack:
+        prefix, last, value, children = stack.pop()
+        order.append(prefix)  # pre-order: a prefix before its extensions
         if not children:
-            return {(): value} if value else {}
-        submaps = []
-        for a in alphabet.extensions(last):
-            child = children.get(a, [QC(0), {}])
-            submaps.append((a, walk([child[0] + value, child[1]], a)))
-        first = submaps[0][1]
-        if (not first or () in first) and all(m == first for _, m in submaps):
-            return dict(first)  # all siblings constant and equal: merge up
-        out = {}
-        for a, sub in submaps:
-            for suffix, v in sub.items():
-                out[(a,) + suffix] = v
-        return out
-
-    flat = walk(root, 0)  # 0 is no letter, so the root excludes none
-    return {ReducedWord(alphabet, suffix): v for suffix, v in flat.items()}
+            leaves[prefix] = value
+            continue
+        family = [prefix + (a,) for a in alphabet.extensions(last)]
+        families.append((prefix, family))
+        for child in reversed(family):
+            node = children.get(child[-1])
+            stack.append((child, child[-1], value, {}) if node is None
+                         else (child, child[-1], node[0] + value, node[1]))
+    for prefix, family in reversed(families):  # children before parents
+        value = leaves.get(family[0])  # None if that child kept children
+        if value is not None and all(leaves.get(p) == value for p in family):
+            for p in family:
+                del leaves[p]
+            leaves[prefix] = value  # all siblings constant and equal: merge up
+    return {ReducedWord(alphabet, p): leaves[p] for p in order if leaves.get(p)}
 
 
 # ---------------------------------------------------------------------------

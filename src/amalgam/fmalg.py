@@ -33,10 +33,10 @@ class FiniteBase:
     weights: tuple
 
     def __post_init__(self):
-        if len(self.points) != len(set(self.points)):
-            raise ValueError("duplicate point")
+        if len(set(self.points)) != len(self.points) or not self.points:
+            raise ValueError("base points must be distinct and nonempty")
         if len(self.weights) != len(self.points):
-            raise ValueError("need one weight per point")
+            raise ValueError("need one weight per base point")
         for q in self.weights:
             if not (isinstance(q, Fraction) and q > 0):
                 raise ValueError("weights must be positive rationals")
@@ -45,8 +45,8 @@ class FiniteBase:
 
     @staticmethod
     def uniform(points):
-        points = tuple(points)
-        return FiniteBase(points, (Fraction(1, len(points)),) * len(points))
+        points = tuple(points)  # no points: no weights, so no division by 0
+        return FiniteBase(points, tuple(Fraction(1, len(points)) for _ in points))
 
     @staticmethod
     def weighted(pairs):
@@ -75,7 +75,7 @@ class FiniteRelation:
         for i, cls in enumerate(self.blocks):
             for x in cls:
                 if x not in owner:
-                    raise ValueError(f"point off the base: {x}")
+                    raise ValueError(f"class point {x} is not in the base")
                 if owner[x] not in (None, i):
                     raise ValueError("point in two classes")
                 owner[x] = i

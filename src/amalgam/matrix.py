@@ -49,6 +49,8 @@ class Permutation:
             if len(set(cycle)) != len(cycle):
                 raise ValueError("repeated point in a cycle")
             for pos, x in enumerate(cycle):
+                if x not in mapping:  # its keys are the base points
+                    raise ValueError("cycle point %s is not in the base" % x)
                 mapping[x] = cycle[(pos + 1) % len(cycle)]
         return cls(base, mapping)
 
@@ -129,11 +131,14 @@ class AmplifiedFace:
         return BracketElement(self, {(s, s): core for s in self.slots})
 
     def core_unit(self, x, y):
+        if (x, y) not in self.core_relation.pairs:
+            raise ValueError("e[%s,%s] is not in the %s face relation"
+                             % (x, y, self.tag))
         return FMElement.unit(self.core_relation, x, y)
 
     def shift_power(self, n):
         if self.alpha is None:
-            raise ValueError("only the shift face has a unitary")
+            raise ValueError("the plain face has no shift unitary")
         move = self.alpha.power(n)
         return FMElement(self.core_relation,
                          {(move(x), x): ONE for x in self.core_base.points})

@@ -466,6 +466,58 @@ def test_zeroth_power_checks_its_base(capsys, argv, code, err):
         (code, "", "error: %s\n" % err)
 
 
+OFF_BASE_CYCLE = "[base]\npoints = p q r\n[alpha]\ncycles = (p z)\n"
+
+
+@pytest.mark.parametrize("config, argv, code, err", [
+    (None, ("moment", ")"), 2, "line 1, column 1: expected an expression"),
+    (None, ("measure", "O()"), 2, "line 1, column 3: expected a group word"),
+    (None, ("rn", "O(a)", "O(a b)"), 2, "expected a group word"),
+    (None, ("moment", "e[(,x0]"), 2, "line 1, column 3: expected a base point"),
+    (None, ("moment", "a $"), 2, "line 1, column 3: unexpected character '$'"),
+    (None, ("moment", "a^x"), 2, "line 1, column 3: expected an integer"),
+    (None, ("moment", "C"), 2, "line 1, column 1: unknown name 'C'"),
+    (None, ("moment", "A[1]{1,1}"), 2,
+     "line 1, column 3: expected a bracket core"),
+    (None, ("moment", "A[e[x1,x2]]{1,1}"), 2,
+     "e[x1,x2] is not in the A face relation"),
+    (None, ("oracle", "A[e]{1,2}"), 2,
+     "the oracle command needs a boundary expression"),
+    (None, ("measure", "a"), 2, "expected a cylinder O(...)"),
+    (None, ("series", "3", "2"), 2, "block must be 1 or 2, not 3"),
+    ("[base]\npoints =\n", ("join",), 2,
+     "base points must be distinct and nonempty"),
+    (OFF_BASE_CYCLE, ("join",), 2,
+     "bad cycles: cycle point z is not in the base"),
+    # the translate O(a^1200 b) is refused by the budget, not the stack
+    (None, ("moment", "a^1200 O(b)"), 3,
+     "cylinder depth 1201 exceeds budget 8"),
+], ids=["no-expression", "empty-cylinder", "rn-cylinder-word", "bad-point",
+        "bad-character", "bad-exponent", "unknown-name", "no-core",
+        "unit-off-relation", "oracle-corner", "measure-word", "third-block",
+        "no-points", "off-base-cycle", "deep-translate"])
+def test_input_error_exit_code_and_message(capsys, tmp_path, config, argv,
+                                           code, err):
+    # each rule is checked once, by the parser or by the constructor that
+    # owns it, and prints one line
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = ("--config", str(path)) + argv
+    assert run(capsys, *argv) == (code, "", "error: %s\n" % err)
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("moment", "e"), "1*O(e)"),
+    (("moment", "O(a)^0"), "1*O(e)"),
+    (("--depth", "1300", "moment", "a^1200 O(b)"), "0"),
+], ids=["identity", "zeroth-power", "deep-translate"])
+def test_moment_value(capsys, argv, value):
+    code, out, err = run(capsys, "--format", "machine", *argv)
+    assert code == 0 and err == ""
+    assert out.split()[-1] == "value=" + value
+
+
 def test_repeated_calls_answer_alike(capsys, tmp_path):
     # main keeps its parser, the default config and that config's corner
     # model for the process: no call may change the answer of a later one
@@ -565,6 +617,11 @@ def test_unreduced_cylinder_rejected_without_asserts(tmp_path):
         tmp_path, "[alphabet]\nblock1 = a\nblock2 = b\n", "measure", "O(a a')")
     assert line == "error: line 1, column 5: cylinder prefix is not reduced: " \
         "a' cancels the letter before it"
+
+
+def test_off_base_cycle_point_rejected_without_asserts(tmp_path):
+    line = rejected_under_optimize(tmp_path, OFF_BASE_CYCLE, "join")
+    assert line == "error: bad cycles: cycle point z is not in the base"
 
 
 # cheap commands covering every exit code but 2; one process each with and

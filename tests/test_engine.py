@@ -182,6 +182,23 @@ def test_mixed_backends_rejected():
         FreeProduct(FMFace("A", REL_A), CrossedFace("B", AB, 2))
 
 
+@pytest.mark.parametrize("faces, message", [
+    ((FMFace("A", REL_A), FMFace("A", REL_B)), "faces need distinct tags"),
+    ((FMFace("A", REL_A),
+      FMFace("B", FiniteRelation.full(FiniteBase.uniform(("x", "y"))))),
+     "faces must share the base"),
+    ((CrossedFace("A", AB, 1), CrossedFace("B", Alphabet(("a", "c"), 1), 2)),
+     "faces must share alphabet and depth budget"),
+    ((CrossedFace("A", AB, 1, 6), CrossedFace("B", AB, 2, 5)),
+     "faces must share alphabet and depth budget"),
+    ((CrossedFace("A", AB, 1), CrossedFace("B", AB, 1)),
+     "boundary faces must cover blocks 1 and 2"),
+], ids=["tags", "base", "alphabet", "budget", "blocks"])
+def test_free_product_checks_its_faces(faces, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        FreeProduct(*faces)
+
+
 def test_expectation_of_identity_and_single_letters():
     product = fm_product()
     assert product.expectation([]) == product.d_one()

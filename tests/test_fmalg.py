@@ -136,13 +136,35 @@ def test_relation_validation_raises():
     # a relation is stored as its partition, so it is reflexive, symmetric
     # and transitive by construction; only a bad partition can be given
     bad = [
-        ((("x", "w"), ("y",), ("z",)), "off the base"),
+        ((("x", "w"), ("y",), ("z",)), "class point w is not in the base"),
         ((("x", "y"), ("y", "z")), "point in two classes"),
         ((("x", "y"),), "base point in no class: z"),
     ]
     for blocks, message in bad:
         with pytest.raises(ValueError, match=message):
             FiniteRelation(B3, blocks)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: FiniteBase.uniform(()), ValueError,
+     "base points must be distinct and nonempty"),
+    (lambda: FiniteBase.uniform(("x", "x")), ValueError,
+     "base points must be distinct and nonempty"),
+    (lambda: FiniteBase(("x", "y"), (Fraction(1),)), ValueError,
+     "need one weight per base point"),
+    (lambda: FiniteBase(("x", "y"), (Fraction(1), Fraction(0))), ValueError,
+     "weights must be positive rationals"),
+    (lambda: FiniteBase(("x", "y"), (Fraction(1, 2),) * 3), ValueError,
+     "need one weight per base point"),
+    (lambda: FiniteBase(("x", "y"), (Fraction(1, 2), Fraction(1, 3))),
+     ValueError, "weights must sum to 1"),
+    (lambda: unit(FULL3, "x", "y") * 2, TypeError, "expected an FMElement"),
+], ids=["no-points", "repeated-point", "weight-missing", "zero-weight",
+        "weight-extra", "sum", "not-an-element"])
+def test_base_and_element_checks_raise(build, error, message):
+    # the empty base fails its check, not a division by zero in uniform
+    with pytest.raises(error, match="^%s$" % message):
+        build()
 
 
 def stored_relations():

@@ -56,6 +56,24 @@ def test_permutation_must_be_bijective():
         Permutation(BASE5, {x: "x0" for x in BASE5.points})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Permutation(BASE5, {**SHIFT5.mapping, "z": "x0"}),
+     "domain must be the base"),
+    (lambda: Permutation.from_cycles(BASE5, (("x0", "z"),)),
+     "cycle point z is not in the base"),
+    (lambda: Permutation.from_cycles(BASE5, (("x0", "x1", "x0"),)),
+     "repeated point in a cycle"),
+    (lambda: AmplifiedFace("A", BASE5, 3, relation=PLAIN5).core_unit(
+        "x0", "x2"), r"e\[x0,x2\] is not in the A face relation"),
+    (lambda: AmplifiedFace("B", BASE5, 3, alpha=SHIFT5).core_unit(
+        "x0", "z"), r"e\[x0,z\] is not in the B face relation"),
+], ids=["off-base-mapping", "off-base-cycle", "repeated-cycle",
+        "unit-off-relation", "unit-off-base"])
+def test_permutation_and_core_unit_checks_raise(build, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        build()
+
+
 # -- amplified faces and brackets ----------------------------------------------
 
 def test_amplified_face_validation():
@@ -138,7 +156,7 @@ def test_corner_unitary_validation():
 
 def test_plain_face_has_no_shift_power():
     face = AmplifiedFace("A", BASE5, 3, relation=PLAIN5)
-    with pytest.raises(ValueError, match="only the shift face"):
+    with pytest.raises(ValueError, match="the plain face has no shift unitary"):
         face.shift_power(1)
 
 

@@ -58,6 +58,20 @@ def test_block_indices_rejects_a_third_block():
         ABC.block_indices(3)
 
 
+@pytest.mark.parametrize("names, block_size, message", [
+    (("a", "a"), 1, "duplicate generator"),
+    (("a", "b"), 0, "each block needs a generator"),
+    (("a", "b"), 2, "each block needs a generator"),
+    (("a", "B"), 1, "generator name must be lowercase: 'B'"),
+    (("a", "1b"), 1, "generator name must be lowercase: '1b'"),
+    (("a", "b'"), 1, "bad generator name: \"b'\""),
+], ids=["duplicate", "empty-block-1", "empty-block-2", "uppercase",
+        "digit-first", "apostrophe"])
+def test_alphabet_checks_its_names(names, block_size, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        Alphabet(names, block_size)
+
+
 def test_in_block():
     assert w(ABC, "e").in_block(1) and w(ABC, "e").in_block(2)
     assert w(ABC, "a a").in_block(1) and not w(ABC, "a a").in_block(2)
