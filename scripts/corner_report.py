@@ -51,8 +51,8 @@ def main():
     print("freeness   %s: %d words, %d shapes, %d violations"
           % (report.fixture, report.words_checked, report.shape_checks,
              len(report.violations)))
-    for violation in report.violations[:5]:
-        print("  %r" % violation)
+    for path, value in report.violations[:5]:
+        print("  families %s: E = %r" % (path, value))
     return 0 if report.passed else 1
 
 

@@ -12,7 +12,7 @@ under three more size mappings (`--max-len 2`, `--depth 3` and a weighted
 three-generator config), depth sweeps of `moment`, `oracle`, `haar`
 and `freeness boundary` over boundary expressions drawn from a fixed seed,
 an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
-one letter deeper, and nineteen late additions at the end, so that the
+one letter deeper, and twenty-four late additions at the end, so that the
 earlier commands keep their places. LIMIT runs only the first LIMIT commands.
 """
 
@@ -50,6 +50,8 @@ CONFIGS = {
     "twice.cfg": "[base]\npoints = p q r\nclasses = {p q}\nclasses = {q r}\n",
     "resection.cfg": "[limits]\ndepth = 3\n[limits]\ndepth = 5\n",
     "offcycle.cfg": "[base]\npoints = p q r\n[alpha]\ncycles = (p z)\n",
+    "short.cfg": "[base]\npoints = p q r\nclasses = {p q}\n"
+                 "[limits]\nn_max = 3\n",
     # three generators over a weighted base (CUSTOM in tests/test_cli.py)
     "custom.cfg": "[alphabet]\nblock1 = a c\nblock2 = b\n"
                   "[base]\npoints = p q r s\nclasses = {p q}\n"
@@ -203,6 +205,14 @@ def commands():
             ["--format", "machine", "moment", "e"],
             ["--format", "machine", "moment", "O(a)^0"],
             ["--config", "offcycle.cfg", "join"]]
+    # a battery over a shift of order 3 fits its windows to it; a point
+    # pair in neither relation, an unknown point and an unclosed core are
+    # input errors; a sweep past the word bound is refused
+    out += [["--format", "machine", "--config", "short.cfg", "suite67"],
+            ["--config", "three.cfg", "moment", "e[p,v]"],
+            ["moment", "e[x0,zz]"],
+            ["moment", "A[e}"],
+            ["--max-len", "1200", "freeness", "boundary"]]
     return out
 
 

@@ -3,7 +3,7 @@
 Criteria 06-09 are the corner-model reports of `matrix`; this module holds
 the other eight. `amalgam suite67` runs all twelve at sizes taken from the
 run configuration, and tests/test_acceptance.py runs them at acceptance
-sizes and pins their counts. Each sweep returns a `matrix.SweepReport`.
+sizes and pins their counts. Each sweep returns an `engine.SweepReport`.
 Criteria 10-12 run on fixed small bases, so they take no size.
 """
 
@@ -14,12 +14,11 @@ from .boundary import (
     act, complement_decomposition, complement_series, complement_series_tail,
     cylinder_measure, point_mass, refine, rn_exponent, rn_ratio, splice,
 )
-from .engine import CylFn
+from .engine import CylFn, SweepReport
 from .fmalg import (
     FiniteBase, FiniteRelation, FMElement, all_equivalence_relations,
     is_ergodic, join, modular_spectrum, normalizing_groupoid,
 )
-from .matrix import SweepReport
 from .words import ReducedWord, ball, sphere
 
 

@@ -174,8 +174,8 @@ def cmd_freeness(args, config):
         return [Record("freeness", [
             ("suite", "boundary"),
             ("max_len", config.max_len),
-            ("words", report.words_checked),
-            ("violations", len(report.violations)),
+            ("words", report.checked),
+            ("violations", len(report.failures)),
         ], ok=report.passed)]
     # argparse lets only boundary and corner through
     model = config.corner_model()
@@ -244,19 +244,17 @@ def cmd_suite67(args, config):
 
     model = config.corner_model()
     order = model.face_b.alpha.order()
+    n_limit = min(config.n_max, order - 1)
     kappa_limit = min(config.kappa_max, order - 1)
     i_values = tuple(i for i in (2, 3) if i <= config.k)
     report = moment_vanishing_report(
-        model, n_limit=min(config.n_max, order - 1),
-        i_values=i_values, kappa_limit=kappa_limit)
+        model, n_limit=n_limit, i_values=i_values, kappa_limit=kappa_limit)
     add("corner_moments", report, checked=report.checked,
         fixture=report.fixture.replace(" ", ","))
 
-    max_len = config.max_len
-    while max_len > 1 and max_len * config.n_max >= order:
-        max_len -= 1
-    report = family_freeness_report(model, max_len=max_len,
-                                    n_limit=config.n_max,
+    # stacked exponents reach max_len * n_limit, below the shift order
+    max_len = max(1, min(config.max_len, (order - 1) // max(n_limit, 1)))
+    report = family_freeness_report(model, max_len=max_len, n_limit=n_limit,
                                     i_values=i_values, kappas=(1,))
     add("corner_freeness", report, max_len=max_len,
         words=report.words_checked, shapes=report.shape_checks,

@@ -654,55 +654,62 @@ class MAmbient(Algebra):
 # ---------------------------------------------------------------------------
 # checks shared by all backends
 
-@dataclass
-class FreenessViolation:
-    family_path: tuple
-    elements: tuple
-    value: object
-
-    def __repr__(self):
-        return f"families {self.family_path}: E = {self.value!r}"
+# the word count grows exponentially with max_len, so a sweep with more
+# words than this (36x criterion 07) is refused before it starts
+FREENESS_WORD_BOUND = 10 ** 6
 
 
 @dataclass
-class FreenessReport:
-    max_len: int
-    words_checked: int = 0
-    violations: list = field(default_factory=list)
+class SweepReport:
+    name: str
+    fixture: str
+    checked: int = 0
+    failures: list = field(default_factory=list)
+    values: list = field(default_factory=list)  # observed beyond the count
 
     @property
     def passed(self):
-        return not self.violations
+        return not self.failures
+
+    def check(self, ok, failure):
+        """Count one check, and keep its failure when it does not hold."""
+        self.checked += 1
+        if not ok:
+            self.failures.append(failure)
 
 
-def freeness_check(algebra, families, max_len) -> FreenessReport:
+def freeness_check(algebra, families, max_len) -> SweepReport:
     """Test that alternating centered words across families have zero
     expectation, for every word of length 2..max_len with letters drawn
-    from the given family generator lists.
-    """
+    from the given family generator lists. A failure is the word's family
+    path with its expectation."""
+    # words of each length ending in each family; stop once past the bound
+    sizes = [len(fam) for fam in families]
+    ending, words = sizes, 0
+    for _ in range(2, max_len + 1):
+        total = sum(ending)
+        ending = [size * (total - n) for size, n in zip(sizes, ending)]
+        words += sum(ending)
+        if words > FREENESS_WORD_BOUND:
+            raise ValueError("a freeness sweep to length %d has more than "
+                             "%d words" % (max_len, FREENESS_WORD_BOUND))
+        if not words:
+            break  # at most one family has letters: no word alternates
     centered = [[algebra.split(x)[1] for x in fam] for fam in families]
-    report = FreenessReport(max_len=max_len)
-
-    def extend(path, value):
-        length = len(path)
-        if length >= 2:
-            report.words_checked += 1
+    letters = [(f, x) for f, fam in enumerate(centered) for x in fam][::-1]
+    report = SweepReport("freeness", "max_len=%d" % max_len)
+    # depth first; the letters are reversed so that they pop in order. An
+    # entry is (family path, prefix, family, letter), multiplied when popped
+    stack = [((), None, f, x) for f, x in letters]
+    while stack:
+        path, prefix, f, x = stack.pop()
+        path += (f,)
+        value = x if prefix is None else algebra.mul(prefix, x)
+        if len(path) >= 2:
             got = algebra.expect(value)
-            if not got.is_zero():
-                report.violations.append(
-                    FreenessViolation(tuple(p for p, _ in path),
-                                      tuple(x for _, x in path), got))
-        if length == max_len:
-            return
-        last = path[-1][0] if path else None
-        for f_index, fam in enumerate(centered):
-            if f_index == last:
-                continue
-            for e_index, x in enumerate(fam):
-                nxt = x if value is None else algebra.mul(value, x)
-                extend(path + [(f_index, e_index)], nxt)
-
-    extend([], None)
+            report.check(got.is_zero(), (path, got))
+        if len(path) < max_len:
+            stack += [(path, value, g, y) for g, y in letters if g != f]
     return report
 
 

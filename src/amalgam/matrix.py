@@ -7,11 +7,11 @@ from them satisfy exact moment, freeness, and covariance identities that
 the report sweeps below verify.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from math import lcm
 
-from .engine import FMFace, FreeProduct, MAmbient, freeness_check
+from .engine import FMFace, FreeProduct, MAmbient, SweepReport, freeness_check
 from .fmalg import FMElement, FiniteBase, FiniteRelation
 from .scalars import ONE, QC
 
@@ -330,25 +330,6 @@ def cyclic_model(core_size=5, k=3):
 # report sweeps
 
 @dataclass
-class SweepReport:
-    name: str
-    fixture: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    values: list = field(default_factory=list)  # observed beyond the count
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def check(self, ok, failure):
-        """Count one check, and keep its failure when it does not hold."""
-        self.checked += 1
-        if not ok:
-            self.failures.append(failure)
-
-
-@dataclass
 class FamilyReport:
     fixture: str
     families: int
@@ -467,9 +448,9 @@ def family_freeness_report(model, max_len=4, n_limit=2, i_values=(2, 3),
             pairs.append((n, i))
             families.append([model.corner_power(n, i, kp) for kp in kappas])
     shape_checks = _adjoint_pair_shapes(model, pairs)
-    engine_report = freeness_check(MAmbient(model.product), families, max_len)
+    sweep = freeness_check(MAmbient(model.product), families, max_len)
     return FamilyReport(model.fixture_line(), len(families), shape_checks,
-                        engine_report.words_checked, engine_report.violations)
+                        sweep.checked, sweep.failures)
 
 
 def _adjoint_pair_shapes(model, pairs):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amalgam
-from amalgam import cli, dsl
+from amalgam import cli, dsl, engine
 from amalgam.cli import main
 from amalgam.config import ConfigError, default_config, parse_config
 from amalgam.dsl import (
@@ -467,6 +467,8 @@ def test_zeroth_power_checks_its_base(capsys, argv, code, err):
 
 
 OFF_BASE_CYCLE = "[base]\npoints = p q r\n[alpha]\ncycles = (p z)\n"
+THREE_CLASSES = ("[base]\npoints = p q r s t u v\n"
+                 "classes = {p q} {s r} {u t}\n[alpha]\ncycles = (q s)\n")
 
 
 @pytest.mark.parametrize("config, argv, code, err", [
@@ -489,13 +491,22 @@ OFF_BASE_CYCLE = "[base]\npoints = p q r\n[alpha]\ncycles = (p z)\n"
      "base points must be distinct and nonempty"),
     (OFF_BASE_CYCLE, ("join",), 2,
      "bad cycles: cycle point z is not in the base"),
+    (THREE_CLASSES, ("moment", "e[p,v]"), 2,
+     "e[p,v] is not in either face relation"),
+    (None, ("moment", "e[x0,zz]"), 2,
+     "line 1, column 6: unresolved identifier 'zz'"),
+    (None, ("moment", "A[e}"), 2, "line 1, column 4: expected ']'"),
     # the translate O(a^1200 b) is refused by the budget, not the stack
     (None, ("moment", "a^1200 O(b)"), 3,
      "cylinder depth 1201 exceeds budget 8"),
+    # about 4 * 3^1199 words: refused before the sweep starts
+    (None, ("--max-len", "1200", "freeness", "boundary"), 2,
+     "a freeness sweep to length 1200 has more than 1000000 words"),
 ], ids=["no-expression", "empty-cylinder", "rn-cylinder-word", "bad-point",
         "bad-character", "bad-exponent", "unknown-name", "no-core",
         "unit-off-relation", "oracle-corner", "measure-word", "third-block",
-        "no-points", "off-base-cycle", "deep-translate"])
+        "no-points", "off-base-cycle", "unit-off-both", "unresolved-point",
+        "unclosed-core", "deep-translate", "sweep-bound"])
 def test_input_error_exit_code_and_message(capsys, tmp_path, config, argv,
                                            code, err):
     # each rule is checked once, by the parser or by the constructor that
@@ -505,6 +516,37 @@ def test_input_error_exit_code_and_message(capsys, tmp_path, config, argv,
         path.write_text(config)
         argv = ("--config", str(path)) + argv
     assert run(capsys, *argv) == (code, "", "error: %s\n" % err)
+
+
+@pytest.mark.parametrize("bound, code", [(48, 0), (47, 2)])
+def test_freeness_sweep_bound(capsys, monkeypatch, bound, code):
+    # four one-letter families: 12 words of length 2 and 36 of length 3
+    monkeypatch.setattr(engine, "FREENESS_WORD_BOUND", bound)
+    got, out, err = run(capsys, "--format", "machine", "--max-len", "3",
+                        "freeness", "boundary")
+    assert got == code
+    if code == 0:
+        assert " words=48 " in out and err == ""
+    else:
+        assert (out, err) == ("", "error: a freeness sweep to length 3 has "
+                                  "more than 47 words\n")
+
+
+@pytest.mark.parametrize("config", [
+    "[base]\npoints = p q r\nclasses = {p q}\n[limits]\nn_max = 3\n",
+    "[base]\npoints = p q r\n[alpha]\ncycles =\n",
+], ids=["order-3", "order-1"])
+def test_suite67_fits_its_windows_to_a_short_shift(capsys, tmp_path, config):
+    # the freeness record gets the exponent window the moments get, and
+    # a word length that keeps the stacked exponents below the order
+    path = tmp_path / "short.cfg"
+    path.write_text(config)
+    code, out, err = run(capsys, "--config", str(path), "--format",
+                         "machine", "suite67")
+    lines = out.splitlines()
+    assert code == 0 and err == "" and len(lines) == 14
+    assert all(line.endswith(" ok=yes") for line in lines)
+    assert "record=corner_freeness max_len=1 " in out
 
 
 @pytest.mark.parametrize("argv, value", [

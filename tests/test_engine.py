@@ -490,9 +490,23 @@ def test_same_face_twice_is_not_free():
     flip = FMElement(full, {("x", "y"): QC(1), ("y", "x"): QC(1)})
     report = freeness_check(FMFace("M", full), [[flip], [flip]], max_len=2)
     assert not report.passed
-    violation = report.violations[0]
-    assert violation.value == FMElement.one(full).expectation().cast(violation.value.relation) \
-        or violation.value.coeffs == {("x", "x"): QC(1), ("y", "y"): QC(1)}
+    _, value = report.failures[0]
+    assert value == FMElement.one(full).expectation().cast(value.relation) \
+        or value.coeffs == {("x", "x"): QC(1), ("y", "y"): QC(1)}
+
+
+def test_freeness_word_count_stops_at_a_huge_length():
+    # one family has no alternating word at any length; two one-letter
+    # families pass the bound after half a million lengths, not 10^18
+    base2 = FiniteBase.uniform(("x", "y"))
+    full = FiniteRelation.full(base2)
+    flip = FMElement(full, {("x", "y"): QC(1), ("y", "x"): QC(1)})
+    face = FMFace("M", full)
+    report = freeness_check(face, [[flip]], max_len=10 ** 18)
+    assert report.passed and report.checked == 0
+    with pytest.raises(ValueError, match="^a freeness sweep to length 10+ "
+                                         "has more than 1000000 words$"):
+        freeness_check(face, [[flip], [flip]], max_len=10 ** 18)
 
 
 def test_declared_free_product_faces_are_free():
@@ -506,7 +520,7 @@ def test_declared_free_product_faces_are_free():
     ]
     report = freeness_check(ambient, families, max_len=4)
     assert report.passed
-    assert report.words_checked > 50
+    assert report.checked > 50
 
 
 def test_engine_normal_form_is_free_by_construction():

@@ -67,8 +67,10 @@ def test_permutation_must_be_bijective():
         "x0", "x2"), r"e\[x0,x2\] is not in the A face relation"),
     (lambda: AmplifiedFace("B", BASE5, 3, alpha=SHIFT5).core_unit(
         "x0", "z"), r"e\[x0,z\] is not in the B face relation"),
+    (lambda: AmplifiedFace("B", FiniteBase.uniform(("y0", "y1")), 3,
+                           alpha=SHIFT5), "shift lives over a different base"),
 ], ids=["off-base-mapping", "off-base-cycle", "repeated-cycle",
-        "unit-off-relation", "unit-off-base"])
+        "unit-off-relation", "unit-off-base", "shift-off-base"])
 def test_permutation_and_core_unit_checks_raise(build, message):
     with pytest.raises(ValueError, match="^%s$" % message):
         build()
@@ -285,7 +287,8 @@ def test_checker_flags_a_planted_dependence():
     report = freeness_check(MAmbient(model.product),
                             [[u], [u.adjoint()]], max_len=2)
     assert not report.passed
-    assert report.violations[0].value == model.corner_identity().d_part
+    path, value = report.failures[0]
+    assert path == (0, 1) and value == model.corner_identity().d_part
 
 
 # -- covariance and reduction -----------------------------------------------------
