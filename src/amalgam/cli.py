@@ -252,9 +252,11 @@ def cmd_suite67(args, config):
     add("corner_moments", report, checked=report.checked,
         fixture=report.fixture.replace(" ", ","))
 
-    # stacked exponents reach max_len * n_limit, below the shift order
-    max_len = max(1, min(config.max_len, (order - 1) // max(n_limit, 1)))
-    report = family_freeness_report(model, max_len=max_len, n_limit=n_limit,
+    # stacked exponents reach max_len * n, below the shift order; cutting n
+    # first keeps words of length 2 whenever the order leaves room for them
+    n = min(n_limit, (order - 1) // 2)
+    max_len = min(config.max_len, (order - 1) // n) if n else config.max_len
+    report = family_freeness_report(model, max_len=max_len, n_limit=n,
                                     i_values=i_values, kappas=(1,))
     add("corner_freeness", report, max_len=max_len,
         words=report.words_checked, shapes=report.shape_checks,

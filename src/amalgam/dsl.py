@@ -78,29 +78,26 @@ _TOKEN_RE = re.compile(
 class Token:
     kind: str
     value: str
-    line: int
-    col: int
+    offset: int  # of its first character in the text
+
+
+def _where(text, offset):
+    """The line and column of a character offset, both counted from 1."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return "line %d, column %d" % (text.count("\n", 0, offset) + 1,
+                                   offset - line_start + 1)
 
 
 def _tokenize(text):
     tokens = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
-            raise DslError("line %d, column %d: unexpected character %r"
-                           % (line, col, text[pos]))
-        kind = match.lastgroup
-        value = match.group()
-        if kind != "ws":
-            tokens.append(Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
+            raise DslError("%s: unexpected character %r"
+                           % (_where(text, pos), text[pos]))
+        if match.lastgroup != "ws":
+            tokens.append(Token(match.lastgroup, match.group(), pos))
         pos = match.end()
     return tokens
 
@@ -109,6 +106,7 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text, config):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.config = config
@@ -118,8 +116,7 @@ class _Parser:
         if token is None:
             token = self.tokens[self.pos] if self.pos < len(self.tokens) \
                 else None
-        where = "line %d, column %d" % (token.line, token.col) if token \
-            else "end of input"
+        where = _where(self.text, token.offset) if token else "end of input"
         raise DslError("%s: %s" % (where, message))
 
     def peek(self):

@@ -239,14 +239,6 @@ class BracketElement:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True, eq=False)
-class CornerUnitary:
-    """Two-letter corner word: slot unit on the plain face times a shifted
-    slot bracket on the other, unitary in the slot-one corner."""
-    element: object
-    letters: tuple
-
-
 class CornerModel:
     """Two amplified faces over a shared core base, glued along the diagonal."""
 
@@ -278,35 +270,29 @@ class CornerModel:
         return self.base_diagonal({move(x): v for x, v in values.items()})
 
     def corner_unitary(self, n, index):
+        """u(n, index): slot unit on the plain face times a shifted slot
+        bracket on the other, unitary in the slot-one corner."""
+        return self.corner_power(n, index, 1)
+
+    def corner_letter_sequence(self, n, index, kappa):
+        """The 2|kappa|-letter raw word of u(n, index)^kappa; a negative
+        kappa repeats the adjoint letters in reverse order."""
+        if kappa == 0:
+            raise ValueError("kappa must be nonzero")
         if not 2 <= index <= self.k:
             raise ValueError("corner index must lie in 2..k")
         a_letter = self.face_a.matrix_unit(1, index).to_fm()
         b_letter = self.face_b.bracket(
             self.face_b.shift_power(n), index, 1).to_fm()
-        element = self.product.embed("A", a_letter) * \
-            self.product.embed("B", b_letter)
-        return CornerUnitary(element, (("A", a_letter), ("B", b_letter)))
-
-    def corner_letter_sequence(self, n, index, kappa):
-        """The 2|kappa|-letter raw word behind corner_power."""
-        if kappa == 0:
-            raise ValueError("kappa must be nonzero")
-        (tag_a, fa), (tag_b, fb) = self.corner_unitary(n, index).letters
         if kappa > 0:
-            return [(tag_a, fa), (tag_b, fb)] * kappa
-        adj_a = self.product.face(tag_a).adjoint(fa)
-        adj_b = self.product.face(tag_b).adjoint(fb)
-        return [(tag_b, adj_b), (tag_a, adj_a)] * (-kappa)
+            return [("A", a_letter), ("B", b_letter)] * kappa
+        return [("B", b_letter.adjoint()), ("A", a_letter.adjoint())] * -kappa
 
     def corner_power(self, n, index, kappa):
         if kappa == 0:
             return self.corner_identity()
-        u = self.corner_unitary(n, index).element
-        x = u if kappa > 0 else u.adjoint()
-        out = x
-        for _ in range(abs(kappa) - 1):
-            out = out * x
-        return out
+        return self.product.letters_product(
+            self.corner_letter_sequence(n, index, kappa))
 
     def fixture_line(self):
         return "base=%d k=%d shift_order=%d" % (
@@ -458,14 +444,14 @@ def _adjoint_pair_shapes(model, pairs):
     mismatched slots leave a three-letter alternating word, matched slots
     leave a single shifted bracket in the corner."""
     face_b = model.face_b
+    corner = {pair: model.corner_unitary(*pair) for pair in pairs}
     checked = 0
     for n1, i1 in pairs:
-        u1 = model.corner_unitary(n1, i1).element
+        u1_star = corner[n1, i1].adjoint()
         for n2, i2 in pairs:
             if (n1, i1) == (n2, i2):
                 continue
-            u2 = model.corner_unitary(n2, i2).element
-            seam = u1.adjoint() * u2
+            seam = u1_star * corner[n2, i2]
             if i1 != i2:
                 ok = seam.d_part.is_zero() and len(seam.words) == 1 and \
                     tuple(tag for tag, _ in seam.words[0]) == ("B", "A", "B")
@@ -488,7 +474,7 @@ def covariance_report(model, k_values=(2, 3, 4), n_limit=2, i_values=(2, 3)):
         usable = [i for i in i_values if i <= sized.k]
         for n in range(-n_limit, n_limit + 1):
             for i in usable:
-                u = sized.corner_unitary(n, i).element
+                u = sized.corner_unitary(n, i)
                 for x in sized.core_base.points:
                     lhs = u * sized.base_diagonal({x: 1}) * u.adjoint()
                     rhs = sized.shifted_diagonal({x: 1}, n)
@@ -534,7 +520,7 @@ def reduction_identities_report(model, k_values=(2, 3, 4), n_limit=2):
                     got = sized.embed(face_a.matrix_unit(1, i)) * \
                         sized.embed(shifted) * \
                         sized.embed(face_a.matrix_unit(j, 1))
-                    want = sized.corner_unitary(n, i).element \
+                    want = sized.corner_unitary(n, i) \
                         if i == kk and j == 1 else sized.product.zero()
                     report.check(got == want, ("corner", k, (i, kk, j, n)))
     return report

@@ -135,6 +135,18 @@ def test_parse_errors_carry_positions():
         dsl.domain(dsl.parse("a A[e]{1,1}", CFG))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a\n  @", "line 2, column 3: unexpected character '@'"),
+    ("a\n\n  q", "line 3, column 3: unresolved identifier 'q'"),
+    ("A[e]{1,\n 9}", "line 2, column 2: slot index 9 is above k = 3"),
+], ids=["tokenizer", "parser", "slot-index"])
+def test_parse_errors_count_lines(text, message):
+    # a position past a newline counts lines from 1 and restarts columns
+    with pytest.raises(DslError) as caught:
+        dsl.parse(text, CFG)
+    assert str(caught.value) == message
+
+
 def test_word_value_folds_products():
     expr = dsl.parse("a b (a b)^-1", CFG)
     assert dsl.word_value(expr, CFG).is_identity()
@@ -532,13 +544,16 @@ def test_freeness_sweep_bound(capsys, monkeypatch, bound, code):
                                   "more than 47 words\n")
 
 
-@pytest.mark.parametrize("config", [
-    "[base]\npoints = p q r\nclasses = {p q}\n[limits]\nn_max = 3\n",
-    "[base]\npoints = p q r\n[alpha]\ncycles =\n",
+@pytest.mark.parametrize("config, freeness", [
+    ("[base]\npoints = p q r\nclasses = {p q}\n[limits]\nn_max = 3\n",
+     "max_len=2 words=54 "),
+    ("[base]\npoints = p q r\n[alpha]\ncycles =\n", "max_len=4 words=6 "),
 ], ids=["order-3", "order-1"])
-def test_suite67_fits_its_windows_to_a_short_shift(capsys, tmp_path, config):
-    # the freeness record gets the exponent window the moments get, and
-    # a word length that keeps the stacked exponents below the order
+def test_suite67_fits_its_windows_to_a_short_shift(capsys, tmp_path, config,
+                                                   freeness):
+    # the freeness record cuts its exponent window to leave words of length
+    # 2, then takes a word length that keeps the stacked exponents below
+    # the order: the record checks words, not none
     path = tmp_path / "short.cfg"
     path.write_text(config)
     code, out, err = run(capsys, "--config", str(path), "--format",
@@ -546,7 +561,7 @@ def test_suite67_fits_its_windows_to_a_short_shift(capsys, tmp_path, config):
     lines = out.splitlines()
     assert code == 0 and err == "" and len(lines) == 14
     assert all(line.endswith(" ok=yes") for line in lines)
-    assert "record=corner_freeness max_len=1 " in out
+    assert "record=corner_freeness " + freeness in out
 
 
 @pytest.mark.parametrize("argv, value", [

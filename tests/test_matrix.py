@@ -163,8 +163,15 @@ def test_plain_face_has_no_shift_power():
 
 
 def test_corner_letter_sequence_needs_a_nonzero_power():
+    model = small_model(3)
     with pytest.raises(ValueError, match="kappa must be nonzero"):
-        small_model(3).corner_letter_sequence(1, 2, 0)
+        model.corner_letter_sequence(1, 2, 0)
+    # kappa is checked before the index, and the zeroth power checks neither
+    with pytest.raises(ValueError, match="kappa must be nonzero"):
+        model.corner_letter_sequence(1, 4, 0)
+    with pytest.raises(ValueError, match="corner index must lie in 2..k"):
+        model.corner_letter_sequence(1, 4, -1)
+    assert model.corner_power(1, 4, 0) == model.corner_identity()
 
 
 def test_corner_word_is_unitary_in_the_corner():
@@ -172,7 +179,7 @@ def test_corner_word_is_unitary_in_the_corner():
     p = model.corner_identity()
     for n in (-2, 0, 1, 3):
         for i in (2, 3):
-            u = model.corner_unitary(n, i).element
+            u = model.corner_unitary(n, i)
             assert u * u.adjoint() == p
             assert u.adjoint() * u == p
 
@@ -186,9 +193,30 @@ def test_corner_power_matches_adjoint():
     assert model.corner_power(1, 2, 0) == model.corner_identity()
 
 
+@pytest.mark.parametrize("k", [3, 2])
+def test_corner_power_folds_the_repeated_product(k):
+    # the old route: u built as the product of its two embedded letters,
+    # and u^kappa as kappa - 1 normal-form products of u (or of u*)
+    model = cyclic_model(5, k)
+    face_a, face_b = model.face_a, model.face_b
+    for n in range(-2, 3):
+        for i in range(2, k + 1):
+            u = model.embed(face_a.matrix_unit(1, i)) * model.embed(
+                face_b.bracket(face_b.shift_power(n), i, 1))
+            assert model.corner_unitary(n, i) == u
+            assert repr(model.corner_unitary(n, i)) == repr(u)
+            for kappa in (1, 2, 3, 4, -1, -2, -3, -4):
+                x = u if kappa > 0 else u.adjoint()
+                want = x
+                for _ in range(abs(kappa) - 1):
+                    want = want * x
+                got = model.corner_power(n, i, kappa)
+                assert got == want and repr(got) == repr(want)
+
+
 def test_corner_haar_in_the_corner():
     model = small_model(3)
-    u = model.corner_unitary(1, 2).element
+    u = model.corner_unitary(1, 2)
     report = haar_check(MAmbient(model.product), u, max_k=4,
                         unit=model.corner_identity())
     assert report.passed
@@ -257,12 +285,10 @@ def test_corner_sweep_products_keep_int_coefficients(monkeypatch):
 
 
 DOUBLED_UNITARY = """
-from dataclasses import replace
 from amalgam.matrix import cyclic_model, family_freeness_report
 model = cyclic_model(5, 3)
 plain = model.corner_unitary
-model.corner_unitary = lambda n, i: replace(
-    plain(n, i), element=plain(n, i).element + plain(n, i).element)
+model.corner_unitary = lambda n, i: plain(n, i) + plain(n, i)
 report = family_freeness_report(model, max_len=2, n_limit=1)
 print(report.shape_checks)
 """
@@ -302,7 +328,7 @@ def test_covariance_shifts_corner_diagonals():
 
 def test_covariance_full_period_is_trivial():
     model = small_model(3)
-    u = model.corner_unitary(5, 2).element
+    u = model.corner_unitary(5, 2)
     d = model.base_diagonal({"x1": 1})
     assert u * d * u.adjoint() == d
 
@@ -310,7 +336,7 @@ def test_covariance_full_period_is_trivial():
 def test_covariance_single_case_frozen():
     # one hand-checked instance: conjugation moves the point one step
     model = small_model(2)
-    u = model.corner_unitary(1, 2).element
+    u = model.corner_unitary(1, 2)
     lhs = u * model.base_diagonal({"x0": 1}) * u.adjoint()
     assert lhs == model.base_diagonal({"x1": 1})
 
@@ -334,6 +360,6 @@ def test_reduction_frozen_cases():
     assert crushed == model.product.zero()
     shifted = face_b.bracket(face_b.shift_power(2), 2, 1)
     got = left * model.embed(shifted) * model.embed(face_a.matrix_unit(1, 1))
-    assert got == model.corner_unitary(2, 2).element
+    assert got == model.corner_unitary(2, 2)
     got = left * model.embed(shifted) * model.embed(face_a.matrix_unit(2, 1))
     assert got == model.product.zero()
