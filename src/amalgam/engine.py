@@ -15,8 +15,9 @@ recursively computed expectation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 from .boundary import act
 from .fmalg import FMElement, FiniteRelation
@@ -290,6 +291,10 @@ class CrossedFace(Algebra):
                 for image in act(g.inverse(), w)}
         return CylFn(self.alphabet, ones).support_projection()
 
+    def seam(self, a, b):
+        """b cut to the right support q of a, so that a b = a (q b)."""
+        return self.d_mul(self.right_support(a), b, left=True)
+
     def d_one(self):
         return CylFn.one(self.alphabet)
 
@@ -352,6 +357,16 @@ class FMFace(Algebra):
                 out[pair] = s * value
                 same = False
         return x if same else FMElement._result(self.relation, out)
+
+    def seam(self, a: FMElement, b: FMElement):
+        """b cut to the right support of a, so that a b = a (cut b): the
+        rows of b among the columns of a; b itself when all of them are."""
+        cols = {y for _, y in a.coeffs}
+        for x, _ in b.coeffs:
+            if x not in cols:
+                return FMElement._result(self.relation, {
+                    p: v for p, v in b.coeffs.items() if p[0] in cols})
+        return b
 
     def d_one(self):
         return FMElement.one(self.drel)
@@ -477,10 +492,8 @@ class FreeProduct:
 
     def letters_product(self, letters) -> MElement:
         """Fold a (tag, element) sequence into the product algebra."""
-        out = self.one()
-        for tag, x in letters:
-            out = out * self.embed(tag, x)
-        return out
+        embedded = [self.embed(tag, x) for tag, x in letters]
+        return reduce(operator.mul, embedded) if embedded else self.one()
 
     # -- multiplication -----------------------------------------------------
 
@@ -522,12 +535,13 @@ class FreeProduct:
         while True:
             (tag, a), (tag_b, b) = left[-1], right[0]
             if tag != tag_b:
-                # no merge; tighten the seam with the right support of the
-                # left letter, since a b = a q b for that projection q
-                seamed = self._word_times_d(
-                    right, self.faces[tag].right_support(a), left=True)
-                if seamed is not None:
-                    words.append(left + seamed)
+                # no merge; a b = a (q b) for the right support q of a
+                face = self.faces[tag_b]
+                cut = face.seam(a, b)
+                if cut is b:
+                    words.append(left + right)
+                elif not face.is_zero(cut):
+                    words.append(left + ((tag_b, cut),) + right[1:])
                 return None, words
             face = self.faces[tag]
             d, centered = face.split(face.mul(a, b))

@@ -305,6 +305,66 @@ def test_seam_projection_drops_terms_of_the_right_letter():
     assert product.embed("A", a) * product.embed("B", c) == product.zero()
 
 
+SEAM_BASE = FiniteBase.uniform(("x", "y", "z", "w"))
+SEAM_PRODUCT = FreeProduct(
+    FMFace("A", FiniteRelation.from_classes(SEAM_BASE, [("x", "y", "z")])),
+    FMFace("B", FiniteRelation.from_classes(SEAM_BASE, [("y", "z", "w")])))
+SEAM_A, SEAM_B = SEAM_PRODUCT.face("A"), SEAM_PRODUCT.face("B")
+
+
+def face_element_st(face):
+    return st.dictionaries(
+        st.sampled_from(sorted(face.relation.pairs)),
+        st.builds(QC, st.integers(-2, 2).map(lambda n: Fraction(n, 2)),
+                  st.integers(-1, 1)),
+        max_size=5,
+    ).map(face.element)
+
+
+A_ELEMENT, B_ELEMENT = face_element_st(SEAM_A), face_element_st(SEAM_B)
+A_XY, B_YZ = SEAM_A.unit("x", "y"), SEAM_B.unit("y", "z")
+B_TWO_ROWS = SEAM_B.element({("y", "z"): QC(1), ("w", "z"): QC(Fraction(1, 2))})
+B_W_ROW = SEAM_B.element({("w", "y"): QC(3)})
+A_TWO_ROWS = SEAM_A.element({("z", "x"): QC(1), ("y", "x"): QC(-2)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(A_ELEMENT, B_ELEMENT, st.booleans())
+@example(A_XY, B_YZ, True)  # every row kept: b itself
+@example(A_XY, B_TWO_ROWS, True)  # the w row dropped
+@example(A_XY, B_W_ROW, True)  # nothing survives
+def test_fm_seam_is_the_projection_by_the_right_support(x, y, a_left):
+    (left_face, a), (right_face, b) = ((SEAM_A, x), (SEAM_B, y)) if a_left \
+        else ((SEAM_B, y), (SEAM_A, x))
+    cut = right_face.seam(a, b)
+    assert cut == right_face.d_mul(left_face.right_support(a), b, left=True)
+    columns = {col for _, col in a.coeffs}
+    rows = {row for row, _ in b.coeffs}
+    assert (cut is b) == (rows <= columns)
+    assert cut.is_zero() == (not rows & columns)
+    full = FiniteRelation.full(SEAM_BASE)
+    assert a.cast(full) * b.cast(full) == a.cast(full) * cut.cast(full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(A_ELEMENT, B_ELEMENT, A_ELEMENT, B_ELEMENT, st.booleans())
+# each seam keeps one row of the right letter and drops another
+@example(A_XY, B_TWO_ROWS, A_TWO_ROWS, B_YZ, True)
+@example(A_XY + SEAM_A.unit("z", "y"), B_TWO_ROWS, A_TWO_ROWS, B_TWO_ROWS,
+         False)
+def test_three_letter_normal_form_matches_the_recursion(a1, b1, a2, b2,
+                                                        a_outer):
+    letters = [("A", a1), ("B", b1), ("A", a2)] if a_outer \
+        else [("B", b1), ("A", a1), ("B", b2)]
+    x = SEAM_PRODUCT.letters_product(letters)
+    assert x.expectation() == SEAM_PRODUCT.expectation(letters)
+    # a cut letter reaches E only through a later merge, as in x* x
+    adjoints = [(tag, SEAM_PRODUCT.face(tag).adjoint(y))
+                for tag, y in reversed(letters)]
+    assert (x.adjoint() * x).expectation() == \
+        SEAM_PRODUCT.expectation(adjoints + letters)
+
+
 REL_FULL = FiniteRelation.full(BASE)
 FULL_FACE = FMFace("A", REL_FULL)
 d_entry_st = st.sampled_from(
@@ -345,6 +405,7 @@ def test_embed_is_weakly_multiplicative_within_a_face():
 def test_melement_unit_and_structural_equality():
     product = fm_product()
     x = product.letters_product(fm_letters(product)[:2])
+    assert product.letters_product([]) == product.one()
     assert product.one() * x == x
     assert x * product.one() == x
     assert x - x == product.zero()
