@@ -4,8 +4,10 @@
 
 Each command runs in process through `amalgam.cli.main`; the transcript
 gives its argv, exit code, stdout and stderr. Two checkouts that print the
-same transcript answer every listed command alike, so `cmp` of the two
-files checks that a change kept the outputs byte-identical. The list holds
+same transcript answer every listed command alike. `scripts/transcript.txt`
+holds the output of the current code, so piping a fresh run into
+`diff -u scripts/transcript.txt -` checks that a change kept the outputs
+byte-identical, and shows the commands whose output changed. The list holds
 the README examples, one or more of every command form, the input errors,
 relations built from configured classes, `suite67` in both formats and
 under three more size mappings (`--max-len 2`, `--depth 3` and a weighted

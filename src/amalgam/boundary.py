@@ -26,15 +26,9 @@ from .words import Alphabet, ReducedWord, ball, count_sphere
 @dataclass(frozen=True)
 class CylinderUnion:
     """Disjoint union of cylinders, named by prefixes none of which extends
-    another."""
+    another; its builders, act and complement_decomposition, make them so."""
 
     cylinders: tuple[ReducedWord, ...]
-
-    def __post_init__(self):
-        for i, c in enumerate(self.cylinders):
-            for d in self.cylinders[i + 1:]:
-                if c.starts_with(d) or d.starts_with(c):
-                    raise ValueError(f"nested cylinders O({c}) and O({d})")
 
     def measure(self):
         return sum(map(cylinder_measure, self.cylinders), Fraction(0))

@@ -43,20 +43,24 @@ class CylFn:
     __slots__ = ("alphabet", "terms")
 
     def __init__(self, alphabet, terms):
+        """terms: (prefix word, QC value) pairs, in any order and with
+        repeated or nested prefixes; values on one cylinder add.  Callers
+        pass QC values and _canonical sums from the int 0, so every stored
+        value is a QC."""
         self.alphabet = alphabet
         self.terms = _canonical(alphabet, terms)
 
     @staticmethod
     def zero(alphabet):
-        return CylFn(alphabet, {})
+        return CylFn(alphabet, ())
 
     @staticmethod
     def one(alphabet):
-        return CylFn(alphabet, {ReducedWord.identity(alphabet): ONE})
+        return CylFn(alphabet, [(ReducedWord.identity(alphabet), ONE)])
 
     @staticmethod
     def indicator(prefix: ReducedWord):
-        return CylFn(prefix.alphabet, {prefix: ONE})
+        return CylFn(prefix.alphabet, [(prefix, ONE)])
 
     def depth(self):
         return max((len(w) for w in self.terms), default=0)
@@ -67,13 +71,10 @@ class CylFn:
     def __add__(self, other):
         if self.alphabet != other.alphabet:
             raise ValueError("cylinder functions over different alphabets")
-        out = dict(self.terms)
-        for w, v in other.terms.items():
-            out[w] = out[w] + v if w in out else v
-        return CylFn(self.alphabet, out)
+        return CylFn(self.alphabet, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        return CylFn(self.alphabet, {w: -v for w, v in self.terms.items()})
+        return CylFn(self.alphabet, ((w, -v) for w, v in self.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -82,32 +83,25 @@ class CylFn:
         """Pointwise product; supports pair off only when nested."""
         if self.alphabet != other.alphabet:
             raise ValueError("cylinder functions over different alphabets")
-        out = {}
-        for w1, v1 in self.terms.items():
-            for w2, v2 in other.terms.items():
-                if w1.starts_with(w2) or w2.starts_with(w1):
-                    key = w1 if len(w1) >= len(w2) else w2
-                    term = v1 * v2
-                    out[key] = out[key] + term if key in out else term
-        return CylFn(self.alphabet, out)
+        return CylFn(self.alphabet, (
+            (w1 if len(w1) >= len(w2) else w2, v1 * v2)
+            for w1, v1 in self.terms.items() for w2, v2 in other.terms.items()
+            if w1.starts_with(w2) or w2.starts_with(w1)))
 
     def scale(self, scalar):
         scalar = QC.coerce(scalar)
-        return CylFn(self.alphabet, {w: scalar * v for w, v in self.terms.items()})
+        return CylFn(self.alphabet, ((w, scalar * v) for w, v in self.terms.items()))
 
     def adjoint(self):
-        return CylFn(self.alphabet, {w: v.conjugate() for w, v in self.terms.items()})
+        return CylFn(self.alphabet, ((w, v.conjugate()) for w, v in self.terms.items()))
 
     def translate(self, gamma: ReducedWord):
         """The function composed with translation by gamma inverse."""
-        out = {}
-        for w, v in self.terms.items():
-            for key in act(gamma, w):
-                out[key] = out[key] + v if key in out else v
-        return CylFn(self.alphabet, out)
+        return CylFn(self.alphabet, ((image, v) for w, v in self.terms.items()
+                                     for image in act(gamma, w)))
 
     def support_projection(self):
-        return CylFn(self.alphabet, {w: ONE for w in self.terms})
+        return CylFn(self.alphabet, ((w, ONE) for w in self.terms))
 
     def value_at(self, word: ReducedWord):
         """Value on any point extending the given word; word must be deep."""
@@ -131,13 +125,15 @@ class CylFn:
 
 
 def _canonical(alphabet, terms):
-    """Push coefficients down a prefix trie, then merge complete siblings;
-    both passes loop, so no term is too deep for the call stack."""
-    root = [QC(0), {}]
-    for word, value in terms.items():
+    """Sum the (word, value) pairs into a prefix trie, push coefficients
+    down it, then merge complete siblings and drop zeros; the one place
+    that adds cylinder coefficients.  Both passes loop, so no term is too
+    deep for the call stack."""
+    root = [0, {}]
+    for word, value in terms:
         node = root
         for letter in word.letters:
-            node = node[1].setdefault(letter, [QC(0), {}])
+            node = node[1].setdefault(letter, [0, {}])
         node[0] = node[0] + value
     leaves, order, families = {}, [], []
     stack = [((), 0, *root)]  # 0 is no letter: the root excludes none
@@ -289,7 +285,7 @@ class CrossedFace(Algebra):
         """Smallest diagonal projection q with x q = x."""
         ones = {image: ONE for g, f in x.items() for w in f.terms
                 for image in act(g.inverse(), w)}
-        return CylFn(self.alphabet, ones).support_projection()
+        return CylFn(self.alphabet, ones.items()).support_projection()
 
     def seam(self, a, b):
         """b cut to the right support q of a, so that a b = a (q b)."""
@@ -504,8 +500,11 @@ class FreeProduct:
             d_total = y.d_part
         else:
             d_total = x.d_part * y.d_part
-        words = [self._word_times_d(w, y.d_part, left=False) for w in x.words]
-        words += [self._word_times_d(v, x.d_part, left=True) for v in y.words]
+        words = []
+        if not y.d_part.is_zero():
+            words += [self._word_times_d(w, y.d_part, left=False) for w in x.words]
+        if not x.d_part.is_zero():
+            words += [self._word_times_d(v, x.d_part, left=True) for v in y.words]
         words = [w for w in words if w is not None]
         for w in x.words:
             for v in y.words:

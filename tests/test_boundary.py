@@ -46,11 +46,6 @@ def test_refine_rejects_coarser_depth():
         refine(w(AB, "a b"), 1)
 
 
-def test_union_rejects_nested_cylinders():
-    with pytest.raises(ValueError, match=r"nested cylinders O\(a\) and O\(a b\)"):
-        CylinderUnion((w(AB, "a"), w(AB, "a b")))
-
-
 def test_act_single_cylinder_cases():
     image = act(w(AB, "a'"), w(AB, "a b"))
     assert [str(c) for c in image] == ["b"]

@@ -78,7 +78,25 @@ cylfn_st = st.dictionaries(
     st.sampled_from(ball(AB, 2)),
     st.builds(QC, st.integers(-3, 3).map(Fraction)),
     max_size=4,
-).map(lambda terms: CylFn(AB, terms))
+).map(lambda terms: CylFn(AB, terms.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(ball(AB, 2)),
+                          st.builds(QC, st.integers(-3, 3), st.integers(-1, 1))),
+                max_size=8))
+@example([(w("a"), QC(1)), (w("a"), QC(2))])  # a repeated prefix
+@example([(w("a"), QC(1)), (w("a b"), QC(2)), (w("a b"), QC(-1))])  # nested
+def test_cylfn_sums_its_pairs(pairs):
+    f = CylFn(AB, pairs)
+    summed = {}
+    for word, value in pairs:
+        summed[word] = summed.get(word, 0) + value
+    assert f == CylFn(AB, summed.items())
+    for omega in sphere(AB, 3):
+        assert f.value_at(omega) == sum(
+            (value for word, value in pairs if omega.starts_with(word)), QC(0))
+    assert all(type(value) is QC for value in f.terms.values())
 
 
 @settings(max_examples=40, deadline=None)
