@@ -120,10 +120,12 @@ class FiniteRelation:
 class FMElement:
     """Combination of matrix units supported in one relation."""
 
-    __slots__ = ("relation", "coeffs")
+    # coeffs is never mutated after construction, so columns() can be kept
+    __slots__ = ("relation", "coeffs", "_columns")
 
     def __init__(self, relation, coeffs):
         self.relation = relation
+        self._columns = None
         clean = {}
         for pair, value in coeffs.items():
             if pair not in relation.pairs:
@@ -137,7 +139,7 @@ class FMElement:
     def _result(cls, relation, coeffs):
         """Trusted constructor: coeffs are nonzero scalars in the relation."""
         out = cls.__new__(cls)
-        out.relation, out.coeffs = relation, coeffs
+        out.relation, out.coeffs, out._columns = relation, coeffs, None
         return out
 
     @staticmethod
@@ -208,10 +210,16 @@ class FMElement:
     def is_zero(self):
         return not self.coeffs
 
+    def columns(self):
+        """The set of column points y of the pairs (x, y), built once."""
+        if self._columns is None:
+            self._columns = {y for _, y in self.coeffs}
+        return self._columns
+
     def right_support(self):
         """Smallest diagonal projection q with self * q = self."""
-        cols = {y for _, y in self.coeffs}
-        return FMElement._result(self.relation, {(y, y): ONE for y in cols})
+        return FMElement._result(self.relation,
+                                 {(y, y): ONE for y in self.columns()})
 
     def left_support(self):
         rows = {x for x, _ in self.coeffs}

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import amalgam.boundary
 from amalgam import battery
 from amalgam.engine import (
-    CrossedFace, CylFn, DepthBudgetExceeded, FMFace, FreeProduct, MAmbient,
-    freeness_check, haar_check,
+    Algebra, CrossedFace, CylFn, DepthBudgetExceeded, FMFace, FreeProduct,
+    MAmbient, freeness_check, haar_check,
 )
 from amalgam.fmalg import FMElement, FiniteBase, FiniteRelation
 from amalgam.scalars import ONE, QC
@@ -362,6 +362,22 @@ def test_fm_seam_is_the_projection_by_the_right_support(x, y, a_left):
     assert cut.is_zero() == (not rows & columns)
     full = FiniteRelation.full(SEAM_BASE)
     assert a.cast(full) * b.cast(full) == a.cast(full) * cut.cast(full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(A_ELEMENT)
+@example(SEAM_A.zero())
+@example(SEAM_A.element({("x", "x"): QC(2), ("z", "z"): QC(0, 1)}))  # diagonal
+@example(A_TWO_ROWS)  # off-diagonal only
+def test_fm_split_matches_the_generic_split(x):
+    d, centered = SEAM_A.split(x)
+    generic_d, generic_centered = Algebra.split(SEAM_A, x)
+    assert d == generic_d and centered == generic_centered
+    assert d.relation == SEAM_A.drel and set(d.coeffs) <= SEAM_A.drel.pairs
+    assert centered.relation == SEAM_A.relation
+    assert set(centered.coeffs) <= SEAM_A.relation.pairs
+    columns = {y for _, y in x.coeffs}
+    assert x.columns() == columns and x.columns() == columns
 
 
 @settings(max_examples=100, deadline=None)
