@@ -97,10 +97,7 @@ def parse_config(text):
     alphabet_spec = sections.get("alphabet", {})
     block1 = tuple(alphabet_spec.get("block1", "a").split())
     block2 = tuple(alphabet_spec.get("block2", "b").split())
-    try:
-        alphabet = Alphabet(block1 + block2, len(block1))
-    except ValueError as exc:
-        raise ConfigError("bad alphabet: %s" % exc) from exc
+    alphabet = _built("bad alphabet: ", Alphabet, block1 + block2, len(block1))
 
     base_spec = sections.get("base", {})
     default_points = " ".join("x%d" % i for i in range(11))
@@ -114,31 +111,19 @@ def parse_config(text):
                 weights.append(Fraction(token))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError("bad weight: %s" % token) from exc
-        try:
-            base = FiniteBase(points, tuple(weights))
-        except ValueError as exc:
-            raise ConfigError("bad state: %s" % exc) from exc
+        base = _built("bad state: ", FiniteBase, points, tuple(weights))
     else:
-        try:
-            base = FiniteBase.uniform(points)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        base = _built("", FiniteBase.uniform, points)
 
     alpha_spec = sections.get("alpha", {})
     if "cycles" in alpha_spec:
         cycles = _parse_groups(alpha_spec["cycles"], "(", ")")
-        try:
-            alpha = Permutation.from_cycles(base, cycles)
-        except ValueError as exc:
-            raise ConfigError("bad cycles: %s" % exc) from exc
+        alpha = _built("bad cycles: ", Permutation.from_cycles, base, cycles)
     else:
         alpha = Permutation.from_cycles(base, (points,))
 
     classes = _parse_groups(base_spec.get("classes", ""), "{", "}")
-    try:
-        plain = FiniteRelation.from_classes(base, classes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    plain = _built("", FiniteRelation.from_classes, base, classes)
 
     limit_spec = sections.get("limits", {})
     limits = {}
@@ -150,6 +135,14 @@ def parse_config(text):
 
     return RunConfig(alphabet=alphabet, base=base, alpha=alpha,
                      plain=plain, **limits)
+
+
+def _built(prefix, build, *args):
+    """build(*args), with its ValueError raised again as a ConfigError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def _split_sections(text):

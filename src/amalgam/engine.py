@@ -577,7 +577,7 @@ class FreeProduct:
         Independent of the MElement normal form: merges same-face
         neighbours, then expands letters into centered + diagonal parts.
         The all-centered alternating term vanishes; every other term drops
-        at least two letters, so the recursion terminates.
+        at least one letter, so the recursion terminates.
         """
         return self._expect(self._merge_neighbours(letters), 0)
 
@@ -592,6 +592,8 @@ class FreeProduct:
         return out
 
     def _expect(self, seq, known_centered):
+        """seq[:known_centered] is centered already; the scan overwrites
+        each later letter of seq with its centered part."""
         m = len(seq)
         if m == 0:
             return self.d_one()
@@ -599,7 +601,6 @@ class FreeProduct:
             tag, x = seq[0]
             return self.faces[tag].expect(x)
         total = self.d_zero()
-        centered_prefix = list(seq[:known_centered])
         for i in range(known_centered, m):
             tag_i, x_i = seq[i]
             face_i = self.faces[tag_i]
@@ -613,39 +614,30 @@ class FreeProduct:
                 # normal form, which uses d_mul, against this recursion
                 absorbed = face_n.mul(face_n.embed_d(d_i), x_n)
                 if not face_n.is_zero(absorbed):
-                    if i == 0:
-                        rest = [(tag_n, absorbed)] + list(seq[i + 2:])
-                        total = total + self._expect(rest, 0)
-                    else:
-                        tag_l, x_l = centered_prefix[i - 1]
-                        assert tag_l == tag_n  # two faces alternate
-                        merged = face_n.mul(x_l, absorbed)
-                        if not face_n.is_zero(merged):
-                            rest = centered_prefix[:i - 1] + \
-                                [(tag_n, merged)] + list(seq[i + 2:])
-                            total = total + self._expect(rest, i - 1)
+                    # the absorbed letter merges with the centered one before
+                    rest = seq[:i] + [(tag_n, absorbed)] + seq[i + 2:]
+                    total = total + self._expect(
+                        self._merge_neighbours(rest), max(i - 1, 0))
             # the i == m-1 diagonal branch is a centered alternating word
             # times a diagonal on the right: its expectation vanishes
             if face_i.is_zero(centered):
                 return total  # later branches all contain this zero letter
-            centered_prefix.append((tag_i, centered))
+            seq[i] = (tag_i, centered)
         return total
 
     @cached_property
     def _oracle_start(self):
-        """The full-group face of the oracle and its unit, built once."""
+        """The full-group face of the oracle, built once."""
         some_face = self.faces[self.tags[0]]
-        full = CrossedFace("M", some_face.alphabet, None, some_face.budget)
-        return full, full.one()
+        return CrossedFace("M", some_face.alphabet, None, some_face.budget)
 
     def oracle_expectation(self, letters) -> CylFn:
         """Direct crossed-product computation; boundary backend only."""
         if not self.is_boundary:
             raise ValueError("the oracle needs the boundary backend")
-        full, out = self._oracle_start
-        for _, x in letters:
-            out = full.mul(out, x)
-        return full.expect(out)
+        full = self._oracle_start
+        xs = [x for _, x in letters]
+        return full.expect(reduce(full.mul, xs) if xs else full.one())
 
     # -- semantic equality up to padded moments ------------------------------
 
@@ -740,7 +732,6 @@ def freeness_check(algebra, families, max_len) -> SweepReport:
 
 @dataclass
 class HaarReport:
-    max_k: int
     unitary_ok: bool
     failed_exponents: list = field(default_factory=list)
 
@@ -757,7 +748,7 @@ def haar_check(algebra, u, max_k, unit=None) -> HaarReport:
     u_star = algebra.adjoint(u)
     unitary_ok = algebra.mul(u, u_star) == unit and \
         algebra.mul(u_star, u) == unit
-    report = HaarReport(max_k=max_k, unitary_ok=unitary_ok)
+    report = HaarReport(unitary_ok=unitary_ok)
     for base, sign in ((u, 1), (u_star, -1)):
         power = base
         for k in range(1, max_k + 1):

@@ -57,9 +57,6 @@ class Permutation:
     def __call__(self, x):
         return self.mapping[x]
 
-    def is_identity(self):
-        return all(y == x for x, y in self.mapping.items())
-
     def inverse(self):
         return self.power(-1)
 

@@ -73,16 +73,6 @@ class QC:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QC(Fraction(self.re) / other, Fraction(self.im) / other)
-        if isinstance(other, QC):
-            n = other.re * other.re + other.im * other.im
-            if n == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return self * QC(Fraction(other.re) / n, -Fraction(other.im) / n)
-        return NotImplemented
-
     def conjugate(self):
         return QC(self.re, -self.im)
 

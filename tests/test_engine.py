@@ -501,6 +501,32 @@ def test_oracle_agreement_small_sweep():
     assert checked == 4 + 16 + 64
 
 
+def test_boundary_norm_of_a_product_matches_the_recursion():
+    # E(z* z) by the normal-form product, which cuts every cross-face seam
+    # to the left letter's right support, against the raw-letter recursion,
+    # which never cuts a seam
+    product = boundary_product(8)
+    face_a, face_b = product.face("A"), product.face("B")
+    generators = [
+        ("A", face_a.unitary(w("a"))),
+        ("B", face_b.unitary(w("b"))),
+        ("A", face_a.embed_d(indicator("a b"))),
+        ("B", face_b.embed_d(indicator("b"))),
+        ("A", face_a.element({w("a"): indicator("b")})),
+        ("B", face_b.element({w("b'"): indicator("a")})),
+    ]
+    checked = 0
+    for length in (2, 3):
+        for letters in itertools.product(generators, repeat=length):
+            z = product.letters_product(letters)
+            adjoints = [(tag, product.face(tag).adjoint(x))
+                        for tag, x in reversed(letters)]
+            norm = product.expectation(adjoints + list(letters))
+            assert (z.adjoint() * z).d_part == norm, letters
+            checked += 1
+    assert checked == 36 + 216
+
+
 def test_crossed_hot_path_never_refines(monkeypatch):
     # act translates cylinders in closed form, with refinement as its test
     # oracle only, so a criterion-05 style sweep must never call refine

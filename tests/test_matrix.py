@@ -32,7 +32,7 @@ def small_model(k=3):
 def test_permutation_cycles_and_order():
     assert SHIFT5("x0") == "x1" and SHIFT5("x4") == "x0"
     assert SHIFT5.order() == 5
-    assert SHIFT5.power(5).is_identity()
+    assert all(len(cycle) == 1 for cycle in SHIFT5.power(5).cycles)
     assert SHIFT5.power(-1)("x0") == "x4"
     assert SHIFT5.power(7)("x0") == "x2"
     two = Permutation.from_cycles(BASE5, (("x0", "x1"), ("x2", "x3", "x4")))
