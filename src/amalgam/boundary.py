@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .words import Alphabet, ReducedWord, ball, count_sphere
+from .words import Alphabet, ReducedWord, ball, count_sphere, seam_cancel
 
 
 @dataclass(frozen=True)
@@ -41,11 +42,16 @@ class CylinderUnion:
 
 
 def cylinder_measure(prefix: ReducedWord) -> Fraction:
-    d = len(prefix)
-    if d == 0:
+    return _depth_measure(prefix.alphabet.size, len(prefix))
+
+
+@lru_cache(maxsize=256)
+def _depth_measure(size, depth):
+    """Measure of a cylinder of the given depth over size generators."""
+    if depth == 0:
         return Fraction(1)
-    n2 = 2 * prefix.alphabet.size
-    return Fraction(1, n2 * (n2 - 1) ** (d - 1))
+    n2 = 2 * size
+    return Fraction(1, n2 * (n2 - 1) ** (depth - 1))
 
 
 def refine(prefix: ReducedWord, depth: int):
@@ -62,13 +68,9 @@ def refine(prefix: ReducedWord, depth: int):
 
 def _cancelled(gamma: ReducedWord, prefix: ReducedWord) -> int:
     """Number of letters gamma cancels from the front of prefix."""
-    if gamma.alphabet != prefix.alphabet:
+    if gamma.alphabet is not prefix.alphabet and gamma.alphabet != prefix.alphabet:
         raise ValueError("alphabet mismatch")
-    g, w = gamma.letters, prefix.letters
-    k = 0
-    while k < min(len(g), len(w)) and g[-1 - k] == -w[k]:
-        k += 1
-    return k
+    return seam_cancel(gamma.letters, prefix.letters)
 
 
 def act(gamma: ReducedWord, prefix: ReducedWord) -> CylinderUnion:
@@ -81,10 +83,11 @@ def act(gamma: ReducedWord, prefix: ReducedWord) -> CylinderUnion:
         return CylinderUnion((ReducedWord(prefix.alphabet, g[:len(g) - k] + w[k:]),))
     # gamma ends in w^-1: the image is the complement of O(p)
     p = g[:len(g) - len(w) + 1]
+    table = prefix.alphabet.extension_table
     return CylinderUnion(tuple(
         ReducedWord(prefix.alphabet, p[:j] + (a,))
         for j in range(len(p))
-        for a in prefix.alphabet.extensions(p[j - 1] if j else 0)
+        for a in table[p[j - 1] if j else 0, None]
         if a != p[j]))
 
 
@@ -100,7 +103,13 @@ def rn_exponent(gamma: ReducedWord, prefix: ReducedWord) -> int:
 
 
 def rn_ratio(gamma: ReducedWord, prefix: ReducedWord) -> Fraction:
-    return Fraction(2 * prefix.alphabet.size - 1) ** rn_exponent(gamma, prefix)
+    return _ratio_power(prefix.alphabet.size, rn_exponent(gamma, prefix))
+
+
+@lru_cache(maxsize=256)
+def _ratio_power(size, k):
+    """(2n-1)^k for n = size generators."""
+    return Fraction(2 * size - 1) ** k
 
 
 def complement_decomposition(alphabet: Alphabet, block: int, max_len: int) -> CylinderUnion:

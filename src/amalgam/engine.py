@@ -69,7 +69,7 @@ class CylFn:
         return not self.terms
 
     def __add__(self, other):
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("cylinder functions over different alphabets")
         return CylFn(self.alphabet, [*self.terms.items(), *other.terms.items()])
 
@@ -81,7 +81,7 @@ class CylFn:
 
     def __mul__(self, other):
         """Pointwise product; supports pair off only when nested."""
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("cylinder functions over different alphabets")
         return CylFn(self.alphabet, (
             (w1 if len(w1) >= len(w2) else w2, v1 * v2)
@@ -135,6 +135,7 @@ def _canonical(alphabet, terms):
         for letter in word.letters:
             node = node[1].setdefault(letter, [0, {}])
         node[0] = node[0] + value
+    table = alphabet.extension_table
     leaves, order, families = {}, [], []
     stack = [((), 0, *root)]  # 0 is no letter: the root excludes none
     while stack:
@@ -143,7 +144,7 @@ def _canonical(alphabet, terms):
         if not children:
             leaves[prefix] = value
             continue
-        family = [prefix + (a,) for a in alphabet.extensions(last)]
+        family = [prefix + (a,) for a in table[last, None]]
         families.append((prefix, family))
         for child in reversed(family):
             node = children.get(child[-1])

@@ -4,16 +4,17 @@ Generators are indexed 0..n-1; the first block_size of them form block 1 and
 the rest form block 2.  A letter is a nonzero int: +(i+1) for generator i and
 -(i+1) for its inverse, so a letter's inverse is its negation and a cancels b
 exactly when a == -b.  Only Alphabet maps a letter to its index, name or block,
-and only Alphabet.extensions says which letters may follow a letter.
+and only its extension table says which letters may follow a letter.
 A word is a tuple of letters with no cancelling adjacent pair.  Everything
 downstream (cylinders, crossed products) indexes by these words, so reduction
 is eager: parse and from_letters reduce; the ReducedWord constructor trusts
-its letters.
+its letters, and a product of two reduced words cancels only at the seam.
+Words compare and hash by their letters; the alphabet only breaks ties.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -22,6 +23,9 @@ class Alphabet:
 
     names: tuple[str, ...]
     block_size: int
+    # (last, block) -> extensions(last, block), for last 0 or any letter
+    # and block None, 1 or 2; built once, read on every trie step and act
+    extension_table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -33,6 +37,11 @@ class Alphabet:
                 raise ValueError(f"generator name must be lowercase: {name!r}")
             if name.endswith("'"):
                 raise ValueError(f"bad generator name: {name!r}")
+        if "e" in self.names:
+            raise ValueError("generator name e is reserved for the identity")
+        object.__setattr__(self, "extension_table", {
+            (last, block): [a for a in self.letters(block) if a != -last]
+            for last in (0, *self.letters()) for block in (None, 1, 2)})
 
     @property
     def size(self):
@@ -58,8 +67,12 @@ class Alphabet:
 
     def extensions(self, last=0, block=None):
         """Letters of the block that may follow last without cancelling it,
-        in letters() order; last 0 is no letter."""
-        return [a for a in self.letters(block) if a != -last]
+        in letters() order; last 0 is no letter.  The list is shared: do
+        not change it."""
+        try:
+            return self.extension_table[last, block]
+        except KeyError:  # not a letter or not a block: the plain definition
+            return [a for a in self.letters(block) if a != -last]
 
     def letter(self, name: str) -> int:
         base = name[:-1] if name.endswith("'") else name
@@ -71,6 +84,15 @@ class Alphabet:
     def render_letter(self, letter: int) -> str:
         name = self.names[abs(letter) - 1]
         return name if letter > 0 else name + "'"
+
+
+def seam_cancel(g, h):
+    """Number of letters at the end of the reduced g that cancel the start
+    of the reduced h."""
+    k, n = 0, min(len(g), len(h))
+    while k < n and g[-1 - k] == -h[k]:
+        k += 1
+    return k
 
 
 def _reduce(letters):
@@ -87,6 +109,15 @@ def _reduce(letters):
 class ReducedWord:
     alphabet: Alphabet
     letters: tuple[int, ...]
+
+    def __eq__(self, other):
+        if not isinstance(other, ReducedWord):
+            return NotImplemented
+        return self.letters == other.letters and (
+            self.alphabet is other.alphabet or self.alphabet == other.alphabet)
+
+    def __hash__(self):
+        return hash(self.letters)
 
     @staticmethod
     def from_letters(alphabet, letters):
@@ -110,9 +141,11 @@ class ReducedWord:
     def __mul__(self, other):
         if not isinstance(other, ReducedWord):
             return NotImplemented
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
-        return ReducedWord.from_letters(self.alphabet, self.letters + other.letters)
+        g, h = self.letters, other.letters
+        k = seam_cancel(g, h)
+        return ReducedWord(self.alphabet, g[:len(g) - k] + h[k:])
 
     def inverse(self):
         return ReducedWord(self.alphabet, tuple(-a for a in reversed(self.letters)))

@@ -397,6 +397,21 @@ def test_error_exits_with_two(capsys, tmp_path):
         (2, "", "error: point in two classes\n")
 
 
+RESERVED_E = "[alphabet]\nblock1 = e\nblock2 = b\n"
+RESERVED_E_ERROR = "error: bad alphabet: generator name e is reserved for the identity"
+
+
+@pytest.mark.parametrize("argv", [("measure", "O(e)"), ("rn", "e", "O(e b)")])
+def test_generator_named_e_exits_with_two(capsys, tmp_path, argv):
+    # every e in an expression is the identity, so a generator named e
+    # could never be addressed: O(e) measured the whole space
+    path = tmp_path / "e.cfg"
+    path.write_text(RESERVED_E)
+    code, out, err = run(capsys, "--config", str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [RESERVED_E_ERROR]
+
+
 @pytest.mark.parametrize("argv, err", [
     (("haar", "a", "0"), "kmax must be at least 1, not 0"),
     (("haar", "A[e]{1,2}", "-2"), "kmax must be at least 1, not -2"),
@@ -661,6 +676,11 @@ def test_duplicate_generator_rejected_without_asserts(tmp_path):
 def test_uppercase_generator_rejected_without_asserts(tmp_path):
     line = rejected_under_optimize(tmp_path, "[alphabet]\nblock1 = A\n", "join")
     assert line == "error: bad alphabet: generator name must be lowercase: 'A'"
+
+
+def test_generator_named_e_rejected_without_asserts(tmp_path):
+    line = rejected_under_optimize(tmp_path, RESERVED_E, "measure", "O(e)")
+    assert line == RESERVED_E_ERROR
 
 
 def test_overlapping_classes_rejected_without_asserts(tmp_path):

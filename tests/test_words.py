@@ -65,8 +65,9 @@ def test_block_indices_rejects_a_third_block():
     (("a", "B"), 1, "generator name must be lowercase: 'B'"),
     (("a", "1b"), 1, "generator name must be lowercase: '1b'"),
     (("a", "b'"), 1, "bad generator name: \"b'\""),
+    (("e", "b"), 1, "generator name e is reserved for the identity"),
 ], ids=["duplicate", "empty-block-1", "empty-block-2", "uppercase",
-        "digit-first", "apostrophe"])
+        "digit-first", "apostrophe", "reserved-e"])
 def test_alphabet_checks_its_names(names, block_size, message):
     with pytest.raises(ValueError, match="^%s$" % message):
         Alphabet(names, block_size)
@@ -190,3 +191,57 @@ def test_letter_encoding_boundary():
             assert alphabet.letter(name) == a
             assert (alphabet.block_of(a) == 1) == (name.rstrip("'") in block1)
         assert alphabet.letters(1) + alphabet.letters(2) == alphabet.letters()
+
+
+# -- the word layer's contract: extension table, equality and hash, product
+
+alphabets_st = st.integers(2, 4).flatmap(lambda n: st.builds(
+    Alphabet, st.just(tuple("abcd"[:n])), st.integers(1, n - 1)))
+
+
+def words_st(alphabet, max_size=8):
+    return st.lists(st.sampled_from(alphabet.letters()), max_size=max_size).map(
+        lambda letters: ReducedWord.from_letters(alphabet, letters))
+
+
+@given(alphabets_st)
+def test_extension_table_matches_the_definition(alphabet):
+    # brute force from the letter encoding alone: generator i is letter
+    # i + 1, in block 1 when i < block_size; a follows last unless a == -last
+    n, k = alphabet.size, alphabet.block_size
+    every = [s * (i + 1) for i in range(n) for s in (1, -1)]
+    blocks = {None: every, 1: [a for a in every if abs(a) <= k],
+              2: [a for a in every if abs(a) > k]}
+    want = {(last, block): [a for a in letters if a != -last]
+            for last in [0] + every for block, letters in blocks.items()}
+    assert alphabet.extension_table == want
+    for (last, block), letters in want.items():
+        assert alphabet.extensions(last, block) == letters
+
+
+@given(st.data())
+def test_words_compare_and_hash_by_letters(data):
+    alphabet = data.draw(alphabets_st)
+    word = data.draw(words_st(alphabet))
+    twin = Alphabet(alphabet.names, alphabet.block_size)
+    same = ReducedWord(twin, word.letters)
+    assert twin is not alphabet and same == word and word == same
+    assert hash(word) == hash(same) == hash(word.letters)
+    assert {word: 1}[same] == 1
+    # the same letters over another alphabet name another word
+    wider = Alphabet(alphabet.names + ("f",), alphabet.block_size)
+    assert ReducedWord(wider, word.letters) != word
+    assert word != word.letters and word.letters != word
+
+
+@given(st.data())
+def test_product_cancels_only_at_the_seam(data):
+    alphabet = data.draw(alphabets_st)
+    u, v = data.draw(words_st(alphabet)), data.draw(words_st(alphabet))
+    # cut starts with the first j letters of u's inverse, so up to all of u
+    # cancels at the seam
+    j = data.draw(st.integers(0, len(u)))
+    cut = ReducedWord.from_letters(alphabet, u.inverse().letters[:j] + v.letters)
+    for g, h in ((u, v), (u, cut), (u, u.inverse()), (cut, cut.inverse())):
+        assert g * h == ReducedWord.from_letters(alphabet, g.letters + h.letters)
+    assert (u * u.inverse()).letters == ()
