@@ -14,7 +14,7 @@ under three more size mappings (`--max-len 2`, `--depth 3` and a weighted
 three-generator config), depth sweeps of `moment`, `oracle`, `haar`
 and `freeness boundary` over boundary expressions drawn from a fixed seed,
 an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
-one letter deeper, and twenty-four late additions at the end, so that the
+one letter deeper, and thirty-one late additions at the end, so that the
 earlier commands keep their places. LIMIT runs only the first LIMIT commands.
 """
 
@@ -59,6 +59,8 @@ CONFIGS = {
                   "[base]\npoints = p q r s\nclasses = {p q}\n"
                   "[state]\nweights = 1/2 1/6 1/6 1/6\n"
                   "[alpha]\ncycles = (p q r s)\n[limits]\ndepth = 5\nk = 2\n",
+    "letters26.cfg": "[alphabet]\nblock1 = a b c d e1 f g h i j k l m\n"
+                     "block2 = n o p q r s t u v w x y z\n",
 }
 
 FIXED = [
@@ -215,6 +217,16 @@ def commands():
             ["moment", "e[x0,zz]"],
             ["moment", "A[e}"],
             ["--max-len", "1200", "freeness", "boundary"]]
+    # counts given on the command line are bounded, so none of these runs
+    # on; a value too long to print is an input error, not a traceback
+    out += [["moment", "e^100000000"],
+            ["moment", "A[e]{1,1}^-100000000"],
+            ["rn", "a^100000000", "O(b)"],
+            ["haar", "a", "100000000"],
+            ["series", "1", "100000000"],
+            ["series", "1", "10000"],
+            ["--config", "letters26.cfg", "measure",
+             "O(%s)" % " ".join(["a n"] * 1300)]]
     return out
 
 

@@ -30,6 +30,8 @@ from .matrix import (
 )
 from .words import ReducedWord
 
+SERIES_TERM_BOUND = 1000  # about 0.25 s at the bound
+
 
 @dataclass
 class Record:
@@ -45,21 +47,28 @@ def _yes(flag):
 # -- report emission --------------------------------------------------------------
 
 def emit(records, fmt, out=None):
-    """Print the records; each value is one token, a space printing as '.'."""
-    out = sys.stdout if out is None else out
+    """Print the records; each value is one token, a space printing as '.'.
+    Every record is rendered before any is written, so a value too long to
+    print leaves no half-written report."""
+    lines = []
     for record in records:
-        fields = [(key, str(value).replace(" ", "."))
-                  for key, value in record.fields]
+        try:
+            fields = [(key, str(value).replace(" ", "."))
+                      for key, value in record.fields]
+        except ValueError as exc:
+            # CPython prints no int of more than 4,300 digits by default
+            raise ValueError("record %s has a value too long to print"
+                             % record.name) from exc
         if record.ok is not None:
             fields.append(("ok", _yes(record.ok)))
         if fmt == "machine":
-            bits = ["record=%s" % record.name]
-            bits += ["%s=%s" % (key, value) for key, value in fields]
-            print(" ".join(bits), file=out)
+            lines.append(" ".join(["record=%s" % record.name]
+                                  + ["%s=%s" % field for field in fields]))
         else:
-            print(record.name, file=out)
-            for key, value in fields:
-                print("  %s = %s" % (key, value), file=out)
+            lines.append(record.name)
+            lines += ["  %s = %s" % field for field in fields]
+    lines.append("")
+    (sys.stdout if out is None else out).write("\n".join(lines))
 
 
 # -- individual commands -----------------------------------------------------------
@@ -96,6 +105,9 @@ def cmd_series(args, config):
     alphabet, block = config.alphabet, args.block
     if args.terms < 0:
         raise ValueError("terms must be at least 0, not %d" % args.terms)
+    if args.terms > SERIES_TERM_BOUND:
+        raise ValueError("terms must be at most %d, not %d"
+                         % (SERIES_TERM_BOUND, args.terms))
     partial = complement_series(alphabet, block, args.terms)
     tail = complement_series_tail(alphabet, block, args.terms)
     ok = partial + tail == 1
@@ -146,6 +158,10 @@ def cmd_haar(args, config):
     if args.kmax < 1:
         raise ValueError("kmax must be at least 1, not %d" % args.kmax)
     expr = dsl.parse(" ".join(args.expr), config)
+    if args.kmax * dsl.letter_count(expr) > dsl.LETTER_BOUND:
+        # the check raises the expression to every power up to kmax
+        raise ValueError("haar to kmax %d unfolds to more than %d letters"
+                         % (args.kmax, dsl.LETTER_BOUND))
     kind, context = _context_for(expr, config)
     element = dsl.evaluate(expr, context)
     unit = context.model.corner_identity() if kind == "corner" else None
@@ -353,6 +369,7 @@ def main(argv=None):
             # default keeps the model it built
             config = replace(config, **overrides)
         records = COMMANDS[args.command](args, config)
+        emit(records, args.format)  # a value too long to print is exit 2
     except (OSError, ValueError) as exc:
         # ConfigError and DslError are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
@@ -363,7 +380,6 @@ def main(argv=None):
     except AssertionError as exc:
         print("error: internal: %s" % exc, file=sys.stderr)
         return 4
-    emit(records, args.format)
     return 0 if all(record.ok is not False for record in records) else 1
 
 

@@ -29,6 +29,11 @@ KEYS = {"alphabet": ("block1", "block2"), "base": ("points", "classes"),
         "limits": ("depth", "k", "n_max", "kappa_max", "max_len")}
 
 
+# each amplified face relation has k^2 times the pairs of its core relation;
+# suite67 over the default base takes about 3.5 s at k = 8 and 13 s at k = 12
+K_BOUND = 8
+
+
 class ConfigError(ValueError):
     pass
 
@@ -48,6 +53,9 @@ class RunConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ConfigError("k must be at least 2, not %d" % self.k)
+        if self.k > K_BOUND:
+            raise ConfigError("k must be at most %d, not %d"
+                              % (K_BOUND, self.k))
         for name in ("depth", "n_max", "kappa_max", "max_len"):
             value = getattr(self, name)
             if value < 1:

@@ -1,5 +1,6 @@
 """Expression language round trips, config parsing, CLI exit codes."""
 
+import ast
 import importlib.util
 import io
 import json
@@ -145,6 +146,16 @@ def test_parse_errors_count_lines(text, message):
     with pytest.raises(DslError) as caught:
         dsl.parse(text, CFG)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("text, letters", [
+    ("e", 1), ("a b' a", 3), ("O(a b)", 2), ("A[u^9]{1,2} e[x0,x1]", 2),
+    ("~(a b)^-3", 6), ("O(a)^0", 1), ("(a^100)^50", 5000),
+])
+def test_letter_count(text, letters):
+    # x^n counts x |n| times, so nested powers multiply; an expression at
+    # the bound parses (one more letter is an INPUT_ERRORS row)
+    assert dsl.letter_count(dsl.parse(text, CFG)) == letters
 
 
 def test_word_value_folds_products():
@@ -383,47 +394,6 @@ def test_join_and_ergodic(capsys):
     assert "class_count=1" in out and "class_masses=1" in out
 
 
-def test_error_exits_with_two(capsys, tmp_path):
-    assert run(capsys, "measure", "O(a q)")[0] == 2
-    assert run(capsys, "moment", "a A[e]{1,2}")[0] == 2
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("[limits]\nbogus = 3\n")
-    assert run(capsys, "--config", str(bad), "join")[0] == 2
-    assert run(capsys, "--config", str(tmp_path / "missing.cfg"), "join")[0] == 2
-    # the plain relation is built when the file is read, so a command that
-    # never uses it refuses overlapping classes too
-    bad.write_text("[base]\npoints = p q r\nclasses = {p q} {q r}\n")
-    assert run(capsys, "--config", str(bad), "measure", "O(a)") == \
-        (2, "", "error: point in two classes\n")
-
-
-RESERVED_E = "[alphabet]\nblock1 = e\nblock2 = b\n"
-RESERVED_E_ERROR = "error: bad alphabet: generator name e is reserved for the identity"
-
-
-@pytest.mark.parametrize("argv", [("measure", "O(e)"), ("rn", "e", "O(e b)")])
-def test_generator_named_e_exits_with_two(capsys, tmp_path, argv):
-    # every e in an expression is the identity, so a generator named e
-    # could never be addressed: O(e) measured the whole space
-    path = tmp_path / "e.cfg"
-    path.write_text(RESERVED_E)
-    code, out, err = run(capsys, "--config", str(path), *argv)
-    assert (code, out) == (2, "")
-    assert err.splitlines() == [RESERVED_E_ERROR]
-
-
-@pytest.mark.parametrize("argv, err", [
-    (("haar", "a", "0"), "kmax must be at least 1, not 0"),
-    (("haar", "A[e]{1,2}", "-2"), "kmax must be at least 1, not -2"),
-    (("series", "1", "-3"), "terms must be at least 0, not -3"),
-    (("series", "2", "-1"), "terms must be at least 0, not -1"),
-])
-def test_bad_window_exits_with_two(capsys, argv, err):
-    # an empty haar window checked nothing and a negative series window
-    # summed nothing, yet both printed a record
-    assert run(capsys, "--format", "machine", *argv) == (2, "", "error: %s\n" % err)
-
-
 def test_series_accepts_zero_terms(capsys):
     # the smallest haar window, K = 1, runs in test_haar_pass_and_fail
     code, out, _ = run(capsys, "--format", "machine", "series", "1", "0")
@@ -445,104 +415,180 @@ def test_limit_overrides_are_validated(capsys, tmp_path, key, value, command):
     assert run(capsys, "--config", str(cfg), *command) == (2, "", err)
 
 
-@pytest.mark.parametrize("argv", [
-    ("measure", "O(a a')"), ("rn", "a", "O(b b')"), ("moment", "O(a a') b"),
-    ("measure", "O(a e a')"),
-])
-def test_unreduced_cylinder_exits_with_two(capsys, argv):
-    # no reduced point starts with a a', so the prefix is an input error,
-    # not the whole space
-    code, out, err = run(capsys, "--format", "machine", *argv)
-    assert code == 2 and out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and "cylinder prefix is not reduced" in lines[0]
-
-
 def test_identity_letter_allowed_in_cylinder(capsys):
     for text, shown in (("O(e)", "O(e) value=1 "), ("O(e a)", "O(a) value=1/4 ")):
         code, out, _ = run(capsys, "--format", "machine", "measure", text)
         assert code == 0 and "cylinder=" + shown in out
 
 
-def test_depth_budget_exits_with_three(capsys):
-    code, out, err = run(capsys, "--depth", "2", "moment", "O(a b a) a")
-    assert code == 3 and out == ""
-    assert err == "error: cylinder depth 3 exceeds budget 2\n"
-
-
-@pytest.mark.parametrize("argv", [("moment", "O(a b a)"),
-                                  ("haar", "O(a b a)", "1")])
-def test_lone_cylinder_held_to_the_depth_budget(capsys, argv):
-    # a cylinder atom with no arithmetic on it still meets the budget
-    code, out, err = run(capsys, "--depth", "2", *argv)
-    assert code == 3 and out == ""
-    assert err == "error: cylinder depth 3 exceeds budget 2\n"
-
-
-@pytest.mark.parametrize("argv, code, err", [
-    (("moment", "A[u]{1,2}^0"), 2, "the plain face has no shift unitary"),
-    (("moment", "A[e]{9,1}^0"), 2,
-     "line 1, column 6: slot index 9 is above k = 3"),
-    (("--depth", "2", "moment", "O(a b a)^0"), 3,
-     "cylinder depth 3 exceeds budget 2"),
-], ids=["plain-shift", "bad-slot", "too-deep"])
-def test_zeroth_power_checks_its_base(capsys, argv, code, err):
-    # x^0 is the unit only for an x that exists: the base fails as it would
-    # alone
-    assert run(capsys, "--format", "machine", *argv) == \
-        (code, "", "error: %s\n" % err)
-
-
 OFF_BASE_CYCLE = "[base]\npoints = p q r\n[alpha]\ncycles = (p z)\n"
 THREE_CLASSES = ("[base]\npoints = p q r s t u v\n"
                  "classes = {p q} {s r} {u t}\n[alpha]\ncycles = (q s)\n")
+OVERLAP = "[base]\npoints = p q r\nclasses = {p q} {q r}\n"
+RESERVED_E = "[alphabet]\nblock1 = e\nblock2 = b\n"
+RESERVED_E_ERROR = "bad alphabet: generator name e is reserved for the identity"
+TWENTY_SIX = ("[alphabet]\nblock1 = a b c d e1 f g h i j k l m\n"
+              "block2 = n o p q r s t u v w x y z\n")
 
-
-@pytest.mark.parametrize("config, argv, code, err", [
-    (None, ("moment", ")"), 2, "line 1, column 1: expected an expression"),
-    (None, ("measure", "O()"), 2, "line 1, column 3: expected a group word"),
-    (None, ("rn", "O(a)", "O(a b)"), 2, "expected a group word"),
-    (None, ("moment", "e[(,x0]"), 2, "line 1, column 3: expected a base point"),
-    (None, ("moment", "a $"), 2, "line 1, column 3: unexpected character '$'"),
-    (None, ("moment", "a^x"), 2, "line 1, column 3: expected an integer"),
-    (None, ("moment", "C"), 2, "line 1, column 1: unknown name 'C'"),
-    (None, ("moment", "A[1]{1,1}"), 2,
+# Every refused input, one row each: (id, config text or None, argv, exit
+# code, the one stderr line after "error: "). A row's config is read from
+# <id>.cfg in the working directory, so no message holds a temporary path.
+# Each rule is checked once, by the parser or by the constructor that owns
+# it; every row runs in process and again under python -O, which strips
+# assert (test_input_error_under_optimize).
+INPUT_ERRORS = [
+    ("no-expression", None, ("moment", ")"), 2,
+     "line 1, column 1: expected an expression"),
+    ("empty-cylinder", None, ("measure", "O()"), 2,
+     "line 1, column 3: expected a group word"),
+    ("rn-cylinder-word", None, ("rn", "O(a)", "O(a b)"), 2,
+     "expected a group word"),
+    ("bad-point", None, ("moment", "e[(,x0]"), 2,
+     "line 1, column 3: expected a base point"),
+    ("bad-character", None, ("moment", "a $"), 2,
+     "line 1, column 3: unexpected character '$'"),
+    ("bad-exponent", None, ("moment", "a^x"), 2,
+     "line 1, column 3: expected an integer"),
+    ("unknown-name", None, ("moment", "C"), 2,
+     "line 1, column 1: unknown name 'C'"),
+    ("no-core", None, ("moment", "A[1]{1,1}"), 2,
      "line 1, column 3: expected a bracket core"),
-    (None, ("moment", "A[e[x1,x2]]{1,1}"), 2,
+    ("unit-off-relation", None, ("moment", "A[e[x1,x2]]{1,1}"), 2,
      "e[x1,x2] is not in the A face relation"),
-    (None, ("oracle", "A[e]{1,2}"), 2,
+    ("oracle-corner", None, ("oracle", "A[e]{1,2}"), 2,
      "the oracle command needs a boundary expression"),
-    (None, ("measure", "a"), 2, "expected a cylinder O(...)"),
-    (None, ("series", "3", "2"), 2, "block must be 1 or 2, not 3"),
-    ("[base]\npoints =\n", ("join",), 2,
+    ("measure-word", None, ("measure", "a"), 2, "expected a cylinder O(...)"),
+    ("third-block", None, ("series", "3", "2"), 2,
+     "block must be 1 or 2, not 3"),
+    ("no-points", "[base]\npoints =\n", ("join",), 2,
      "base points must be distinct and nonempty"),
-    (OFF_BASE_CYCLE, ("join",), 2,
+    ("off-base-cycle", OFF_BASE_CYCLE, ("join",), 2,
      "bad cycles: cycle point z is not in the base"),
-    (THREE_CLASSES, ("moment", "e[p,v]"), 2,
+    ("unit-off-both", THREE_CLASSES, ("moment", "e[p,v]"), 2,
      "e[p,v] is not in either face relation"),
-    (None, ("moment", "e[x0,zz]"), 2,
+    ("unresolved-point", None, ("moment", "e[x0,zz]"), 2,
      "line 1, column 6: unresolved identifier 'zz'"),
-    (None, ("moment", "A[e}"), 2, "line 1, column 4: expected ']'"),
+    ("unclosed-core", None, ("moment", "A[e}"), 2,
+     "line 1, column 4: expected ']'"),
     # the translate O(a^1200 b) is refused by the budget, not the stack
-    (None, ("moment", "a^1200 O(b)"), 3,
+    ("deep-translate", None, ("moment", "a^1200 O(b)"), 3,
      "cylinder depth 1201 exceeds budget 8"),
     # about 4 * 3^1199 words: refused before the sweep starts
-    (None, ("--max-len", "1200", "freeness", "boundary"), 2,
+    ("sweep-bound", None, ("--max-len", "1200", "freeness", "boundary"), 2,
      "a freeness sweep to length 1200 has more than 1000000 words"),
-], ids=["no-expression", "empty-cylinder", "rn-cylinder-word", "bad-point",
-        "bad-character", "bad-exponent", "unknown-name", "no-core",
-        "unit-off-relation", "oracle-corner", "measure-word", "third-block",
-        "no-points", "off-base-cycle", "unit-off-both", "unresolved-point",
-        "unclosed-core", "deep-translate", "sweep-bound"])
-def test_input_error_exit_code_and_message(capsys, tmp_path, config, argv,
-                                           code, err):
-    # each rule is checked once, by the parser or by the constructor that
-    # owns it, and prints one line
-    if config is not None:
-        path = tmp_path / "run.cfg"
-        path.write_text(config)
-        argv = ("--config", str(path)) + argv
-    assert run(capsys, *argv) == (code, "", "error: %s\n" % err)
+    ("unresolved-letter", None, ("measure", "O(a q)"), 2,
+     "line 1, column 5: unresolved identifier 'q'"),
+    ("mixed-atoms", None, ("moment", "a A[e]{1,2}"), 2,
+     "expression mixes boundary and corner atoms"),
+    ("unknown-key", "[limits]\nbogus = 3\n", ("join",), 2,
+     "unknown key in [limits]: bogus"),
+    ("missing-config", None, ("--config", "missing.cfg", "join"), 2,
+     "[Errno 2] No such file or directory: 'missing.cfg'"),
+    # the plain relation is built when the file is read, so a command that
+    # never uses it refuses overlapping classes too
+    ("overlap-measure", OVERLAP, ("measure", "O(a)"), 2,
+     "point in two classes"),
+    ("overlap-join", OVERLAP, ("join",), 2, "point in two classes"),
+    ("bad-state", "[base]\npoints = p q r\n[state]\nweights = 5 5 1\n",
+     ("ergodic",), 2, "bad state: weights must sum to 1"),
+    # an unchecked cycle (p q p) made `join` loop in Permutation.orbits
+    ("repeated-cycle-point",
+     "[base]\npoints = p q r\n[alpha]\ncycles = (p q p)\n", ("join",), 2,
+     "bad cycles: repeated point in a cycle"),
+    ("duplicate-generator", "[alphabet]\nblock1 = a\nblock2 = a\n",
+     ("series", "1", "2"), 2, "bad alphabet: duplicate generator"),
+    ("uppercase-generator", "[alphabet]\nblock1 = A\n", ("join",), 2,
+     "bad alphabet: generator name must be lowercase: 'A'"),
+    # every e in an expression is the identity, so a generator named e
+    # could never be addressed: O(e) measured the whole space
+    ("reserved-e-measure", RESERVED_E, ("measure", "O(e)"), 2,
+     RESERVED_E_ERROR),
+    ("reserved-e-rn", RESERVED_E, ("rn", "e", "O(e b)"), 2, RESERVED_E_ERROR),
+    # an empty haar window checked nothing and a negative series window
+    # summed nothing, yet both printed a record
+    ("kmax-zero", None, ("haar", "a", "0"), 2,
+     "kmax must be at least 1, not 0"),
+    ("kmax-negative", None, ("haar", "A[e]{1,2}", "-2"), 2,
+     "kmax must be at least 1, not -2"),
+    ("terms-negative", None, ("series", "1", "-3"), 2,
+     "terms must be at least 0, not -3"),
+    ("terms-negative-block2", None, ("series", "2", "-1"), 2,
+     "terms must be at least 0, not -1"),
+    # no reduced point starts with a a', so the prefix is an input error,
+    # not the whole space
+    ("unreduced-measure", None, ("measure", "O(a a')"), 2,
+     "line 1, column 5: cylinder prefix is not reduced: "
+     "a' cancels the letter before it"),
+    ("unreduced-rn", None, ("rn", "a", "O(b b')"), 2,
+     "line 1, column 5: cylinder prefix is not reduced: "
+     "b' cancels the letter before it"),
+    ("unreduced-moment", None, ("moment", "O(a a') b"), 2,
+     "line 1, column 5: cylinder prefix is not reduced: "
+     "a' cancels the letter before it"),
+    ("unreduced-past-e", None, ("measure", "O(a e a')"), 2,
+     "line 1, column 7: cylinder prefix is not reduced: "
+     "a' cancels the letter before it"),
+    ("unreduced-configured", "[alphabet]\nblock1 = a\nblock2 = b\n",
+     ("measure", "O(a a')"), 2,
+     "line 1, column 5: cylinder prefix is not reduced: "
+     "a' cancels the letter before it"),
+    # a cylinder atom with no arithmetic on it still meets the budget
+    ("budget-product", None, ("--depth", "2", "moment", "O(a b a) a"), 3,
+     "cylinder depth 3 exceeds budget 2"),
+    ("budget-lone-moment", None, ("--depth", "2", "moment", "O(a b a)"), 3,
+     "cylinder depth 3 exceeds budget 2"),
+    ("budget-lone-haar", None, ("--depth", "2", "haar", "O(a b a)", "1"), 3,
+     "cylinder depth 3 exceeds budget 2"),
+    # x^0 is the unit only for an x that exists: the base fails as it
+    # would alone
+    ("zeroth-plain-shift", None, ("moment", "A[u]{1,2}^0"), 2,
+     "the plain face has no shift unitary"),
+    ("zeroth-bad-slot", None, ("moment", "A[e]{9,1}^0"), 2,
+     "line 1, column 6: slot index 9 is above k = 3"),
+    ("zeroth-too-deep", None, ("--depth", "2", "moment", "O(a b a)^0"), 3,
+     "cylinder depth 3 exceeds budget 2"),
+    # counts on the command line are bounded; unbounded, each of these
+    # was still running after 10 s
+    ("letters-identity", None, ("moment", "e^100000000"), 2,
+     "expression unfolds to more than 5000 letters"),
+    ("letters-corner", None, ("moment", "A[e]{1,1}^-100000000"), 2,
+     "expression unfolds to more than 5000 letters"),
+    ("letters-rn", None, ("rn", "a^100000000", "O(b)"), 2,
+     "expression unfolds to more than 5000 letters"),
+    # one letter past the bound; each ^ alone stays far below it
+    ("letters-past-bound", None, ("moment", "(a^100)^50 a"), 2,
+     "expression unfolds to more than 5000 letters"),
+    ("haar-window", None, ("haar", "a", "100000000"), 2,
+     "haar to kmax 100000000 unfolds to more than 5000 letters"),
+    ("haar-letters", None, ("haar", "a b", "2501"), 2,
+     "haar to kmax 2501 unfolds to more than 5000 letters"),
+    ("terms-bound", None, ("series", "1", "100000000"), 2,
+     "terms must be at most 1000, not 100000000"),
+    ("k-bound", "[limits]\nk = 9\n", ("join",), 2,
+     "k must be at most 8, not 9"),
+    # a measure of 1/(52 * 51^2599): more digits than CPython prints
+    ("too-long-to-print", TWENTY_SIX,
+     ("measure", "O(%s)" % " ".join(["a n"] * 1300)), 2,
+     "record measure has a value too long to print"),
+]
+ROW_IDS = [row[0] for row in INPUT_ERRORS]
+
+
+def row_argv(directory, row):
+    """The row's argv; its config, if any, is written to <id>.cfg in
+    directory."""
+    name, config, argv = row[:3]
+    if config is None:
+        return list(argv)
+    (directory / (name + ".cfg")).write_text(config)
+    return ["--config", name + ".cfg", *argv]
+
+
+@pytest.mark.parametrize("row", INPUT_ERRORS, ids=ROW_IDS)
+def test_input_error_exit_code_and_message(capsys, tmp_path, monkeypatch, row):
+    argv = row_argv(tmp_path, row)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (row[3], "", "error: %s\n" % row[4])
 
 
 @pytest.mark.parametrize("bound, code", [(48, 0), (47, 2)])
@@ -637,70 +683,6 @@ def test_internal_error_exits_with_four(capsys, monkeypatch):
 
 SRC = Path(amalgam.__file__).resolve().parents[1]
 
-
-def rejected_under_optimize(tmp_path, config_text, *command):
-    """Run one command under python -O, which strips assert: validation
-    must still exit 2 with one `error:` line, which is returned. The
-    timeout catches a hang."""
-    path = tmp_path / "bad.cfg"
-    path.write_text(config_text)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "amalgam.cli", "--config", str(path),
-         *command], capture_output=True, text=True, timeout=10,
-        env=dict(os.environ, PYTHONPATH=str(SRC)), check=False)
-    assert proc.returncode == 2 and proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    return lines[0]
-
-
-def test_bad_state_rejected_without_asserts(tmp_path):
-    rejected_under_optimize(
-        tmp_path, "[base]\npoints = p q r\n[state]\nweights = 5 5 1\n",
-        "ergodic")
-
-
-def test_repeated_cycle_point_rejected_without_asserts(tmp_path):
-    # an unchecked cycle (p q p) made `join` loop in Permutation.orbits
-    rejected_under_optimize(
-        tmp_path, "[base]\npoints = p q r\n[alpha]\ncycles = (p q p)\n",
-        "join")
-
-
-def test_duplicate_generator_rejected_without_asserts(tmp_path):
-    line = rejected_under_optimize(
-        tmp_path, "[alphabet]\nblock1 = a\nblock2 = a\n", "series", "1", "2")
-    assert line == "error: bad alphabet: duplicate generator"
-
-
-def test_uppercase_generator_rejected_without_asserts(tmp_path):
-    line = rejected_under_optimize(tmp_path, "[alphabet]\nblock1 = A\n", "join")
-    assert line == "error: bad alphabet: generator name must be lowercase: 'A'"
-
-
-def test_generator_named_e_rejected_without_asserts(tmp_path):
-    line = rejected_under_optimize(tmp_path, RESERVED_E, "measure", "O(e)")
-    assert line == RESERVED_E_ERROR
-
-
-def test_overlapping_classes_rejected_without_asserts(tmp_path):
-    line = rejected_under_optimize(
-        tmp_path, "[base]\npoints = p q r\nclasses = {p q} {q r}\n", "join")
-    assert line == "error: point in two classes"
-
-
-def test_unreduced_cylinder_rejected_without_asserts(tmp_path):
-    line = rejected_under_optimize(
-        tmp_path, "[alphabet]\nblock1 = a\nblock2 = b\n", "measure", "O(a a')")
-    assert line == "error: line 1, column 5: cylinder prefix is not reduced: " \
-        "a' cancels the letter before it"
-
-
-def test_off_base_cycle_point_rejected_without_asserts(tmp_path):
-    line = rejected_under_optimize(tmp_path, OFF_BASE_CYCLE, "join")
-    assert line == "error: bad cycles: cycle point z is not in the base"
-
-
 # cheap commands covering every exit code but 2; one process each with and
 # without -O must print the same
 SAME_UNDER_OPTIMIZE = [
@@ -733,19 +715,46 @@ print(json.dumps(results))
 """
 
 
-def test_optimize_flag_changes_nothing():
+@pytest.fixture(scope="module")
+def optimize_runs(tmp_path_factory):
+    """[code, stdout, stderr] of each SAME_UNDER_OPTIMIZE command, then of
+    each INPUT_ERRORS row: one list from a plain process, one from python
+    -O, which strips assert."""
+    home = tmp_path_factory.mktemp("optimize")
+    argvs = SAME_UNDER_OPTIMIZE + [row_argv(home, row) for row in INPUT_ERRORS]
     runs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
-            [sys.executable, *flags, "-c", RUN_ALL,
-             json.dumps(SAME_UNDER_OPTIMIZE)],
-            capture_output=True, text=True, timeout=60, check=True,
+            [sys.executable, *flags, "-c", RUN_ALL, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=60, check=True, cwd=home,
             env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0"))
         runs.append(json.loads(proc.stdout))
-    plain, optimized = runs
-    assert {code for code, _, _ in plain} == {0, 1, 3}
+    return runs
+
+
+def test_optimize_flag_changes_nothing(optimize_runs):
+    plain, optimized = optimize_runs
+    assert {code for code, _, _ in plain[:len(SAME_UNDER_OPTIMIZE)]} == \
+        {0, 1, 3}
     for argv, want, got in zip(SAME_UNDER_OPTIMIZE, plain, optimized):
         assert got == want, argv
+
+
+@pytest.mark.parametrize("row", INPUT_ERRORS, ids=ROW_IDS)
+def test_input_error_under_optimize(optimize_runs, row):
+    got = optimize_runs[1][len(SAME_UNDER_OPTIMIZE) + ROW_IDS.index(row[0])]
+    assert got == [row[3], "", "error: %s\n" % row[4]]
+
+
+def test_no_source_depends_on_optimize():
+    # python -O drops assert statements and makes __debug__ false, so no
+    # behaviour of the package may rest on either
+    for path in sorted(SRC.joinpath("amalgam").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            assert not isinstance(node, ast.Assert), where
+            assert not (isinstance(node, ast.Name)
+                        and node.id == "__debug__"), where
 
 
 def test_custom_config_changes_alphabet(capsys, tmp_path):
