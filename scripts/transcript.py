@@ -14,7 +14,7 @@ under three more size mappings (`--max-len 2`, `--depth 3` and a weighted
 three-generator config), depth sweeps of `moment`, `oracle`, `haar`
 and `freeness boundary` over boundary expressions drawn from a fixed seed,
 an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
-one letter deeper, and thirty-one late additions at the end, so that the
+one letter deeper, and thirty-four late additions at the end, so that the
 earlier commands keep their places. LIMIT runs only the first LIMIT commands.
 """
 
@@ -61,6 +61,7 @@ CONFIGS = {
                   "[alpha]\ncycles = (p q r s)\n[limits]\ndepth = 5\nk = 2\n",
     "letters26.cfg": "[alphabet]\nblock1 = a b c d e1 f g h i j k l m\n"
                      "block2 = n o p q r s t u v w x y z\n",
+    "deep.cfg": "[limits]\ndepth = 1501\n",
 }
 
 FIXED = [
@@ -227,6 +228,11 @@ def commands():
             ["series", "1", "10000"],
             ["--config", "letters26.cfg", "measure",
              "O(%s)" % " ".join(["a n"] * 1300)]]
+    # a number is refused at its position past nine digits, and the depth
+    # budget is bounded on the command line and in a config file
+    out += [["moment", "a^" + "1" * 5000],
+            ["--depth", "6000", "oracle", "a^4999 O(b)"],
+            ["--config", "deep.cfg", "join"]]
     return out
 
 
@@ -238,11 +244,21 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def block(argv, code, out, err):
+    """The transcript text of one command and its result."""
+    return "$ amalgam %s\nexit %s\n--- stdout\n%s--- stderr\n%s\n" % (
+        shlex.join(argv), code, out, err)
+
+
 def transcript(argvs, stream):
     for argv in argvs:
-        code, out, err = run(argv)
-        stream.write("$ amalgam %s\nexit %s\n--- stdout\n%s--- stderr\n%s\n"
-                     % (shlex.join(argv), code, out, err))
+        stream.write(block(argv, *run(argv)))
+
+
+def write_configs(directory):
+    for name, text in CONFIGS.items():
+        with open(os.path.join(directory, name), "w") as handle:
+            handle.write(text)
 
 
 def main(args):
@@ -253,9 +269,7 @@ def main(args):
     with tempfile.TemporaryDirectory() as tmp:
         # the configuration files are named relative to the working
         # directory, so no temporary path reaches the transcript
-        for name, text in CONFIGS.items():
-            with open(os.path.join(tmp, name), "w") as handle:
-                handle.write(text)
+        write_configs(tmp)
         os.chdir(tmp)
         try:
             transcript(argvs, sys.stdout)

@@ -32,6 +32,9 @@ KEYS = {"alphabet": ("block1", "block2"), "base": ("points", "classes"),
 # each amplified face relation has k^2 times the pairs of its core relation;
 # suite67 over the default base takes about 3.5 s at k = 8 and 13 s at k = 12
 K_BOUND = 8
+# a translate to cylinder depth n costs about n^2: at the bound,
+# `oracle "a^1499 O(b)"` takes about 0.7 s
+DEPTH_BOUND = 1500
 
 
 class ConfigError(ValueError):
@@ -56,6 +59,9 @@ class RunConfig:
         if self.k > K_BOUND:
             raise ConfigError("k must be at most %d, not %d"
                               % (K_BOUND, self.k))
+        if self.depth > DEPTH_BOUND:
+            raise ConfigError("depth must be at most %d, not %d"
+                              % (DEPTH_BOUND, self.depth))
         for name in ("depth", "n_max", "kappa_max", "max_len"):
             value = getattr(self, name)
             if value < 1:

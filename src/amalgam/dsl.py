@@ -26,6 +26,9 @@ _NESTING_BOUND = 100  # ( and ~ levels: each costs a few stack frames
 # letters an expression may unfold to (see letter_count): at the bound,
 # `moment "a^5000"` takes about 0.6 s and `oracle "a^5000"` about 1 s
 LETTER_BOUND = 5000
+# digits of one number: the letter bound caps every exponent anyway, and a
+# number past CPython's int conversion limit would be refused with no position
+DIGIT_BOUND = 9
 
 
 # -- syntax trees ---------------------------------------------------------------
@@ -194,6 +197,8 @@ class _Parser:
             token = self.take()
         if token.kind != "int":
             self.fail("expected an integer", token)
+        if len(token.value) > DIGIT_BOUND:
+            self.fail("number has more than %d digits" % DIGIT_BOUND, token)
         return sign * int(token.value)
 
     def primary(self):

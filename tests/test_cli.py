@@ -1,13 +1,15 @@
 """Expression language round trips, config parsing, CLI exit codes."""
 
 import ast
+import difflib
 import importlib.util
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
-import textwrap
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +29,19 @@ from amalgam.dsl import (
 from amalgam.words import ReducedWord, ball
 
 CFG = default_config()
+SRC = Path(amalgam.__file__).resolve().parents[1]
+
+
+def load_script(name):
+    path = SRC.parent / "scripts" / (name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRANSCRIPT = load_script("transcript")
+CONFIGS = TRANSCRIPT.CONFIGS  # config texts the transcript shares with rows
 
 
 # -- expression language -----------------------------------------------------------
@@ -279,19 +294,6 @@ def test_measure_frozen(capsys):
         "record=measure cylinder=O(a.b) value=1/12 refinement=1/12 ok=yes"
 
 
-def test_series_frozen(capsys):
-    code, out, _ = run(capsys, "--format", "machine", "series", "1", "2")
-    assert code == 0
-    assert "partial=17/18" in out and "tail=1/18" in out and "ok=yes" in out
-
-
-def test_moment_frozen(capsys):
-    code, out, _ = run(capsys, "--format", "machine", "moment",
-                       "(A[e]{1,2} B[u]{2,1})^2")
-    assert code == 0
-    assert out.strip() == "record=moment expr=(A[e]{1,2}.B[u]{2,1})^2 value=0"
-
-
 def test_moment_identity_word(capsys):
     code, out, _ = run(capsys, "--format", "machine", "moment", "a a'")
     assert code == 0
@@ -339,32 +341,13 @@ def test_oracle_agrees(capsys):
 
 
 def test_haar_pass_and_fail(capsys):
-    code, out, _ = run(capsys, "--format", "machine", "haar", "a b", "3")
-    assert code == 0 and "failed_exponents=none" in out
+    # the passing haar records are golden transcript blocks
     code, out, _ = run(capsys, "--format", "machine", "haar", "O(a)", "1")
     assert code == 1
     assert "unitary=no" in out and "ok=no" in out
-    code, out, _ = run(capsys, "--format", "machine", "haar",
-                       "A[e]{1,3} B[u^-2]{3,1}", "4")
-    assert code == 0
-    assert out.strip() == "record=haar expr=A[e]{1,3}.B[u^-2]{3,1} kmax=4 " \
-        "unitary=yes failed_exponents=none ok=yes"
     code, out, _ = run(capsys, "--format", "machine", "haar", "A[e]{1,2}", "2")
     assert code == 1
     assert "unitary=no" in out and "ok=no" in out
-
-
-@pytest.mark.parametrize("word", ["a b", "A[e]{1,2} B[u]{2,1}"],
-                         ids=["boundary", "corner"])
-def test_long_cancelling_product(capsys, word):
-    # 1,200 seams merge one after another; each is a step of a loop in
-    # the word product, not a stack frame
-    one = CFG.boundary_product().d_one() if word == "a b" \
-        else CFG.corner_model().corner_identity().d_part
-    code, out, err = run(capsys, "--format", "machine", "moment",
-                         "(%s)^600 ~((%s)^600)" % (word, word))
-    assert code == 0 and err == ""
-    assert out.split()[-1] == "value=" + repr(one).replace(" ", ".")
 
 
 @pytest.mark.parametrize("opening, closing", [("(", ")"), ("~", "")],
@@ -421,14 +404,8 @@ def test_identity_letter_allowed_in_cylinder(capsys):
         assert code == 0 and "cylinder=" + shown in out
 
 
-OFF_BASE_CYCLE = "[base]\npoints = p q r\n[alpha]\ncycles = (p z)\n"
-THREE_CLASSES = ("[base]\npoints = p q r s t u v\n"
-                 "classes = {p q} {s r} {u t}\n[alpha]\ncycles = (q s)\n")
-OVERLAP = "[base]\npoints = p q r\nclasses = {p q} {q r}\n"
 RESERVED_E = "[alphabet]\nblock1 = e\nblock2 = b\n"
 RESERVED_E_ERROR = "bad alphabet: generator name e is reserved for the identity"
-TWENTY_SIX = ("[alphabet]\nblock1 = a b c d e1 f g h i j k l m\n"
-              "block2 = n o p q r s t u v w x y z\n")
 
 # Every refused input, one row each: (id, config text or None, argv, exit
 # code, the one stderr line after "error: "). A row's config is read from
@@ -462,9 +439,9 @@ INPUT_ERRORS = [
      "block must be 1 or 2, not 3"),
     ("no-points", "[base]\npoints =\n", ("join",), 2,
      "base points must be distinct and nonempty"),
-    ("off-base-cycle", OFF_BASE_CYCLE, ("join",), 2,
+    ("off-base-cycle", CONFIGS["offcycle.cfg"], ("join",), 2,
      "bad cycles: cycle point z is not in the base"),
-    ("unit-off-both", THREE_CLASSES, ("moment", "e[p,v]"), 2,
+    ("unit-off-both", CONFIGS["three.cfg"], ("moment", "e[p,v]"), 2,
      "e[p,v] is not in either face relation"),
     ("unresolved-point", None, ("moment", "e[x0,zz]"), 2,
      "line 1, column 6: unresolved identifier 'zz'"),
@@ -480,17 +457,18 @@ INPUT_ERRORS = [
      "line 1, column 5: unresolved identifier 'q'"),
     ("mixed-atoms", None, ("moment", "a A[e]{1,2}"), 2,
      "expression mixes boundary and corner atoms"),
-    ("unknown-key", "[limits]\nbogus = 3\n", ("join",), 2,
+    ("unknown-key", CONFIGS["bad.cfg"], ("join",), 2,
      "unknown key in [limits]: bogus"),
     ("missing-config", None, ("--config", "missing.cfg", "join"), 2,
      "[Errno 2] No such file or directory: 'missing.cfg'"),
     # the plain relation is built when the file is read, so a command that
     # never uses it refuses overlapping classes too
-    ("overlap-measure", OVERLAP, ("measure", "O(a)"), 2,
+    ("overlap-measure", CONFIGS["overlap.cfg"], ("measure", "O(a)"), 2,
      "point in two classes"),
-    ("overlap-join", OVERLAP, ("join",), 2, "point in two classes"),
-    ("bad-state", "[base]\npoints = p q r\n[state]\nweights = 5 5 1\n",
-     ("ergodic",), 2, "bad state: weights must sum to 1"),
+    ("overlap-join", CONFIGS["overlap.cfg"], ("join",), 2,
+     "point in two classes"),
+    ("bad-state", CONFIGS["weights.cfg"], ("ergodic",), 2,
+     "bad state: weights must sum to 1"),
     # an unchecked cycle (p q p) made `join` loop in Permutation.orbits
     ("repeated-cycle-point",
      "[base]\npoints = p q r\n[alpha]\ncycles = (p q p)\n", ("join",), 2,
@@ -567,9 +545,18 @@ INPUT_ERRORS = [
     ("k-bound", "[limits]\nk = 9\n", ("join",), 2,
      "k must be at most 8, not 9"),
     # a measure of 1/(52 * 51^2599): more digits than CPython prints
-    ("too-long-to-print", TWENTY_SIX,
+    ("too-long-to-print", CONFIGS["letters26.cfg"],
      ("measure", "O(%s)" % " ".join(["a n"] * 1300)), 2,
      "record measure has a value too long to print"),
+    # past CPython's int conversion limit a number got no position
+    ("long-number", None, ("moment", "a^" + "1" * 5000), 2,
+     "line 1, column 3: number has more than 9 digits"),
+    # a translate to cylinder depth n costs about n^2, so the budget is
+    # bounded; unbounded, this ran for 5 s
+    ("depth-bound", None, ("--depth", "6000", "oracle", "a^4999 O(b)"), 2,
+     "depth must be at most 1500, not 6000"),
+    ("depth-bound-config", CONFIGS["deep.cfg"], ("join",), 2,
+     "depth must be at most 1500, not 1501"),
 ]
 ROW_IDS = [row[0] for row in INPUT_ERRORS]
 
@@ -606,8 +593,7 @@ def test_freeness_sweep_bound(capsys, monkeypatch, bound, code):
 
 
 @pytest.mark.parametrize("config, freeness", [
-    ("[base]\npoints = p q r\nclasses = {p q}\n[limits]\nn_max = 3\n",
-     "max_len=2 words=54 "),
+    (CONFIGS["short.cfg"], "max_len=2 words=54 "),
     ("[base]\npoints = p q r\n[alpha]\ncycles =\n", "max_len=4 words=6 "),
 ], ids=["order-3", "order-1"])
 def test_suite67_fits_its_windows_to_a_short_shift(capsys, tmp_path, config,
@@ -623,17 +609,6 @@ def test_suite67_fits_its_windows_to_a_short_shift(capsys, tmp_path, config,
     assert code == 0 and err == "" and len(lines) == 14
     assert all(line.endswith(" ok=yes") for line in lines)
     assert "record=corner_freeness " + freeness in out
-
-
-@pytest.mark.parametrize("argv, value", [
-    (("moment", "e"), "1*O(e)"),
-    (("moment", "O(a)^0"), "1*O(e)"),
-    (("--depth", "1300", "moment", "a^1200 O(b)"), "0"),
-], ids=["identity", "zeroth-power", "deep-translate"])
-def test_moment_value(capsys, argv, value):
-    code, out, err = run(capsys, "--format", "machine", *argv)
-    assert code == 0 and err == ""
-    assert out.split()[-1] == "value=" + value
 
 
 def test_repeated_calls_answer_alike(capsys, tmp_path):
@@ -681,69 +656,79 @@ def test_internal_error_exits_with_four(capsys, monkeypatch):
     assert err == "error: internal: invariant broke\n"
 
 
-SRC = Path(amalgam.__file__).resolve().parents[1]
+def slow(argv):
+    # suite67, bar its --max-len 2 run, and the two corner freeness sweeps
+    # take about 2.9 s of the transcript's 5 s: CI diffs them with the whole
+    # transcript, and tests/test_acceptance.py checks their criteria
+    return (argv[-1] == "suite67" and "--max-len" not in argv
+            or argv[-2:] == ["freeness", "corner"])
 
-# cheap commands covering every exit code but 2; one process each with and
-# without -O must print the same
-SAME_UNDER_OPTIMIZE = [
-    ["measure", "O(a b)"],
-    ["rn", "a", "O(a b)"],
-    ["series", "1", "2"],
-    ["moment", "O(a) b O(b') a'"],
-    ["moment", "(A[e]{1,2} B[u]{2,1})^2"],
-    ["oracle", "a b O(a) b' a'"],
-    ["haar", "A[e]{1,3} B[u^-2]{3,1}", "4"],
-    ["haar", "A[e]{1,2}", "2"],
-    ["--max-len", "2", "freeness", "boundary"],
-    ["--max-len", "2", "suite67"],
-    ["join"],
-    ["ergodic"],
-    ["--depth", "2", "moment", "O(a b a) a"],
-    ["--depth", "2", "moment", "O(a b a)"],
-]
 
-RUN_ALL = """
-import contextlib, io, json, sys
-from amalgam.cli import main
-results = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["--format", "machine"] + argv)
-    results.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps(results))
+def split_blocks(text):
+    """A transcript's blocks, one per command, each from its $ line."""
+    return re.split(r"(?m)^(?=\$ amalgam )", text)[1:]
+
+
+ARGVS = TRANSCRIPT.commands()
+BLOCKS = split_blocks((SRC.parent / "scripts" / "transcript.txt").read_text())
+GOLDEN = [(argv, block) for argv, block in zip(ARGVS, BLOCKS)
+          if not slow(argv)]
+RUN_TRANSCRIPT = """
+import json, sys, transcript
+transcript.transcript(json.load(sys.stdin), sys.stdout)
 """
 
 
 @pytest.fixture(scope="module")
-def optimize_runs(tmp_path_factory):
-    """[code, stdout, stderr] of each SAME_UNDER_OPTIMIZE command, then of
-    each INPUT_ERRORS row: one list from a plain process, one from python
-    -O, which strips assert."""
-    home = tmp_path_factory.mktemp("optimize")
-    argvs = SAME_UNDER_OPTIMIZE + [row_argv(home, row) for row in INPUT_ERRORS]
+def golden_runs(tmp_path_factory):
+    """The transcript blocks of every command that is not slow, then of
+    every INPUT_ERRORS row, from two interpreters started together: a plain
+    one with PYTHONHASHSEED=0 and a python -O one, which strips assert,
+    with PYTHONHASHSEED=1, so no output may rest on assert or hash order."""
+    home = tmp_path_factory.mktemp("golden")
+    TRANSCRIPT.write_configs(home)
+    argvs = [argv for argv, _ in GOLDEN]
+    argvs += [row_argv(home, row) for row in INPUT_ERRORS]
+    (home / "argvs.json").write_text(json.dumps(argvs))
+    path = os.pathsep.join([str(SRC), str(SRC.parent / "scripts")])
+    procs = []
+    for flags, seed in (([], "0"), (["-O"], "1")):
+        out = home / ("seed%s.txt" % seed)
+        with open(home / "argvs.json") as stdin, open(out, "w") as stdout:
+            procs.append((out, subprocess.Popen(
+                [sys.executable, *flags, "-c", RUN_TRANSCRIPT], stdin=stdin,
+                stdout=stdout, stderr=subprocess.STDOUT, cwd=home,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))))
     runs = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-c", RUN_ALL, json.dumps(argvs)],
-            capture_output=True, text=True, timeout=60, check=True, cwd=home,
-            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0"))
-        runs.append(json.loads(proc.stdout))
+    for out, proc in procs:
+        code = proc.wait(timeout=120)
+        assert code == 0, out.read_text()[-2000:]
+        runs.append(split_blocks(out.read_text()))
     return runs
 
 
-def test_optimize_flag_changes_nothing(optimize_runs):
-    plain, optimized = optimize_runs
-    assert {code for code, _, _ in plain[:len(SAME_UNDER_OPTIMIZE)]} == \
-        {0, 1, 3}
-    for argv, want, got in zip(SAME_UNDER_OPTIMIZE, plain, optimized):
-        assert got == want, argv
+@pytest.mark.parametrize("run_index", [0, 1], ids=["plain", "optimize"])
+def test_golden_transcript(golden_runs, run_index):
+    # byte identity with scripts/transcript.txt; a change that alters output
+    # on purpose regenerates it with
+    #   PYTHONHASHSEED=0 PYTHONPATH=src python scripts/transcript.py \
+    #       > scripts/transcript.txt
+    assert len(BLOCKS) == len(ARGVS), "scripts/transcript.txt is stale"
+    got = golden_runs[run_index][:len(GOLDEN)]
+    for (argv, want), block in zip(GOLDEN, got):
+        if block != want:
+            pytest.fail("first command that differs: amalgam %s\n%s" % (
+                shlex.join(argv), "".join(difflib.unified_diff(
+                    want.splitlines(True), block.splitlines(True),
+                    "scripts/transcript.txt", "this run"))), pytrace=False)
+    assert len(got) == len(GOLDEN)
 
 
 @pytest.mark.parametrize("row", INPUT_ERRORS, ids=ROW_IDS)
-def test_input_error_under_optimize(optimize_runs, row):
-    got = optimize_runs[1][len(SAME_UNDER_OPTIMIZE) + ROW_IDS.index(row[0])]
-    assert got == [row[3], "", "error: %s\n" % row[4]]
+def test_input_error_under_optimize(golden_runs, tmp_path, row):
+    got = golden_runs[1][len(GOLDEN) + ROW_IDS.index(row[0])]
+    assert got == TRANSCRIPT.block(row_argv(tmp_path, row), row[3], "",
+                                   "error: %s\n" % row[4])
 
 
 def test_no_source_depends_on_optimize():
@@ -767,14 +752,6 @@ def test_custom_config_changes_alphabet(capsys, tmp_path):
     assert "value=1/30" in out
 
 
-def test_human_format_shape(capsys):
-    code, out, _ = run(capsys, "measure", "O(a b)")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "measure"
-    assert all(line.startswith("  ") and " = " in line for line in lines[1:])
-
-
 def test_machine_lines_are_flat_records(capsys):
     probes = [
         ["--format", "machine", "measure", "O(a b a)"],
@@ -796,48 +773,6 @@ def test_machine_lines_are_flat_records(capsys):
             for piece in pieces:
                 key, sep, value = piece.partition("=")
                 assert sep == "=" and key and value
-
-
-SUITE67_LIGHT = """\
-record=measure_exactness depth=4 cylinders=160 ok=yes
-record=series_closure terms=6 frozen=5/6,17/18 ok=yes
-record=splice_factorization pairs=364 ok=yes
-record=ratio_powers exponents=-2,-1,0,1,2 ok=yes
-record=oracle_agreement words=84 ok=yes
-record=corner_moments checked=80 fixture=base=11,k=3,shift_order=11 ok=yes
-record=corner_freeness max_len=2 words=170 shapes=90 violations=0 ok=yes
-record=covariance checked=165 ok=yes
-record=reduction_identities checked=402 ok=yes
-record=bracket_laws checked=2516 ok=yes
-record=join_ergodicity pairs=255 ok=yes
-record=modular_scaling checks=356 ok=yes
-record=intertwining isometries=812 ok=yes
-record=suite67 checks=13 failed=0 ok=yes
-"""
-
-
-def test_suite67_light(capsys):
-    # every record name and work count of the twelve criteria
-    assert run(capsys, "--format", "machine", "--max-len", "2", "suite67") == \
-        (0, SUITE67_LIGHT, "")
-
-
-def load_script(name):
-    path = SRC.parent / "scripts" / (name + ".py")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_transcript_script_first_commands(capsys):
-    transcript = load_script("transcript")
-    transcript.main(["20"])
-    out = capsys.readouterr().out
-    assert out.count("$ amalgam ") == 20
-    assert out.startswith("$ amalgam measure 'O(a b)'\nexit 0\n--- stdout\n"
-                          "measure\n  cylinder = O(a.b)\n  value = 1/12\n")
-    assert "exit 0" in out and "exit 4" not in out
 
 
 def test_modular_sweep_script_runs(capsys):

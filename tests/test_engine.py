@@ -438,11 +438,20 @@ def test_embed_is_weakly_multiplicative_within_a_face():
 
 def test_melement_unit_and_structural_equality():
     product = fm_product()
-    x = product.letters_product(fm_letters(product)[:2])
+    letters = fm_letters(product)
+    x = product.letters_product(letters[:2])  # one face twice: a diagonal
     assert product.letters_product([]) == product.one()
     assert product.one() * x == x
     assert x * product.one() == x
     assert x - x == product.zero()
+    # alternating faces leave a word; == does not collect words, so x - x
+    # is seen to vanish through E(z* z), which is faithful
+    x = product.letters_product(letters[::2])
+    assert x.words and x.d_part.is_zero()
+    assert product.one() * x == x and x * product.one() == x
+    assert -x != x and -(-x) == x
+    z = x - x
+    assert (z.adjoint() * z).d_part.is_zero()
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.mul])
@@ -601,6 +610,28 @@ def test_equality_compares_words_by_value_not_repr(monkeypatch, backend):
     assert x + y == y + x
     assert x + x != x + y and x + y != x + x
     assert x + y != x + product.embed("A", face.add(v, v))
+
+
+def products_with_words(product, letters):
+    """The products of one or two generators that have words."""
+    products = (product.letters_product(combo) for n in (1, 2)
+                for combo in itertools.product(letters(product), repeat=n))
+    return [x for x in products if x.words]
+
+
+WORDY = {backend: products_with_words(*BACKENDS[backend])
+         for backend in BACKENDS}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_identities_hold_through_the_words(backend, data):
+    # E is faithful, so z = 0 exactly when E(z* z) = 0: unlike ==, this
+    # sees every word of z
+    x, y, v = (data.draw(st.sampled_from(WORDY[backend])) for _ in range(3))
+    for z in (x - x, (x * y) * v - x * (y * v), x * (y + v) - x * y - x * v):
+        assert (z.adjoint() * z).d_part.is_zero(), z
 
 
 # -- freeness and haar checks -------------------------------------------------
