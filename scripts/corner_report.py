@@ -32,14 +32,14 @@ def main():
         model, n_limit=min(args.n_max, args.core_size - 1),
         i_values=i_values, kappa_limit=min(4, args.core_size - 1))
     print("moments    %s: %d checked, %s"
-          % (report.fixture, report.checked,
+          % (model.fixture_line(), report.checked,
              "ok" if report.passed else "FAILED"))
 
     report = covariance_report(model, k_values=(args.k,),
                                n_limit=args.n_max, i_values=i_values)
-    print("covariance %s: %d checked, %s"
-          % (report.fixture, report.checked,
-             "ok" if report.passed else "FAILED"))
+    print("covariance base=%d shift_order=%d k in [%d]: %d checked, %s"
+          % (args.core_size, model.face_b.alpha.order(), args.k,
+             report.checked, "ok" if report.passed else "FAILED"))
 
     try:
         report = family_freeness_report(model, max_len=args.max_len,

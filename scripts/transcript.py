@@ -1,6 +1,6 @@
 """Print a transcript of the command line tool over a fixed command list.
 
-    PYTHONHASHSEED=0 python scripts/transcript.py [LIMIT] > transcript.txt
+    PYTHONHASHSEED=0 python scripts/transcript.py > transcript.txt
 
 Each command runs in process through `amalgam.cli.main`; the transcript
 gives its argv, exit code, stdout and stderr. Two checkouts that print the
@@ -15,7 +15,7 @@ three-generator config), depth sweeps of `moment`, `oracle`, `haar`
 and `freeness boundary` over boundary expressions drawn from a fixed seed,
 an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
 one letter deeper, and thirty-four late additions at the end, so that the
-earlier commands keep their places. LIMIT runs only the first LIMIT commands.
+earlier commands keep their places.
 """
 
 import contextlib
@@ -54,7 +54,7 @@ CONFIGS = {
     "offcycle.cfg": "[base]\npoints = p q r\n[alpha]\ncycles = (p z)\n",
     "short.cfg": "[base]\npoints = p q r\nclasses = {p q}\n"
                  "[limits]\nn_max = 3\n",
-    # three generators over a weighted base (CUSTOM in tests/test_cli.py)
+    # three generators over a weighted base
     "custom.cfg": "[alphabet]\nblock1 = a c\nblock2 = b\n"
                   "[base]\npoints = p q r s\nclasses = {p q}\n"
                   "[state]\nweights = 1/2 1/6 1/6 1/6\n"
@@ -261,10 +261,8 @@ def write_configs(directory):
             handle.write(text)
 
 
-def main(args):
+def main():
     argvs = commands()
-    if args:
-        argvs = argvs[:int(args[0])]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # the configuration files are named relative to the working
@@ -278,4 +276,4 @@ def main(args):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

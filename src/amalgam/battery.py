@@ -27,7 +27,7 @@ def measure_exactness(alphabet, depth):
     1/(2n) (2n-1)^-(m-1), and so have its pieces of length m + 1 <= depth
     together; the pieces of the whole space sum to 1."""
     n = alphabet.size
-    report = SweepReport("measure_exactness", "n=%d depth=%d" % (n, depth))
+    report = SweepReport()
     whole = ReducedWord.identity(alphabet)
     if sum(map(cylinder_measure, refine(whole, 1))) != 1:
         report.failures.append("whole space")
@@ -47,7 +47,7 @@ def series_closure(alphabet, terms):
     series plus its closed-form tail is 1, and the series is the measure of
     the complement decomposition. With one letter per block, values holds
     the first two partial sums, which must be 5/6 and 17/18."""
-    report = SweepReport("series_closure", "terms=%d" % terms)
+    report = SweepReport()
     for block in (1, 2):
         for m in range(1, terms + 1):
             partial = complement_series(alphabet, block, m)
@@ -66,7 +66,7 @@ def splice_factorization(alphabet, radius):
     """Criterion 03: splicing a block word gamma onto a cylinder that starts
     in the other block multiplies its measure by the point mass of gamma;
     gamma and the cylinder prefix have length at most the radius."""
-    report = SweepReport("splice_factorization", "radius=%d" % radius)
+    report = SweepReport()
     for block, other in ((1, 2), (2, 1)):
         cylinders = [w for w in ball(alphabet, radius)
                      if w.letters and alphabet.block_of(w.letters[0]) == other]
@@ -84,7 +84,7 @@ def ratio_powers(alphabet, depth, cocycle_radius):
     for k = rn_exponent; k = 1 and -1 occur, so the ratio set holds 2n-1
     and its inverse. The cocycle identity is checked for all pairs of words
     of length 1..cocycle_radius. values: the sorted exponents."""
-    report = SweepReport("ratio_powers", "depth=%d" % depth)
+    report = SweepReport()
     cylinders = sphere(alphabet, depth)
     mass = cylinder_measure(cylinders[0])  # one sphere, one measure
     exponents = set()
@@ -119,7 +119,7 @@ def oracle_agreement(product, max_len):
     gens = [("A", face_a.unitary(a)), ("B", face_b.unitary(b)),
             ("A", face_a.element({a: CylFn.indicator(b)})),
             ("B", face_b.embed_d(CylFn.indicator(a * b)))]
-    report = SweepReport("oracle_agreement", "max_len=%d" % max_len)
+    report = SweepReport()
     for length in range(1, max_len + 1):
         for letters in iproduct(gens, repeat=length):
             report.check(product.expectation(letters) ==
@@ -132,7 +132,7 @@ def join_ergodicity():
     one to four points, the join contains both, does not depend on their
     order, and is ergodic exactly when it relates every pair of points.
     values: the (r1, r2, join) triples, for a brute-force closure."""
-    report = SweepReport("join_ergodicity", "|X| <= 4")
+    report = SweepReport()
     for size in range(1, 5):
         base = FiniteBase.uniform(tuple("p%d" % i for i in range(size)))
         relations = list(all_equivalence_relations(base))
@@ -177,7 +177,7 @@ def modular_scaling():
     spans.append(FMElement(full, {pair: 1 for pair in full.pairs}))
     spectra = [modular_spectrum(x) for x in spans]
     zero = FMElement.zero(full)
-    report = SweepReport("modular_scaling", "exact, all t")
+    report = SweepReport()
     for x, sx in zip(spans, spectra):
         report.check(sum(sx.values(), zero) == x and all(
             weights[p] / weights[q] == r
@@ -206,21 +206,24 @@ def modular_scaling():
 
 def intertwining():
     """Criterion 12: for every equivalence relation on four points, each
-    partial isometry v of its normalizing groupoid has v* v and v v* the
-    domain and image projections, and x -> v x v* commutes with the
-    expectation on every matrix unit x."""
+    partial bijection of its normalizing groupoid gives the partial
+    isometry v, the sum of e[y,x] over its graph pairs (x, y); v* v and
+    v v* are the domain and image projections, and x -> v x v* commutes
+    with the expectation on every matrix unit x."""
     base = FiniteBase.uniform(("p0", "p1", "p2", "p3"))
-    report = SweepReport("intertwining", "|X| = 4")
+    report = SweepReport()
     for relation in all_equivalence_relations(base):
         units = [FMElement.unit(relation, x, y)
                  for (x, y) in sorted(relation.pairs)]
-        for pb in normalizing_groupoid(relation):
-            v = pb.to_element(relation)
+        for graph in normalizing_groupoid(relation):
+            v = FMElement(relation, {(y, x): 1 for x, y in graph})
             v_star = v.adjoint()
             report.check(
-                v_star * v == pb.domain_projection(relation) and
-                v * v_star == pb.image_projection(relation) and
+                v_star * v == FMElement.diagonal(
+                    relation, {x: 1 for x, _ in graph}) and
+                v * v_star == FMElement.diagonal(
+                    relation, {y: 1 for _, y in graph}) and
                 all((v * x * v_star).expectation() ==
                     v * x.expectation() * v_star for x in units),
-                (relation, pb))
+                (relation, graph))
     return report

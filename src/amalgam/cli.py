@@ -266,7 +266,7 @@ def cmd_suite67(args, config):
     report = moment_vanishing_report(
         model, n_limit=n_limit, i_values=i_values, kappa_limit=kappa_limit)
     add("corner_moments", report, checked=report.checked,
-        fixture=report.fixture.replace(" ", ","))
+        fixture=model.fixture_line().replace(" ", ","))
 
     # stacked exponents reach max_len * n, below the shift order; cutting n
     # first keeps words of length 2 whenever the order leaves room for them

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
+from .dsl import DIGIT_BOUND
 from .engine import CrossedFace, FMFace, FreeProduct
 from .fmalg import FiniteBase, FiniteRelation
 from .matrix import CornerModel, Permutation
@@ -142,6 +143,11 @@ def parse_config(text):
     limit_spec = sections.get("limits", {})
     limits = {}
     for key, value in limit_spec.items():
+        # the expression language's rule: past CPython's int conversion
+        # limit, int() would fail on the length and blame the form
+        if sum(map(str.isdigit, value)) > DIGIT_BOUND:
+            raise ConfigError("limit %s has more than %d digits"
+                              % (key, DIGIT_BOUND))
         try:
             limits[key] = int(value)
         except ValueError as exc:

@@ -679,8 +679,6 @@ FREENESS_WORD_BOUND = 10 ** 6
 
 @dataclass
 class SweepReport:
-    name: str
-    fixture: str
     checked: int = 0
     failures: list = field(default_factory=list)
     values: list = field(default_factory=list)  # observed beyond the count
@@ -715,7 +713,7 @@ def freeness_check(algebra, families, max_len) -> SweepReport:
             break  # at most one family has letters: no word alternates
     centered = [[algebra.split(x)[1] for x in fam] for fam in families]
     letters = [(f, x) for f, fam in enumerate(centered) for x in fam][::-1]
-    report = SweepReport("freeness", "max_len=%d" % max_len)
+    report = SweepReport()
     # depth first; the letters are reversed so that they pop in order. An
     # entry is (family path, prefix, family, letter), multiplied when popped
     stack = [((), None, f, x) for f, x in letters]

@@ -263,40 +263,9 @@ def is_ergodic(relation: FiniteRelation) -> bool:
     return len(relation.classes()) == 1
 
 
-@dataclass(frozen=True)
-class PartialBijection:
-    """Injective partial map on the base, stored as sorted graph pairs."""
-
-    base: FiniteBase
-    graph: tuple  # pairs (x, image of x)
-
-    def __post_init__(self):
-        dom = [x for x, _ in self.graph]
-        img = [y for _, y in self.graph]
-        if len(set(dom)) != len(dom):
-            raise ValueError("not a function")
-        if len(set(img)) != len(img):
-            raise ValueError("not injective")
-
-    def domain(self):
-        return tuple(x for x, _ in self.graph)
-
-    def image(self):
-        return tuple(y for _, y in self.graph)
-
-    def to_element(self, relation: FiniteRelation) -> FMElement:
-        """Partial isometry sum of e[map(x), x] over the domain."""
-        return FMElement(relation, {(y, x): ONE for x, y in self.graph})
-
-    def domain_projection(self, relation):
-        return FMElement(relation, {(x, x): ONE for x in self.domain()})
-
-    def image_projection(self, relation):
-        return FMElement(relation, {(y, y): ONE for y in self.image()})
-
-
 def normalizing_groupoid(relation: FiniteRelation):
-    """All partial bijections whose graph sits inside the relation.
+    """All partial bijections whose graph sits inside the relation, each
+    as its graph: a tuple of (x, image of x) pairs, x in base order.
 
     Exhaustive, so the base is hard-bounded; the count grows like the
     number of partial injections.
@@ -309,7 +278,7 @@ def normalizing_groupoid(relation: FiniteRelation):
 
     def assign(i, used, graph):
         if i == len(points):
-            out.append(PartialBijection(relation.base, tuple(graph)))
+            out.append(tuple(graph))
             return
         x = points[i]
         assign(i + 1, used, graph)  # x outside the domain

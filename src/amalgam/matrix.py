@@ -325,13 +325,9 @@ class FamilyReport:
         return not self.violations
 
 
-def _size_sweep(name, model, k_values):
-    """An empty report for a sweep over the matrix sizes in k_values, and
-    the model's core amplified at each of them."""
-    report = SweepReport(name, "base=%d shift_order=%d k in %s" % (
-        len(model.core_base.points), model.face_b.alpha.order(),
-        list(k_values)))
-    return report, [model if k == model.k else CornerModel(
+def _sized_models(model, k_values):
+    """The model's core amplified at each matrix size in k_values."""
+    return [model if k == model.k else CornerModel(
         model.core_base, model.face_b.alpha, model.face_a.core_relation, k)
         for k in k_values]
 
@@ -339,8 +335,8 @@ def _size_sweep(name, model, k_values):
 def bracket_law_report(model, k_values=(2, 3, 4)):
     """Slot contraction, adjoint, and expectation laws for brackets, each
     checked against the amplified convolution route."""
-    report, models = _size_sweep("bracket-laws", model, k_values)
-    for sized in models:
+    report = SweepReport()
+    for sized in _sized_models(model, k_values):
         for face in (sized.face_a, sized.face_b):
             cores = _core_samples(face)
             slots = face.slots
@@ -391,7 +387,7 @@ def moment_vanishing_report(model, n_limit=2, i_values=(2, 3), kappa_limit=4):
     order = model.face_b.alpha.order()
     if not (n_limit < order and kappa_limit < order):
         raise ValueError("exponent windows must stay below the shift order")
-    report = SweepReport(name="moment", fixture=model.fixture_line())
+    report = SweepReport()
     for n in range(-n_limit, n_limit + 1):
         for i in i_values:
             for kappa in range(-kappa_limit, kappa_limit + 1):
@@ -466,8 +462,8 @@ def covariance_report(model, k_values=(2, 3, 4), n_limit=2, i_values=(2, 3)):
     """Conjugating a slot-one corner diagonal by a corner word shifts its
     points: u(n,i) (d in corner) u(n,i)* lands back in the diagonal, moved
     by the n-th shift power. Swept over matrix sizes in k_values."""
-    report, models = _size_sweep("covariance", model, k_values)
-    for sized in models:
+    report = SweepReport()
+    for sized in _sized_models(model, k_values):
         usable = [i for i in i_values if i <= sized.k]
         for n in range(-n_limit, n_limit + 1):
             for i in usable:
@@ -483,8 +479,8 @@ def reduction_identities_report(model, k_values=(2, 3, 4), n_limit=2):
     """The three exact collapse identities for slot-compressed products:
     compressing an ambient plain-face element, a bare slot unit, and a
     shifted slot bracket."""
-    report, models = _size_sweep("reduction", model, k_values)
-    for sized in models:
+    report = SweepReport()
+    for sized in _sized_models(model, k_values):
         k = sized.k
         face_a, face_b = sized.face_a, sized.face_b
         slots = face_a.slots

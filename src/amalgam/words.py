@@ -69,10 +69,7 @@ class Alphabet:
         """Letters of the block that may follow last without cancelling it,
         in letters() order; last 0 is no letter.  The list is shared: do
         not change it."""
-        try:
-            return self.extension_table[last, block]
-        except KeyError:  # not a letter or not a block: the plain definition
-            return [a for a in self.letters(block) if a != -last]
+        return self.extension_table[last, block]
 
     def letter(self, name: str) -> int:
         base = name[:-1] if name.endswith("'") else name

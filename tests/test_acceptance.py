@@ -88,11 +88,11 @@ def test_criterion_05_oracle_agreement():
 
 def test_criterion_06_corner_moments():
     t0 = time.time()
-    report = moment_vanishing_report(cyclic_model(core_size=5, k=3),
-                                     n_limit=2, i_values=(2, 3),
+    model = cyclic_model(core_size=5, k=3)
+    report = moment_vanishing_report(model, n_limit=2, i_values=(2, 3),
                                      kappa_limit=4)
     _report(6, "corner-moments", report.passed and report.checked == 80,
-            "%d moments on %s" % (report.checked, report.fixture), t0)
+            "%d moments on %s" % (report.checked, model.fixture_line()), t0)
 
 
 def test_criterion_07_family_freeness():

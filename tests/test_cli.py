@@ -183,29 +183,9 @@ def test_word_value_folds_products():
 
 # -- configuration -----------------------------------------------------------------
 
-CUSTOM = """\
-[alphabet]
-block1 = a c
-block2 = b
-
-[base]
-points = p q r s
-classes = {p q}
-
-[state]
-weights = 1/2 1/6 1/6 1/6
-
-[alpha]
-cycles = (p q r s)
-
-[limits]
-depth = 5
-k = 2
-"""
-
-
 def test_parse_config_custom():
-    cfg = parse_config(CUSTOM)
+    # trailing comments and blank lines are skipped
+    cfg = parse_config(CONFIGS["custom.cfg"].replace("\n", "  # note\n\n"))
     assert cfg.alphabet.names == ("a", "c", "b")
     assert cfg.alphabet.block_sizes() == (2, 1)
     assert cfg.base.points == ("p", "q", "r", "s")
@@ -551,6 +531,10 @@ INPUT_ERRORS = [
     # past CPython's int conversion limit a number got no position
     ("long-number", None, ("moment", "a^" + "1" * 5000), 2,
      "line 1, column 3: number has more than 9 digits"),
+    # the same rule holds for a limit: past the int conversion limit the
+    # message called the value not an integer
+    ("long-limit", "[limits]\ndepth = %s\n" % ("1" * 5000), ("join",), 2,
+     "limit depth has more than 9 digits"),
     # a translate to cylinder depth n costs about n^2, so the budget is
     # bounded; unbounded, this ran for 5 s
     ("depth-bound", None, ("--depth", "6000", "oracle", "a^4999 O(b)"), 2,
@@ -681,20 +665,22 @@ transcript.transcript(json.load(sys.stdin), sys.stdout)
 
 @pytest.fixture(scope="module")
 def golden_runs(tmp_path_factory):
-    """The transcript blocks of every command that is not slow, then of
-    every INPUT_ERRORS row, from two interpreters started together: a plain
-    one with PYTHONHASHSEED=0 and a python -O one, which strips assert,
-    with PYTHONHASHSEED=1, so no output may rest on assert or hash order."""
+    """The transcript blocks of every command that is not slow, from two
+    interpreters started together: a plain one with PYTHONHASHSEED=0 and a
+    python -O one, which strips assert, with PYTHONHASHSEED=1, so no output
+    may rest on assert or hash order. The -O one then runs every
+    INPUT_ERRORS row, which the in-process test has run plainly."""
     home = tmp_path_factory.mktemp("golden")
     TRANSCRIPT.write_configs(home)
     argvs = [argv for argv, _ in GOLDEN]
-    argvs += [row_argv(home, row) for row in INPUT_ERRORS]
-    (home / "argvs.json").write_text(json.dumps(argvs))
+    rows = [row_argv(home, row) for row in INPUT_ERRORS]
     path = os.pathsep.join([str(SRC), str(SRC.parent / "scripts")])
     procs = []
-    for flags, seed in (([], "0"), (["-O"], "1")):
+    for flags, seed, extra in (([], "0", []), (["-O"], "1", rows)):
         out = home / ("seed%s.txt" % seed)
-        with open(home / "argvs.json") as stdin, open(out, "w") as stdout:
+        stdin_path = home / ("argvs%s.json" % seed)
+        stdin_path.write_text(json.dumps(argvs + extra))
+        with open(stdin_path) as stdin, open(out, "w") as stdout:
             procs.append((out, subprocess.Popen(
                 [sys.executable, *flags, "-c", RUN_TRANSCRIPT], stdin=stdin,
                 stdout=stdout, stderr=subprocess.STDOUT, cwd=home,
@@ -714,14 +700,15 @@ def test_golden_transcript(golden_runs, run_index):
     #   PYTHONHASHSEED=0 PYTHONPATH=src python scripts/transcript.py \
     #       > scripts/transcript.txt
     assert len(BLOCKS) == len(ARGVS), "scripts/transcript.txt is stale"
-    got = golden_runs[run_index][:len(GOLDEN)]
+    got = golden_runs[run_index]
     for (argv, want), block in zip(GOLDEN, got):
         if block != want:
             pytest.fail("first command that differs: amalgam %s\n%s" % (
                 shlex.join(argv), "".join(difflib.unified_diff(
                     want.splitlines(True), block.splitlines(True),
                     "scripts/transcript.txt", "this run"))), pytrace=False)
-    assert len(got) == len(GOLDEN)
+    # the -O run goes on with one block per INPUT_ERRORS row
+    assert len(got) == len(GOLDEN) + run_index * len(INPUT_ERRORS)
 
 
 @pytest.mark.parametrize("row", INPUT_ERRORS, ids=ROW_IDS)
@@ -744,7 +731,7 @@ def test_no_source_depends_on_optimize():
 
 def test_custom_config_changes_alphabet(capsys, tmp_path):
     path = tmp_path / "three.cfg"
-    path.write_text(CUSTOM)
+    path.write_text(CONFIGS["custom.cfg"])
     code, out, _ = run(capsys, "--config", str(path), "--format", "machine",
                        "measure", "O(a b)")
     assert code == 0

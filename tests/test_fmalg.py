@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amalgam.fmalg import (
-    FMElement, FiniteBase, FiniteRelation, PartialBijection,
+    FMElement, FiniteBase, FiniteRelation,
     all_equivalence_relations, coefficient_gap, is_ergodic, join,
     modular_scale, modular_spectrum, normalizing_groupoid,
 )
@@ -237,7 +237,14 @@ def test_normalizing_groupoid_matches_oracle():
         for relation in all_equivalence_relations(base):
             found = normalizing_groupoid(relation)
             assert len(found) == groupoid_oracle(relation)
-            assert len({pb.graph for pb in found}) == len(found)
+            assert len(set(found)) == len(found)
+            # each graph: domain in base order, injective, in the relation
+            for graph in found:
+                domain = [x for x, _ in graph]
+                image = [y for _, y in graph]
+                assert domain == [x for x in base.points if x in domain]
+                assert len(set(image)) == len(image)
+                assert set(graph) <= relation.pairs
 
 
 def test_groupoid_bound_enforced():
@@ -246,27 +253,26 @@ def test_groupoid_bound_enforced():
         normalizing_groupoid(FiniteRelation.diagonal(big))
 
 
-def test_partial_bijection_validation_raises():
-    # a ValueError, not an assert, so the check survives python -O
-    with pytest.raises(ValueError, match="not a function"):
-        PartialBijection(B3, (("x", "y"), ("x", "z")))
-    with pytest.raises(ValueError, match="not injective"):
-        PartialBijection(B3, (("x", "z"), ("y", "z")))
+def partial_isometry(relation, graph):
+    """The sum of e[y,x] over the graph pairs (x, y)."""
+    return FMElement(relation, {(y, x): 1 for x, y in graph})
 
 
 def test_partial_bijection_is_partial_isometry():
     for relation in all_equivalence_relations(B3):
-        for pb in normalizing_groupoid(relation):
-            v = pb.to_element(relation)
-            assert v.adjoint() * v == pb.domain_projection(relation)
-            assert v * v.adjoint() == pb.image_projection(relation)
+        for graph in normalizing_groupoid(relation):
+            v = partial_isometry(relation, graph)
+            assert v.adjoint() * v == FMElement.diagonal(
+                relation, {x: 1 for x, _ in graph})
+            assert v * v.adjoint() == FMElement.diagonal(
+                relation, {y: 1 for _, y in graph})
 
 
 def test_groupoid_conjugation_intertwines_expectation():
     for relation in all_equivalence_relations(B3):
-        for pb in normalizing_groupoid(relation):
-            v = pb.to_element(relation)
-            dom = set(pb.domain())
+        for graph in normalizing_groupoid(relation):
+            v = partial_isometry(relation, graph)
+            dom = {x for x, _ in graph}
             support = [p for p in relation.pairs if p[0] in dom and p[1] in dom]
             for p in support:
                 u = FMElement(relation, {p: QC(Fraction(3, 7), Fraction(1, 2))})
