@@ -44,6 +44,23 @@ def _yes(flag):
     return "yes" if flag else "no"
 
 
+class LongNumber(Exception):
+    """An integer argument of more than dsl.DIGIT_BOUND digits. Not a
+    ValueError, which argparse answers itself with the whole value."""
+
+
+def _integer(name):
+    """The argparse type of the integer argument name: int, refused by its
+    length first, as the expression language refuses a long number."""
+    def parse(text):
+        if sum(map(str.isdigit, text)) > dsl.DIGIT_BOUND:
+            raise LongNumber("%s has more than %d digits"
+                             % (name, dsl.DIGIT_BOUND))
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in its other errors
+    return parse
+
+
 # -- report emission --------------------------------------------------------------
 
 def emit(records, fmt, out=None):
@@ -329,9 +346,9 @@ def build_parser():
     parser.add_argument("--config", help="path to a run configuration file")
     parser.add_argument("--format", choices=("human", "machine"),
                         default="human")
-    parser.add_argument("--max-len", type=int, dest="max_len",
-                        help="override the word-length window")
-    parser.add_argument("--depth", type=int,
+    parser.add_argument("--max-len", type=_integer("--max-len"),
+                        dest="max_len", help="override the word-length window")
+    parser.add_argument("--depth", type=_integer("--depth"),
                         help="override the boundary depth budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -341,15 +358,15 @@ def build_parser():
     p.add_argument("word")
     p.add_argument("cylinder")
     p = sub.add_parser("series", help="complement decomposition series")
-    p.add_argument("block", type=int)
-    p.add_argument("terms", type=int)
+    p.add_argument("block", type=_integer("block"))
+    p.add_argument("terms", type=_integer("terms"))
     p = sub.add_parser("moment", help="expectation of an expression")
     p.add_argument("expr", nargs="+")
     p = sub.add_parser("oracle", help="expectation via both routes")
     p.add_argument("expr", nargs="+")
     p = sub.add_parser("haar", help="moment vanishing up to a window")
     p.add_argument("expr", nargs="+")
-    p.add_argument("kmax", type=int)
+    p.add_argument("kmax", type=_integer("kmax"))
     p = sub.add_parser("freeness", help="alternating-word freeness sweep")
     p.add_argument("suite", choices=("boundary", "corner"))
     sub.add_parser("join", help="join of the two base relations")
@@ -359,8 +376,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else default_config()
         overrides = {key: getattr(args, key) for key in ("max_len", "depth")
                      if getattr(args, key) is not None}
@@ -370,7 +387,7 @@ def main(argv=None):
             config = replace(config, **overrides)
         records = COMMANDS[args.command](args, config)
         emit(records, args.format)  # a value too long to print is exit 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, LongNumber) as exc:
         # ConfigError and DslError are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return 2

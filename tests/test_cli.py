@@ -541,6 +541,11 @@ INPUT_ERRORS = [
      "depth must be at most 1500, not 6000"),
     ("depth-bound-config", CONFIGS["deep.cfg"], ("join",), 2,
      "depth must be at most 1500, not 1501"),
+    # argparse's own message for a bad int printed the whole value
+    ("long-option", None, ("--depth", "1" * 5000, "join"), 2,
+     "--depth has more than 9 digits"),
+    ("long-argument", None, ("series", "1", "1" * 5000), 2,
+     "terms has more than 9 digits"),
 ]
 ROW_IDS = [row[0] for row in INPUT_ERRORS]
 
@@ -641,11 +646,10 @@ def test_internal_error_exits_with_four(capsys, monkeypatch):
 
 
 def slow(argv):
-    # suite67, bar its --max-len 2 run, and the two corner freeness sweeps
-    # take about 2.9 s of the transcript's 5 s: CI diffs them with the whole
-    # transcript, and tests/test_acceptance.py checks their criteria
-    return (argv[-1] == "suite67" and "--max-len" not in argv
-            or argv[-2:] == ["freeness", "corner"])
+    # the five suite67 runs, bar the --max-len 2 one, take about 2 s of the
+    # transcript's 4 s: CI diffs them with the whole transcript, and
+    # tests/test_acceptance.py checks their criteria
+    return argv[-1] == "suite67" and "--max-len" not in argv
 
 
 def split_blocks(text):

@@ -634,6 +634,36 @@ def test_identities_hold_through_the_words(backend, data):
         assert (z.adjoint() * z).d_part.is_zero(), z
 
 
+def assert_product_expectation(product, x, y):
+    assert product.product_expectation(x, y) == (x * y).d_part
+    for left in x.words:
+        for right in y.words:
+            if len(left) != len(right):
+                assert product._word_mul(left, right)[0] is None
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_product_expectation_is_the_diagonal_of_the_product(backend):
+    # one() and most of WORDY carry a diagonal, so E(x) E(y) shows, and
+    # their words of lengths 1 to 3 pair off unequally; every pair is
+    # tried, as a dropped term or length guard shows in few of them
+    product, _ = BACKENDS[backend]
+    pool = WORDY[backend] + [product.one()]
+    for x, y in itertools.product(pool, repeat=2):
+        assert_product_expectation(product, x, y)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_product_expectation_of_longer_words(backend, data):
+    # products of two operands carry words of lengths up to 4
+    product, _ = BACKENDS[backend]
+    pool = st.sampled_from(WORDY[backend] + [product.one()])
+    x, y = (data.draw(st.builds(operator.mul, pool, pool)) for _ in range(2))
+    assert_product_expectation(product, x, y)
+
+
 # -- freeness and haar checks -------------------------------------------------
 
 def test_same_face_twice_is_not_free():

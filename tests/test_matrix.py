@@ -317,6 +317,59 @@ def test_checker_flags_a_planted_dependence():
     assert path == (0, 1) and value == model.corner_identity().d_part
 
 
+class CountingAmbient(MAmbient):
+    """MAmbient that counts the products and expectations asked of it."""
+
+    def __init__(self, product):
+        super().__init__(product)
+        self.calls = {"mul": 0, "expect": 0}
+
+    def mul(self, x, y):
+        self.calls["mul"] += 1
+        return super().mul(x, y)
+
+    def expect(self, x):
+        self.calls["expect"] += 1
+        return super().expect(x)
+
+
+def test_freeness_sweep_multiplies_only_the_words_it_extends(monkeypatch):
+    # the corner-sweep benchmark stamps each word at its one expect call;
+    # a word of length max_len is never multiplied out
+    ambients = []
+
+    def counting(product):
+        ambients.append(CountingAmbient(product))
+        return ambients[-1]
+
+    monkeypatch.setattr(amalgam.matrix, "MAmbient", counting)
+    report = family_freeness_report(cyclic_model(core_size=11, k=3),
+                                    max_len=4, n_limit=2, i_values=(2, 3),
+                                    kappas=(1,))
+    assert (report.words_checked, report.shape_checks) == (27870, 90)
+    # one expect per checked word, and one per letter as split centers the
+    # 4 + 10 family letters; one product per word of length 2 or 3
+    assert ambients[0].calls == {"expect": 27870 + 14, "mul": 2260}
+
+
+def test_last_letter_violations_match_the_full_product():
+    # u u u^-2 is the corner identity: the families are not free, and
+    # only words of length max_len show it
+    model = small_model(3)
+    families = [[model.corner_power(1, 2, 1)]] * 2 + \
+        [[model.corner_power(1, 2, -2)]]
+    ambient = MAmbient(model.product)
+    report = freeness_check(ambient, families, max_len=3)
+    assert report.failures
+    centered = [ambient.split(fam[0])[1] for fam in families]
+    for path, value in report.failures:
+        assert len(path) == 3
+        word = centered[path[0]]
+        for f in path[1:]:
+            word = word * centered[f]
+        assert value == word.d_part
+
+
 # -- covariance and reduction -----------------------------------------------------
 
 def test_covariance_shifts_corner_diagonals():
