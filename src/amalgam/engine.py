@@ -710,7 +710,8 @@ class MAmbient(Algebra):
 
     def expected_product(self, x, y):
         # expect is not called here: the caller reads the result with it
-        return self.product.from_d(self.product.product_expectation(x, y))
+        return MElement(self.product,
+                        self.product.product_expectation(x, y), ())
 
 
 # ---------------------------------------------------------------------------
@@ -741,10 +742,12 @@ class SweepReport:
 def freeness_check(algebra, families, max_len) -> SweepReport:
     """Test that alternating centered words across families have zero
     expectation, for every word of length 2..max_len with letters drawn
-    from the given family generator lists. A failure is the word's family
-    path with its expectation. A word of length max_len is not extended,
-    so only its expectation is formed, never its product. Once the letters
-    are centered, algebra.expect is called once per checked word."""
+    from the given family generator lists, in depth-first pre-order. A
+    failure is the word's family path with its expectation. A prefix of
+    length max_len - 1 checks the words it ends in one pass, letters in
+    order, forming only their expectations (algebra.expected_product),
+    never their products. Once the letters are centered, algebra.expect
+    is called once per checked word."""
     # words of each length ending in each family; stop once past the bound
     sizes = [len(fam) for fam in families]
     ending, words = sizes, 0
@@ -758,26 +761,32 @@ def freeness_check(algebra, families, max_len) -> SweepReport:
         if not words:
             break  # at most one family has letters: no word alternates
     centered = [[algebra.split(x)[1] for x in fam] for fam in families]
-    letters = [(f, x) for f, fam in enumerate(centered) for x in fam][::-1]
-    report = SweepReport()
-    # depth first; the letters are reversed so that they pop in order. An
-    # entry is (family path, prefix, family, letter), multiplied when popped
-    stack = [((), None, f, x) for f, x in letters]
+    letters = [(f, x) for f, fam in enumerate(centered) for x in fam]
+    expect, expected_product = algebra.expect, algebra.expected_product
+    checked, failures = 0, []
+    # depth first; letters are pushed reversed so that they pop in order.
+    # An entry is (family path, prefix, family, letter), multiplied when popped
+    stack = [((), None, f, x) for f, x in reversed(letters)]
     while stack:
         path, prefix, f, x = stack.pop()
         path += (f,)
-        if prefix is None:
-            value = x
-        elif len(path) < max_len:
-            value = algebra.mul(prefix, x)
-        else:
-            value = algebra.expected_product(prefix, x)
+        value = x if prefix is None else algebra.mul(prefix, x)
         if len(path) >= 2:
-            got = algebra.expect(value)
-            report.check(got.is_zero(), (path, got))
-        if len(path) < max_len:
-            stack += [(path, value, g, y) for g, y in letters if g != f]
-    return report
+            checked += 1
+            got = expect(value)
+            if not got.is_zero():
+                failures.append((path, got))
+        if len(path) < max_len - 1:
+            stack += [(path, value, g, y) for g, y in reversed(letters)
+                      if g != f]
+        elif len(path) == max_len - 1:
+            for g, y in letters:
+                if g != f:
+                    checked += 1
+                    got = expect(expected_product(value, y))
+                    if not got.is_zero():
+                        failures.append((path + (g,), got))
+    return SweepReport(checked, failures)
 
 
 @dataclass

@@ -421,27 +421,30 @@ def family_freeness_report(model, max_len=4, n_limit=2, i_values=(2, 3),
         model.embed(face_a.bracket(face_a.core_unit(x, y), 1, 1))
         for x, y in sorted(face_a.core_relation.pairs) if x != y]
     families = [corner_basis]
-    pairs = []
+    # each corner unitary is built once, for its family and the shapes
+    corner = {}
     for n in range(-n_limit, n_limit + 1):
         for i in i_values:
-            pairs.append((n, i))
-            families.append([model.corner_power(n, i, kp) for kp in kappas])
-    shape_checks = _adjoint_pair_shapes(model, pairs)
+            corner[n, i] = model.corner_unitary(n, i)
+            families.append([corner[n, i] if kp == 1 else
+                             model.corner_power(n, i, kp) for kp in kappas])
+    shape_checks = _adjoint_pair_shapes(model, corner)
     sweep = freeness_check(MAmbient(model.product), families, max_len)
     return FamilyReport(model.fixture_line(), len(families), shape_checks,
                         sweep.checked, sweep.failures)
 
 
-def _adjoint_pair_shapes(model, pairs):
+def _adjoint_pair_shapes(model, corner):
     """Adjacent corner words from distinct families collapse predictably:
     mismatched slots leave a three-letter alternating word, matched slots
-    leave a single shifted bracket in the corner."""
+    leave a single shifted bracket in the corner, built once per offset.
+    corner maps each pair (n, i) to its unitary u(n, i)."""
     face_b = model.face_b
-    corner = {pair: model.corner_unitary(*pair) for pair in pairs}
+    shifted = {}
     checked = 0
-    for n1, i1 in pairs:
+    for n1, i1 in corner:
         u1_star = corner[n1, i1].adjoint()
-        for n2, i2 in pairs:
+        for n2, i2 in corner:
             if (n1, i1) == (n2, i2):
                 continue
             seam = u1_star * corner[n2, i2]
@@ -449,8 +452,10 @@ def _adjoint_pair_shapes(model, pairs):
                 ok = seam.d_part.is_zero() and len(seam.words) == 1 and \
                     tuple(tag for tag, _ in seam.words[0]) == ("B", "A", "B")
             else:
-                ok = seam == model.embed(
-                    face_b.bracket(face_b.shift_power(n2 - n1), 1, 1))
+                if n2 - n1 not in shifted:
+                    shifted[n2 - n1] = model.embed(
+                        face_b.bracket(face_b.shift_power(n2 - n1), 1, 1))
+                ok = seam == shifted[n2 - n1]
             if not ok:  # raise, not assert: the check must run under -O too
                 raise AssertionError("seam u%s* u%s has the wrong shape"
                                      % ((n1, i1), (n2, i2)))

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import amalgam
-from amalgam.engine import MAmbient, freeness_check, haar_check
+from amalgam.engine import (
+    CrossedFace, CylFn, FreeProduct, MAmbient, freeness_check, haar_check,
+)
 from amalgam.fmalg import FMElement, FiniteBase, FiniteRelation
 from amalgam.matrix import (
     AmplifiedFace, BracketElement, CornerModel, Permutation,
@@ -16,6 +18,7 @@ from amalgam.matrix import (
     reduction_identities_report,
 )
 from amalgam.scalars import QC
+from amalgam.words import Alphabet, ReducedWord
 
 BASE5 = FiniteBase.uniform(tuple("x%d" % i for i in range(5)))
 SHIFT5 = Permutation.from_cycles(BASE5, (BASE5.points,))
@@ -368,6 +371,78 @@ def test_last_letter_violations_match_the_full_product():
         for f in path[1:]:
             word = word * centered[f]
         assert value == word.d_part
+
+
+def reference_sweep(ambient, families, max_len):
+    """(checked, failures) of a freeness sweep that multiplies every
+    alternating word out in full, in depth-first pre-order."""
+    letters = [(f, ambient.split(x)[1])
+               for f, fam in enumerate(families) for x in fam]
+    checked, failures = 0, []
+
+    def visit(path, word):
+        nonlocal checked
+        if len(path) >= 2:
+            checked += 1
+            d = ambient.expect(word)
+            if not d.is_zero():
+                failures.append((path, d))
+        if len(path) < max_len:
+            for g, y in letters:
+                if g != path[-1]:
+                    visit(path + (g,), word * y)
+
+    for f, x in letters:
+        visit((f,), x)
+    return checked, failures
+
+
+def planted_corner_families():
+    # u u u^-2 and u u* are the corner identity; the last set puts two
+    # letters in a family, so that several words under one prefix fail
+    model = small_model(3)
+    u = model.corner_power(1, 2, 1)
+    u_star, u_inv2 = u.adjoint(), model.corner_power(1, 2, -2)
+    return model.product, [
+        [[u], [u], [u_inv2]],
+        [[u], [u_star]],
+        [[u, model.corner_power(1, 2, 2)], [u_star, u_inv2], [u]],
+    ]
+
+
+def planted_boundary_families():
+    # the families of `freeness boundary`, and the adjoint of the first
+    alphabet = Alphabet(("a", "b"), 1)
+    face_a, face_b = CrossedFace("A", alphabet, 1, 8), \
+        CrossedFace("B", alphabet, 2, 8)
+    product = FreeProduct(face_a, face_b)
+    a, b = (ReducedWord.from_letters(alphabet, (alphabet.letters(block)[0],))
+            for block in (1, 2))
+    fn = CylFn.indicator(b)
+    u_a = product.embed("A", face_a.unitary(a))
+    return product, [[[u_a], [product.embed("B", face_b.unitary(b))],
+                      [product.embed("A", face_a.element({a: fn}))],
+                      [product.embed("B", face_b.embed_d(fn))],
+                      [u_a.adjoint()]]]
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+@pytest.mark.parametrize("planted", [planted_corner_families,
+                                     planted_boundary_families])
+def test_freeness_failures_in_pre_order_match_the_full_products(planted,
+                                                               max_len):
+    # corner_report.py prints the first failures, so their order counts.
+    # At max_len 2 the words of full length hang off the roots; at max_len
+    # 1 no word is checked
+    product, family_sets = planted()
+    ambient = MAmbient(product)
+    failed = 0
+    for families in family_sets:
+        report = freeness_check(ambient, families, max_len)
+        checked, failures = reference_sweep(ambient, families, max_len)
+        assert (report.checked, report.failures) == (checked, failures)
+        failed += len(failures)
+    assert bool(failed) == (max_len >= 2)
 
 
 # -- covariance and reduction -----------------------------------------------------
