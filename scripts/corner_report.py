@@ -49,7 +49,7 @@ def main():
         print("freeness   skipped: %s" % exc)
         return 1
     print("freeness   %s: %d words, %d shapes, %d violations"
-          % (report.fixture, report.words_checked, report.shape_checks,
+          % (model.fixture_line(), report.words_checked, report.shape_checks,
              len(report.violations)))
     for path, value in report.violations[:5]:
         print("  families %s: E = %r" % (path, value))

@@ -14,7 +14,7 @@ under three more size mappings (`--max-len 2`, `--depth 3` and a weighted
 three-generator config), depth sweeps of `moment`, `oracle`, `haar`
 and `freeness boundary` over boundary expressions drawn from a fixed seed,
 an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
-one letter deeper, and thirty-four late additions at the end, so that the
+one letter deeper, and thirty-nine late additions at the end, so that the
 earlier commands keep their places.
 """
 
@@ -62,6 +62,11 @@ CONFIGS = {
     "letters26.cfg": "[alphabet]\nblock1 = a b c d e1 f g h i j k l m\n"
                      "block2 = n o p q r s t u v w x y z\n",
     "deep.cfg": "[limits]\ndepth = 1501\n",
+    "nmax.cfg": "[limits]\nn_max = 17\n",
+    "kappa.cfg": "[limits]\nkappa_max = 17\n",
+    "wide.cfg": "[base]\npoints = %s\n"
+                % " ".join("x%d" % i for i in range(23)),
+    "five.cfg": "[alphabet]\nblock1 = a c f\nblock2 = b d\n",
 }
 
 FIXED = [
@@ -233,6 +238,14 @@ def commands():
     out += [["moment", "a^" + "1" * 5000],
             ["--depth", "6000", "oracle", "a^4999 O(b)"],
             ["--config", "deep.cfg", "join"]]
+    # the exponent windows, the base and suite67's alphabet are bounded;
+    # series over 26 generators no longer builds its 6.9 * 10^9 cylinders
+    out += [["--config", "nmax.cfg", "join"],
+            ["--config", "kappa.cfg", "join"],
+            ["--config", "wide.cfg", "join"],
+            ["--config", "five.cfg", "suite67"],
+            ["--format", "machine", "--config", "letters26.cfg", "series",
+             "1", "6"]]
     return out
 
 

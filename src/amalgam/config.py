@@ -36,6 +36,12 @@ K_BOUND = 8
 # a translate to cylinder depth n costs about n^2: at the bound,
 # `oracle "a^1499 O(b)"` takes about 0.7 s
 DEPTH_BOUND = 1500
+# suite67's covariance window is not clamped and its moment window only
+# below the shift order; join's pair sets grow as the square of the points.
+# The worst admitted suite67 found (4 generators, 22 points in cycles of 2,
+# 3, 5, 7, k = 8, both windows 16, max_len = 3) takes 8-12 s, 2-vCPU VM
+N_MAX_BOUND = KAPPA_MAX_BOUND = 16
+POINT_BOUND = 22
 
 
 class ConfigError(ValueError):
@@ -57,12 +63,16 @@ class RunConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ConfigError("k must be at least 2, not %d" % self.k)
-        if self.k > K_BOUND:
-            raise ConfigError("k must be at most %d, not %d"
-                              % (K_BOUND, self.k))
-        if self.depth > DEPTH_BOUND:
-            raise ConfigError("depth must be at most %d, not %d"
-                              % (DEPTH_BOUND, self.depth))
+        for name, bound in (("k", K_BOUND), ("depth", DEPTH_BOUND),
+                            ("n_max", N_MAX_BOUND),
+                            ("kappa_max", KAPPA_MAX_BOUND)):
+            value = getattr(self, name)
+            if value > bound:
+                raise ConfigError("%s must be at most %d, not %d"
+                                  % (name, bound, value))
+        if len(self.base.points) > POINT_BOUND:
+            raise ConfigError("base must have at most %d points, not %d"
+                              % (POINT_BOUND, len(self.base.points)))
         for name in ("depth", "n_max", "kappa_max", "max_len"):
             value = getattr(self, name)
             if value < 1:

@@ -575,10 +575,10 @@ class FreeProduct:
         return None if d.is_zero() else d, words
 
     def product_expectation(self, x: MElement, y: MElement):
-        """E(x y) without the normal form of x y: E(x) E(y) plus, for each
-        pair of words of equal length, the diagonal left once all their
-        seams merge. Every other term of x y is a centered alternating
-        word, so its expectation vanishes."""
+        """E(x y) without the normal form of x y: E(x) E(y) plus the diagonal
+        of each pair of words of equal length whose middle seam merges (then
+        every seam does, as tags alternate). Every other term of x y is a
+        centered alternating word, so its expectation vanishes."""
         if x.d_part.is_zero():
             total = x.d_part
         elif y.d_part.is_zero():
@@ -587,28 +587,11 @@ class FreeProduct:
             total = x.d_part * y.d_part
         for w in x.words:
             for v in y.words:
-                if len(w) == len(v):
-                    d = self._word_expectation(w, v)
+                if len(w) == len(v) and w[-1][0] == v[0][0]:
+                    d = self._word_mul(w, v)[0]
                     if d is not None:
                         total = total + d
         return total
-
-    def _word_expectation(self, left, right):
-        """E(left right) for words of equal length: the seams merge from
-        the middle out, each passing its diagonal on to the next; None
-        when it is zero. Tags alternate within each word, so when the
-        middle seam merges, every seam does."""
-        if left[-1][0] != right[0][0]:
-            return None  # left right is itself a centered alternating word
-        d = None
-        for (tag, a), (_, b) in zip(reversed(left), right):
-            face = self.faces[tag]
-            if d is not None:
-                b = face.d_mul(d, b, left=True)
-            d = face.expect(face.mul(a, b))
-            if d.is_zero():
-                return None
-        return d
 
     # -- expectation of raw letter sequences ---------------------------------
 

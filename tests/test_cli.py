@@ -363,6 +363,39 @@ def test_series_accepts_zero_terms(capsys):
     assert code == 0 and "terms=0" in out and "ok=yes" in out
 
 
+def test_parse_config_admits_the_bounds():
+    cfg = parse_config(
+        "[base]\npoints = %s\n[limits]\nk = 8\nn_max = 16\n"
+        "kappa_max = 16\ndepth = 1500\n"
+        % " ".join("x%d" % i for i in range(22)))
+    assert (len(cfg.base.points), cfg.k, cfg.n_max, cfg.kappa_max,
+            cfg.depth) == (22, 8, 16, 16, 1500)
+
+
+@pytest.mark.parametrize("config, argv, built", [
+    (None, ("series", "1", "6"), True),
+    # 2 * (1 + 2 * 249) = 998 cylinders, then 1,002
+    (None, ("series", "2", "249"), True),
+    (None, ("series", "2", "250"), False),
+    # 26 * (1 + 26 + 650) = 17,602 cylinders
+    (CONFIGS["letters26.cfg"], ("series", "1", "2"), False),
+], ids=["default-6", "at-bound", "past-bound", "letters26"])
+def test_series_measures_a_small_decomposition(capsys, tmp_path, monkeypatch,
+                                               config, argv, built):
+    # the cross-check builds the decomposition only up to
+    # SERIES_CYLINDER_BOUND cylinders, counted in closed form first
+    calls = []
+    plain = cli.complement_decomposition
+    monkeypatch.setattr(cli, "complement_decomposition",
+                        lambda *args: calls.append(args) or plain(*args))
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = ("--config", str(tmp_path / "run.cfg")) + argv
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("ok = yes\n")
+    assert len(calls) == built
+
+
 @pytest.mark.parametrize("key", ["max_len", "depth"])
 @pytest.mark.parametrize("value", ["-1", "0"])
 @pytest.mark.parametrize("command", [("freeness", "boundary"), ("suite67",)],
@@ -541,6 +574,17 @@ INPUT_ERRORS = [
      "depth must be at most 1500, not 6000"),
     ("depth-bound-config", CONFIGS["deep.cfg"], ("join",), 2,
      "depth must be at most 1500, not 1501"),
+    # suite67's windows and join's pair sets grow with these; unbounded,
+    # suite67 took about 6 ms per unit of n_max
+    ("n-max-bound", CONFIGS["nmax.cfg"], ("join",), 2,
+     "n_max must be at most 16, not 17"),
+    ("kappa-max-bound", CONFIGS["kappa.cfg"], ("join",), 2,
+     "kappa_max must be at most 16, not 17"),
+    ("point-bound", CONFIGS["wide.cfg"], ("join",), 2,
+     "base must have at most 22 points, not 23"),
+    # refused before any check runs: with 5 generators it took 10 s
+    ("suite67-generators", CONFIGS["five.cfg"], ("suite67",), 2,
+     "suite67 takes at most 4 generators, not 5"),
     # argparse's own message for a bad int printed the whole value
     ("long-option", None, ("--depth", "1" * 5000, "join"), 2,
      "--depth has more than 9 digits"),
@@ -633,16 +677,6 @@ def test_config_file_is_read_on_every_call(capsys, tmp_path):
         cfg.write_text("[limits]\nmax_len = %d\n" % max_len)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "max_len=%d " % max_len in out
-
-
-def test_internal_error_exits_with_four(capsys, monkeypatch):
-    def broken(args, config):
-        raise AssertionError("invariant broke")
-
-    monkeypatch.setitem(cli.COMMANDS, "join", broken)
-    code, out, err = run(capsys, "join")
-    assert code == 4 and out == ""
-    assert err == "error: internal: invariant broke\n"
 
 
 def slow(argv):

@@ -13,6 +13,7 @@ from amalgam.engine import (
     MAmbient, freeness_check, haar_check,
 )
 from amalgam.fmalg import FMElement, FiniteBase, FiniteRelation
+from amalgam.matrix import cyclic_model, family_freeness_report
 from amalgam.scalars import ONE, QC
 from amalgam.words import Alphabet, ReducedWord, ball, sphere
 
@@ -662,6 +663,47 @@ def test_product_expectation_of_longer_words(backend, data):
     pool = st.sampled_from(WORDY[backend] + [product.one()])
     x, y = (data.draw(st.builds(operator.mul, pool, pool)) for _ in range(2))
     assert_product_expectation(product, x, y)
+
+
+def test_product_expectation_multiplies_only_pairs_that_can_merge(
+        monkeypatch):
+    # _word_mul is right for any pair of words, so no value sees the
+    # length and tag filter in front of it; the count of pairs it gets does
+    inside, pairs = [], []
+    word_mul = FreeProduct._word_mul
+    product_expectation = FreeProduct.product_expectation
+
+    def counting_word_mul(self, left, right):
+        if inside:
+            pairs.append((left, right))
+        return word_mul(self, left, right)
+
+    def marked_product_expectation(self, x, y):
+        inside.append(True)
+        try:
+            return product_expectation(self, x, y)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(FreeProduct, "_word_mul", counting_word_mul)
+    monkeypatch.setattr(FreeProduct, "product_expectation",
+                        marked_product_expectation)
+    for backend in sorted(BACKENDS):
+        product, _ = BACKENDS[backend]
+        del pairs[:]
+        mergeable = 0
+        for x, y in itertools.product(WORDY[backend], repeat=2):
+            product.product_expectation(x, y)
+            mergeable += sum(len(u) == len(v) and u[-1][0] == v[0][0]
+                             for u in x.words for v in y.words)
+        assert len(pairs) == mergeable > 0, backend
+    # criterion 07 ends 25,610 words through product_expectation, and no
+    # pair of their words has equal lengths
+    del pairs[:]
+    report = family_freeness_report(cyclic_model(core_size=11, k=3),
+                                    max_len=4, n_limit=2, i_values=(2, 3),
+                                    kappas=(1,))
+    assert report.words_checked == 27870 and pairs == []
 
 
 # -- freeness and haar checks -------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -294,20 +295,24 @@ plain = model.corner_unitary
 model.corner_unitary = lambda n, i: plain(n, i) + plain(n, i)
 report = family_freeness_report(model, max_len=2, n_limit=1)
 print(report.shape_checks)
+print(sorted(path for path, _ in report.violations))
 """
 
 
 def test_shape_checks_run_without_asserts():
     # python -O strips assert; the seam shape checks must still fail on a
-    # model whose corner words are doubled
+    # model whose corner words are doubled, each as a violation that names
+    # its two corner words, not as an exception
     src = Path(amalgam.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-O", "-c", DOUBLED_UNITARY], capture_output=True,
         text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
         check=False)
-    assert proc.returncode == 1 and proc.stdout == ""
-    last = proc.stderr.splitlines()[-1]
-    assert last.startswith("AssertionError: ") and "wrong shape" in last
+    assert proc.returncode == 0 and proc.stderr == ""
+    checks, paths = proc.stdout.splitlines()
+    corner = list(itertools.product((-1, 0, 1), (2, 3)))
+    pairs = sorted((p, q) for p in corner for q in corner if p != q)
+    assert checks == "30" and paths == repr(pairs)
 
 
 def test_checker_flags_a_planted_dependence():
