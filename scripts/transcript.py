@@ -8,14 +8,15 @@ same transcript answer every listed command alike. `scripts/transcript.txt`
 holds the output of the current code, so piping a fresh run into
 `diff -u scripts/transcript.txt -` checks that a change kept the outputs
 byte-identical, and shows the commands whose output changed. The list holds
-the README examples, one or more of every command form, the input errors,
-relations built from configured classes, `suite67` in both formats and
-under three more size mappings (`--max-len 2`, `--depth 3` and a weighted
-three-generator config), depth sweeps of `moment`, `oracle`, `haar`
-and `freeness boundary` over boundary expressions drawn from a fixed seed,
-an `rn` sweep: every reduced word of length 1 or 2 against every cylinder
-one letter deeper, and thirty-nine late additions at the end, so that the
-earlier commands keep their places.
+the README examples, one or more of every command form, relations built
+from configured classes, `suite67` in both formats and under three more
+size mappings (`--max-len 2`, `--depth 3` and a weighted three-generator
+config), depth sweeps of `moment`, `oracle`, `haar` and `freeness boundary`
+over boundary expressions drawn from a fixed seed, an `rn` sweep: every
+reduced word of length 1 or 2 against every cylinder one letter deeper, and
+sixty-seven late additions at the end, so that the earlier commands keep
+their places. Every refused input is a command of the list, so this file is
+the one place a refusal message is written; a new one is appended.
 """
 
 import contextlib
@@ -67,6 +68,16 @@ CONFIGS = {
     "wide.cfg": "[base]\npoints = %s\n"
                 % " ".join("x%d" % i for i in range(23)),
     "five.cfg": "[alphabet]\nblock1 = a c f\nblock2 = b d\n",
+    # refused configurations, one per rule
+    "no-points.cfg": "[base]\npoints =\n",
+    "repeated-cycle-point.cfg": "[base]\npoints = p q r\n"
+                                "[alpha]\ncycles = (p q p)\n",
+    "duplicate-generator.cfg": "[alphabet]\nblock1 = a\nblock2 = a\n",
+    "uppercase-generator.cfg": "[alphabet]\nblock1 = A\n",
+    "reserved-e.cfg": "[alphabet]\nblock1 = e\nblock2 = b\n",
+    "unreduced-configured.cfg": "[alphabet]\nblock1 = a\nblock2 = b\n",
+    "k-bound.cfg": "[limits]\nk = 9\n",
+    "long-limit.cfg": "[limits]\ndepth = %s\n" % ("1" * 5000),
 }
 
 FIXED = [
@@ -246,6 +257,47 @@ def commands():
             ["--config", "five.cfg", "suite67"],
             ["--format", "machine", "--config", "letters26.cfg", "series",
              "1", "6"]]
+    # malformed expressions and commands given the wrong kind of argument
+    out += [["moment", ")"],
+            ["measure", "O()"],
+            ["rn", "O(a)", "O(a b)"],
+            ["moment", "e[(,x0]"],
+            ["moment", "a $"],
+            ["moment", "a^x"],
+            ["moment", "C"],
+            ["moment", "A[1]{1,1}"],
+            ["moment", "A[e[x1,x2]]{1,1}"],
+            ["oracle", "A[e]{1,2}"],
+            ["measure", "a"]]
+    # an unchecked cycle (p q p) made `join` loop in Permutation.orbits;
+    # every e in an expression is the identity, so a generator named e
+    # could never be addressed: O(e) measured the whole space
+    out += [["--config", "no-points.cfg", "join"],
+            ["--config", "repeated-cycle-point.cfg", "join"],
+            ["--config", "duplicate-generator.cfg", "series", "1", "2"],
+            ["--config", "uppercase-generator.cfg", "join"],
+            ["--config", "reserved-e.cfg", "measure", "O(e)"],
+            ["--config", "reserved-e.cfg", "rn", "e", "O(e b)"]]
+    # an empty haar window checked nothing and a negative series window
+    # summed nothing, yet both printed a record; no reduced point starts
+    # with a a' under a configured alphabet either; a lone cylinder atom
+    # still meets the budget
+    out += [["haar", "A[e]{1,2}", "-2"],
+            ["series", "2", "-1"],
+            ["--config", "unreduced-configured.cfg", "measure", "O(a a')"],
+            ["--depth", "2", "haar", "O(a b a)", "1"]]
+    # one letter past the bound, each ^ alone far below it; past CPython's
+    # int conversion limit a config limit was called not an integer, and
+    # argparse's own message for a bad int printed the whole value
+    out += [["moment", "(a^100)^50 a"],
+            ["haar", "a b", "2501"],
+            ["--config", "k-bound.cfg", "join"],
+            ["--config", "long-limit.cfg", "join"],
+            ["--depth", "1" * 5000, "join"],
+            ["series", "1", "1" * 5000]]
+    # suite67 fits its windows to a shift of order 3, the corner sweep
+    # refuses it
+    out.append(["--config", "short.cfg", "freeness", "corner"])
     return out
 
 

@@ -402,9 +402,6 @@ class MElement:
         self.d_part = d_part
         self.words = tuple(words)
 
-    def expectation(self):
-        return self.d_part
-
     def __add__(self, other):
         if other.product is not self.product:
             raise ValueError("elements of different free products")

@@ -41,7 +41,7 @@ def load_script(name):
 
 
 TRANSCRIPT = load_script("transcript")
-CONFIGS = TRANSCRIPT.CONFIGS  # config texts the transcript shares with rows
+CONFIGS = TRANSCRIPT.CONFIGS  # config texts the transcript runs with
 
 
 # -- expression language -----------------------------------------------------------
@@ -169,7 +169,7 @@ def test_parse_errors_count_lines(text, message):
 ])
 def test_letter_count(text, letters):
     # x^n counts x |n| times, so nested powers multiply; an expression at
-    # the bound parses (one more letter is an INPUT_ERRORS row)
+    # the bound parses (one more letter is a refused transcript command)
     assert dsl.letter_count(dsl.parse(text, CFG)) == letters
 
 
@@ -417,200 +417,6 @@ def test_identity_letter_allowed_in_cylinder(capsys):
         assert code == 0 and "cylinder=" + shown in out
 
 
-RESERVED_E = "[alphabet]\nblock1 = e\nblock2 = b\n"
-RESERVED_E_ERROR = "bad alphabet: generator name e is reserved for the identity"
-
-# Every refused input, one row each: (id, config text or None, argv, exit
-# code, the one stderr line after "error: "). A row's config is read from
-# <id>.cfg in the working directory, so no message holds a temporary path.
-# Each rule is checked once, by the parser or by the constructor that owns
-# it; every row runs in process and again under python -O, which strips
-# assert (test_input_error_under_optimize).
-INPUT_ERRORS = [
-    ("no-expression", None, ("moment", ")"), 2,
-     "line 1, column 1: expected an expression"),
-    ("empty-cylinder", None, ("measure", "O()"), 2,
-     "line 1, column 3: expected a group word"),
-    ("rn-cylinder-word", None, ("rn", "O(a)", "O(a b)"), 2,
-     "expected a group word"),
-    ("bad-point", None, ("moment", "e[(,x0]"), 2,
-     "line 1, column 3: expected a base point"),
-    ("bad-character", None, ("moment", "a $"), 2,
-     "line 1, column 3: unexpected character '$'"),
-    ("bad-exponent", None, ("moment", "a^x"), 2,
-     "line 1, column 3: expected an integer"),
-    ("unknown-name", None, ("moment", "C"), 2,
-     "line 1, column 1: unknown name 'C'"),
-    ("no-core", None, ("moment", "A[1]{1,1}"), 2,
-     "line 1, column 3: expected a bracket core"),
-    ("unit-off-relation", None, ("moment", "A[e[x1,x2]]{1,1}"), 2,
-     "e[x1,x2] is not in the A face relation"),
-    ("oracle-corner", None, ("oracle", "A[e]{1,2}"), 2,
-     "the oracle command needs a boundary expression"),
-    ("measure-word", None, ("measure", "a"), 2, "expected a cylinder O(...)"),
-    ("third-block", None, ("series", "3", "2"), 2,
-     "block must be 1 or 2, not 3"),
-    ("no-points", "[base]\npoints =\n", ("join",), 2,
-     "base points must be distinct and nonempty"),
-    ("off-base-cycle", CONFIGS["offcycle.cfg"], ("join",), 2,
-     "bad cycles: cycle point z is not in the base"),
-    ("unit-off-both", CONFIGS["three.cfg"], ("moment", "e[p,v]"), 2,
-     "e[p,v] is not in either face relation"),
-    ("unresolved-point", None, ("moment", "e[x0,zz]"), 2,
-     "line 1, column 6: unresolved identifier 'zz'"),
-    ("unclosed-core", None, ("moment", "A[e}"), 2,
-     "line 1, column 4: expected ']'"),
-    # the translate O(a^1200 b) is refused by the budget, not the stack
-    ("deep-translate", None, ("moment", "a^1200 O(b)"), 3,
-     "cylinder depth 1201 exceeds budget 8"),
-    # about 4 * 3^1199 words: refused before the sweep starts
-    ("sweep-bound", None, ("--max-len", "1200", "freeness", "boundary"), 2,
-     "a freeness sweep to length 1200 has more than 1000000 words"),
-    ("unresolved-letter", None, ("measure", "O(a q)"), 2,
-     "line 1, column 5: unresolved identifier 'q'"),
-    ("mixed-atoms", None, ("moment", "a A[e]{1,2}"), 2,
-     "expression mixes boundary and corner atoms"),
-    ("unknown-key", CONFIGS["bad.cfg"], ("join",), 2,
-     "unknown key in [limits]: bogus"),
-    ("missing-config", None, ("--config", "missing.cfg", "join"), 2,
-     "[Errno 2] No such file or directory: 'missing.cfg'"),
-    # the plain relation is built when the file is read, so a command that
-    # never uses it refuses overlapping classes too
-    ("overlap-measure", CONFIGS["overlap.cfg"], ("measure", "O(a)"), 2,
-     "point in two classes"),
-    ("overlap-join", CONFIGS["overlap.cfg"], ("join",), 2,
-     "point in two classes"),
-    ("bad-state", CONFIGS["weights.cfg"], ("ergodic",), 2,
-     "bad state: weights must sum to 1"),
-    # an unchecked cycle (p q p) made `join` loop in Permutation.orbits
-    ("repeated-cycle-point",
-     "[base]\npoints = p q r\n[alpha]\ncycles = (p q p)\n", ("join",), 2,
-     "bad cycles: repeated point in a cycle"),
-    ("duplicate-generator", "[alphabet]\nblock1 = a\nblock2 = a\n",
-     ("series", "1", "2"), 2, "bad alphabet: duplicate generator"),
-    ("uppercase-generator", "[alphabet]\nblock1 = A\n", ("join",), 2,
-     "bad alphabet: generator name must be lowercase: 'A'"),
-    # every e in an expression is the identity, so a generator named e
-    # could never be addressed: O(e) measured the whole space
-    ("reserved-e-measure", RESERVED_E, ("measure", "O(e)"), 2,
-     RESERVED_E_ERROR),
-    ("reserved-e-rn", RESERVED_E, ("rn", "e", "O(e b)"), 2, RESERVED_E_ERROR),
-    # an empty haar window checked nothing and a negative series window
-    # summed nothing, yet both printed a record
-    ("kmax-zero", None, ("haar", "a", "0"), 2,
-     "kmax must be at least 1, not 0"),
-    ("kmax-negative", None, ("haar", "A[e]{1,2}", "-2"), 2,
-     "kmax must be at least 1, not -2"),
-    ("terms-negative", None, ("series", "1", "-3"), 2,
-     "terms must be at least 0, not -3"),
-    ("terms-negative-block2", None, ("series", "2", "-1"), 2,
-     "terms must be at least 0, not -1"),
-    # no reduced point starts with a a', so the prefix is an input error,
-    # not the whole space
-    ("unreduced-measure", None, ("measure", "O(a a')"), 2,
-     "line 1, column 5: cylinder prefix is not reduced: "
-     "a' cancels the letter before it"),
-    ("unreduced-rn", None, ("rn", "a", "O(b b')"), 2,
-     "line 1, column 5: cylinder prefix is not reduced: "
-     "b' cancels the letter before it"),
-    ("unreduced-moment", None, ("moment", "O(a a') b"), 2,
-     "line 1, column 5: cylinder prefix is not reduced: "
-     "a' cancels the letter before it"),
-    ("unreduced-past-e", None, ("measure", "O(a e a')"), 2,
-     "line 1, column 7: cylinder prefix is not reduced: "
-     "a' cancels the letter before it"),
-    ("unreduced-configured", "[alphabet]\nblock1 = a\nblock2 = b\n",
-     ("measure", "O(a a')"), 2,
-     "line 1, column 5: cylinder prefix is not reduced: "
-     "a' cancels the letter before it"),
-    # a cylinder atom with no arithmetic on it still meets the budget
-    ("budget-product", None, ("--depth", "2", "moment", "O(a b a) a"), 3,
-     "cylinder depth 3 exceeds budget 2"),
-    ("budget-lone-moment", None, ("--depth", "2", "moment", "O(a b a)"), 3,
-     "cylinder depth 3 exceeds budget 2"),
-    ("budget-lone-haar", None, ("--depth", "2", "haar", "O(a b a)", "1"), 3,
-     "cylinder depth 3 exceeds budget 2"),
-    # x^0 is the unit only for an x that exists: the base fails as it
-    # would alone
-    ("zeroth-plain-shift", None, ("moment", "A[u]{1,2}^0"), 2,
-     "the plain face has no shift unitary"),
-    ("zeroth-bad-slot", None, ("moment", "A[e]{9,1}^0"), 2,
-     "line 1, column 6: slot index 9 is above k = 3"),
-    ("zeroth-too-deep", None, ("--depth", "2", "moment", "O(a b a)^0"), 3,
-     "cylinder depth 3 exceeds budget 2"),
-    # counts on the command line are bounded; unbounded, each of these
-    # was still running after 10 s
-    ("letters-identity", None, ("moment", "e^100000000"), 2,
-     "expression unfolds to more than 5000 letters"),
-    ("letters-corner", None, ("moment", "A[e]{1,1}^-100000000"), 2,
-     "expression unfolds to more than 5000 letters"),
-    ("letters-rn", None, ("rn", "a^100000000", "O(b)"), 2,
-     "expression unfolds to more than 5000 letters"),
-    # one letter past the bound; each ^ alone stays far below it
-    ("letters-past-bound", None, ("moment", "(a^100)^50 a"), 2,
-     "expression unfolds to more than 5000 letters"),
-    ("haar-window", None, ("haar", "a", "100000000"), 2,
-     "haar to kmax 100000000 unfolds to more than 5000 letters"),
-    ("haar-letters", None, ("haar", "a b", "2501"), 2,
-     "haar to kmax 2501 unfolds to more than 5000 letters"),
-    ("terms-bound", None, ("series", "1", "100000000"), 2,
-     "terms must be at most 1000, not 100000000"),
-    ("k-bound", "[limits]\nk = 9\n", ("join",), 2,
-     "k must be at most 8, not 9"),
-    # a measure of 1/(52 * 51^2599): more digits than CPython prints
-    ("too-long-to-print", CONFIGS["letters26.cfg"],
-     ("measure", "O(%s)" % " ".join(["a n"] * 1300)), 2,
-     "record measure has a value too long to print"),
-    # past CPython's int conversion limit a number got no position
-    ("long-number", None, ("moment", "a^" + "1" * 5000), 2,
-     "line 1, column 3: number has more than 9 digits"),
-    # the same rule holds for a limit: past the int conversion limit the
-    # message called the value not an integer
-    ("long-limit", "[limits]\ndepth = %s\n" % ("1" * 5000), ("join",), 2,
-     "limit depth has more than 9 digits"),
-    # a translate to cylinder depth n costs about n^2, so the budget is
-    # bounded; unbounded, this ran for 5 s
-    ("depth-bound", None, ("--depth", "6000", "oracle", "a^4999 O(b)"), 2,
-     "depth must be at most 1500, not 6000"),
-    ("depth-bound-config", CONFIGS["deep.cfg"], ("join",), 2,
-     "depth must be at most 1500, not 1501"),
-    # suite67's windows and join's pair sets grow with these; unbounded,
-    # suite67 took about 6 ms per unit of n_max
-    ("n-max-bound", CONFIGS["nmax.cfg"], ("join",), 2,
-     "n_max must be at most 16, not 17"),
-    ("kappa-max-bound", CONFIGS["kappa.cfg"], ("join",), 2,
-     "kappa_max must be at most 16, not 17"),
-    ("point-bound", CONFIGS["wide.cfg"], ("join",), 2,
-     "base must have at most 22 points, not 23"),
-    # refused before any check runs: with 5 generators it took 10 s
-    ("suite67-generators", CONFIGS["five.cfg"], ("suite67",), 2,
-     "suite67 takes at most 4 generators, not 5"),
-    # argparse's own message for a bad int printed the whole value
-    ("long-option", None, ("--depth", "1" * 5000, "join"), 2,
-     "--depth has more than 9 digits"),
-    ("long-argument", None, ("series", "1", "1" * 5000), 2,
-     "terms has more than 9 digits"),
-]
-ROW_IDS = [row[0] for row in INPUT_ERRORS]
-
-
-def row_argv(directory, row):
-    """The row's argv; its config, if any, is written to <id>.cfg in
-    directory."""
-    name, config, argv = row[:3]
-    if config is None:
-        return list(argv)
-    (directory / (name + ".cfg")).write_text(config)
-    return ["--config", name + ".cfg", *argv]
-
-
-@pytest.mark.parametrize("row", INPUT_ERRORS, ids=ROW_IDS)
-def test_input_error_exit_code_and_message(capsys, tmp_path, monkeypatch, row):
-    argv = row_argv(tmp_path, row)
-    monkeypatch.chdir(tmp_path)
-    assert run(capsys, *argv) == (row[3], "", "error: %s\n" % row[4])
-
-
 @pytest.mark.parametrize("bound, code", [(48, 0), (47, 2)])
 def test_freeness_sweep_bound(capsys, monkeypatch, bound, code):
     # four one-letter families: 12 words of length 2 and 36 of length 3
@@ -706,18 +512,16 @@ def golden_runs(tmp_path_factory):
     """The transcript blocks of every command that is not slow, from two
     interpreters started together: a plain one with PYTHONHASHSEED=0 and a
     python -O one, which strips assert, with PYTHONHASHSEED=1, so no output
-    may rest on assert or hash order. The -O one then runs every
-    INPUT_ERRORS row, which the in-process test has run plainly."""
+    may rest on assert or hash order."""
     home = tmp_path_factory.mktemp("golden")
     TRANSCRIPT.write_configs(home)
     argvs = [argv for argv, _ in GOLDEN]
-    rows = [row_argv(home, row) for row in INPUT_ERRORS]
     path = os.pathsep.join([str(SRC), str(SRC.parent / "scripts")])
     procs = []
-    for flags, seed, extra in (([], "0", []), (["-O"], "1", rows)):
+    for flags, seed in (([], "0"), (["-O"], "1")):
         out = home / ("seed%s.txt" % seed)
         stdin_path = home / ("argvs%s.json" % seed)
-        stdin_path.write_text(json.dumps(argvs + extra))
+        stdin_path.write_text(json.dumps(argvs))
         with open(stdin_path) as stdin, open(out, "w") as stdout:
             procs.append((out, subprocess.Popen(
                 [sys.executable, *flags, "-c", RUN_TRANSCRIPT], stdin=stdin,
@@ -745,15 +549,22 @@ def test_golden_transcript(golden_runs, run_index):
                 shlex.join(argv), "".join(difflib.unified_diff(
                     want.splitlines(True), block.splitlines(True),
                     "scripts/transcript.txt", "this run"))), pytrace=False)
-    # the -O run goes on with one block per INPUT_ERRORS row
-    assert len(got) == len(GOLDEN) + run_index * len(INPUT_ERRORS)
+    assert len(got) == len(GOLDEN)
 
 
-@pytest.mark.parametrize("row", INPUT_ERRORS, ids=ROW_IDS)
-def test_input_error_under_optimize(golden_runs, tmp_path, row):
-    got = golden_runs[1][len(GOLDEN) + ROW_IDS.index(row[0])]
-    assert got == TRANSCRIPT.block(row_argv(tmp_path, row), row[3], "",
-                                   "error: %s\n" % row[4])
+def test_every_refusal_is_one_error_line():
+    # a refused input, exit 2 (bad input) or 3 (over the depth budget),
+    # prints nothing on stdout and one "error: " line on stderr; the golden
+    # diff pins each message
+    shape = re.compile(r"\$ amalgam ([^\n]*)\nexit (\d+)\n"
+                       r"--- stdout\n(.*)--- stderr\n(.*)\n", re.S)
+    parsed = (shape.fullmatch(block).groups() for block in BLOCKS)
+    refused = [(argv, out, err) for argv, code, out, err in parsed
+               if code in ("2", "3")]
+    assert refused
+    for argv, out, err in refused:
+        assert out == "" and re.fullmatch(r"error: [^\n]+\n", err), \
+            "amalgam " + argv
 
 
 def test_no_source_depends_on_optimize():

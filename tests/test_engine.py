@@ -258,7 +258,7 @@ def test_expectation_matches_normal_form_product():
     for _ in range(60):
         seq = [rng.choice(letters) for _ in range(rng.randint(1, 6))]
         direct = product.expectation(seq)
-        via_words = product.letters_product(seq).expectation()
+        via_words = product.letters_product(seq).d_part
         assert direct == via_words
 
 
@@ -274,7 +274,7 @@ def test_expectation_positive_on_random_elements():
         x = parts[0]
         for p in parts[1:]:
             x = x + p
-        diag = (x.adjoint() * x).expectation()
+        diag = (x.adjoint() * x).d_part
         for (p, q), v in diag.coeffs.items():
             assert p == q and v.im == 0 and v.re >= 0
 
@@ -304,7 +304,7 @@ def test_word_product_detects_disjoint_supports():
     product = fm_product()
     x = product.embed("A", product.face("A").unit("x", "y"))
     y = product.embed("B", product.face("B").unit("z", "y"))
-    assert not (x * y).words and (x * y).expectation().is_zero()
+    assert not (x * y).words and (x * y).d_part.is_zero()
     z = product.embed("B", product.face("B").unit("y", "z"))
     assert (x * z).words
 
@@ -392,11 +392,11 @@ def test_three_letter_normal_form_matches_the_recursion(a1, b1, a2, b2,
     letters = [("A", a1), ("B", b1), ("A", a2)] if a_outer \
         else [("B", b1), ("A", a1), ("B", b2)]
     x = SEAM_PRODUCT.letters_product(letters)
-    assert x.expectation() == SEAM_PRODUCT.expectation(letters)
+    assert x.d_part == SEAM_PRODUCT.expectation(letters)
     # a cut letter reaches E only through a later merge, as in x* x
     adjoints = [(tag, SEAM_PRODUCT.face(tag).adjoint(y))
                 for tag, y in reversed(letters)]
-    assert (x.adjoint() * x).expectation() == \
+    assert (x.adjoint() * x).d_part == \
         SEAM_PRODUCT.expectation(adjoints + letters)
 
 
