@@ -417,6 +417,97 @@ def test_identity_letter_allowed_in_cylinder(capsys):
         assert code == 0 and "cylinder=" + shown in out
 
 
+# Named refused inputs: each is the argv of a scripts/transcript.py command,
+# whose block in scripts/transcript.txt is the one copy of its exit code and
+# message; a config named here is one of the transcript's CONFIGS.
+REFUSALS = {
+    "no-expression": ("moment", ")"),
+    "empty-cylinder": ("measure", "O()"),
+    "rn-cylinder-word": ("rn", "O(a)", "O(a b)"),
+    "bad-point": ("moment", "e[(,x0]"),
+    "bad-character": ("moment", "a $"),
+    "bad-exponent": ("moment", "a^x"),
+    "unknown-name": ("moment", "C"),
+    "no-core": ("moment", "A[1]{1,1}"),
+    "unit-off-relation": ("moment", "A[e[x1,x2]]{1,1}"),
+    "oracle-corner": ("oracle", "A[e]{1,2}"),
+    "measure-word": ("measure", "a"),
+    "third-block": ("series", "3", "2"),
+    "no-points": ("--config", "no-points.cfg", "join"),
+    "off-base-cycle": ("--config", "offcycle.cfg", "join"),
+    "unit-off-both": ("--config", "three.cfg", "moment", "e[p,v]"),
+    "unresolved-point": ("moment", "e[x0,zz]"),
+    "unclosed-core": ("moment", "A[e}"),
+    # the translate O(a^1200 b) is refused by the budget, not the stack
+    "deep-translate": ("moment", "a^1200 O(b)"),
+    # about 4 * 3^1199 words: refused before the sweep starts
+    "sweep-bound": ("--max-len", "1200", "freeness", "boundary"),
+    "unresolved-letter": ("measure", "O(a q)"),
+    "mixed-atoms": ("moment", "a A[e]{1,2}"),
+    "unknown-key": ("--config", "bad.cfg", "join"),
+    "missing-config": ("--config", "missing.cfg", "join"),
+    # the plain relation is built when the file is read, so a command that
+    # never uses it refuses overlapping classes too
+    "overlap-measure": ("--config", "overlap.cfg", "measure", "O(a)"),
+    "overlap-join": ("--config", "overlap.cfg", "join"),
+    "bad-state": ("--config", "weights.cfg", "ergodic"),
+    "repeated-cycle-point": ("--config", "repeated-cycle-point.cfg", "join"),
+    "duplicate-generator": ("--config", "duplicate-generator.cfg", "series",
+                            "1", "2"),
+    "uppercase-generator": ("--config", "uppercase-generator.cfg", "join"),
+    "reserved-e-measure": ("--config", "reserved-e.cfg", "measure", "O(e)"),
+    "reserved-e-rn": ("--config", "reserved-e.cfg", "rn", "e", "O(e b)"),
+    "kmax-zero": ("haar", "a", "0"),
+    "kmax-negative": ("haar", "A[e]{1,2}", "-2"),
+    "terms-negative": ("series", "1", "-3"),
+    "terms-negative-block2": ("series", "2", "-1"),
+    "unreduced-measure": ("measure", "O(a a')"),
+    "unreduced-rn": ("rn", "a", "O(b b')"),
+    "unreduced-moment": ("moment", "O(a a') b"),
+    "unreduced-past-e": ("measure", "O(a e a')"),
+    "unreduced-configured": ("--config", "unreduced-configured.cfg",
+                             "measure", "O(a a')"),
+    "budget-product": ("--depth", "2", "moment", "O(a b a) a"),
+    "budget-lone-moment": ("--depth", "2", "moment", "O(a b a)"),
+    "budget-lone-haar": ("--depth", "2", "haar", "O(a b a)", "1"),
+    "zeroth-plain-shift": ("moment", "A[u]{1,2}^0"),
+    "zeroth-bad-slot": ("moment", "A[e]{9,1}^0"),
+    "zeroth-too-deep": ("--depth", "2", "moment", "O(a b a)^0"),
+    "letters-identity": ("moment", "e^100000000"),
+    "letters-corner": ("moment", "A[e]{1,1}^-100000000"),
+    "letters-rn": ("rn", "a^100000000", "O(b)"),
+    "letters-past-bound": ("moment", "(a^100)^50 a"),
+    "haar-window": ("haar", "a", "100000000"),
+    "haar-letters": ("haar", "a b", "2501"),
+    "terms-bound": ("series", "1", "100000000"),
+    "k-bound": ("--config", "k-bound.cfg", "join"),
+    "too-long-to-print": ("--config", "letters26.cfg", "measure",
+                          "O(%s)" % " ".join(["a n"] * 1300)),
+    "long-number": ("moment", "a^" + "1" * 5000),
+    "long-limit": ("--config", "long-limit.cfg", "join"),
+    "depth-bound": ("--depth", "6000", "oracle", "a^4999 O(b)"),
+    "depth-bound-config": ("--config", "deep.cfg", "join"),
+    "n-max-bound": ("--config", "nmax.cfg", "join"),
+    "kappa-max-bound": ("--config", "kappa.cfg", "join"),
+    "point-bound": ("--config", "wide.cfg", "join"),
+    "suite67-generators": ("--config", "five.cfg", "suite67"),
+    "long-option": ("--depth", "1" * 5000, "join"),
+    "long-argument": ("series", "1", "1" * 5000),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_input_error_exit_code_and_message(capsys, tmp_path, monkeypatch,
+                                           name):
+    # run in process, the refusal prints its transcript block
+    argv = list(REFUSALS[name])
+    TRANSCRIPT.write_configs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code in (2, 3)
+    assert TRANSCRIPT.block(argv, code, out, err) == BLOCKS[ARGVS.index(argv)]
+
+
 @pytest.mark.parametrize("bound, code", [(48, 0), (47, 2)])
 def test_freeness_sweep_bound(capsys, monkeypatch, bound, code):
     # four one-letter families: 12 words of length 2 and 36 of length 3
@@ -485,11 +576,12 @@ def test_config_file_is_read_on_every_call(capsys, tmp_path):
         assert code == 0 and "max_len=%d " % max_len in out
 
 
-def slow(argv):
-    # the five suite67 runs, bar the --max-len 2 one, take about 2 s of the
-    # transcript's 4 s: CI diffs them with the whole transcript, and
-    # tests/test_acceptance.py checks their criteria
-    return argv[-1] == "suite67" and "--max-len" not in argv
+def slow(argv, block):
+    # the five suite67 runs that answer, bar the --max-len 2 one, take about
+    # 2 s of the transcript's 4 s: CI diffs them with the whole transcript,
+    # and tests/test_acceptance.py checks their criteria
+    return (argv[-1] == "suite67" and "--max-len" not in argv
+            and "\nexit 0\n" in block)
 
 
 def split_blocks(text):
@@ -500,7 +592,7 @@ def split_blocks(text):
 ARGVS = TRANSCRIPT.commands()
 BLOCKS = split_blocks((SRC.parent / "scripts" / "transcript.txt").read_text())
 GOLDEN = [(argv, block) for argv, block in zip(ARGVS, BLOCKS)
-          if not slow(argv)]
+          if not slow(argv, block)]
 RUN_TRANSCRIPT = """
 import json, sys, transcript
 transcript.transcript(json.load(sys.stdin), sys.stdout)
@@ -550,6 +642,13 @@ def test_golden_transcript(golden_runs, run_index):
                     want.splitlines(True), block.splitlines(True),
                     "scripts/transcript.txt", "this run"))), pytrace=False)
     assert len(got) == len(GOLDEN)
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_input_error_under_optimize(golden_runs, name):
+    # the python -O run, which strips assert, prints the same refusal
+    index = [argv for argv, _ in GOLDEN].index(list(REFUSALS[name]))
+    assert golden_runs[1][index] == GOLDEN[index][1]
 
 
 def test_every_refusal_is_one_error_line():
