@@ -14,9 +14,11 @@ size mappings (`--max-len 2`, `--depth 3` and a weighted three-generator
 config), depth sweeps of `moment`, `oracle`, `haar` and `freeness boundary`
 over boundary expressions drawn from a fixed seed, an `rn` sweep: every
 reduced word of length 1 or 2 against every cylinder one letter deeper, and
-sixty-seven late additions at the end, so that the earlier commands keep
+sixty-eight late additions at the end, so that the earlier commands keep
 their places. Every refused input is a command of the list, so this file is
-the one place a refusal message is written; a new one is appended.
+the one place a refusal message is written; a new one is appended. A refusal
+named by the rule it breaks is listed as `refused(name, ...)`, which records
+it in REFUSALS; tests/test_cli.py runs each named one again.
 """
 
 import contextlib
@@ -80,6 +82,16 @@ CONFIGS = {
     "long-limit.cfg": "[limits]\ndepth = %s\n" % ("1" * 5000),
 }
 
+REFUSALS = {}  # the rule a refused command breaks -> its argv, in order
+
+
+def refused(name, *argv):
+    """The argv of a refused command, named in REFUSALS by its rule."""
+    if REFUSALS.setdefault(name, argv) != argv:
+        raise ValueError("two refused commands are named %r" % name)
+    return list(argv)
+
+
 FIXED = [
     # README examples
     ["measure", "O(a b)"],
@@ -102,27 +114,27 @@ FIXED = [
     ["--format", "machine", "join"],
     ["ergodic"],
     ["--format", "machine", "--config", "abc.cfg", "measure", "O(c b)"],
-    ["--depth", "2", "moment", "O(a b a) a"],
-    ["--depth", "2", "moment", "O(a b a)"],
+    refused("budget-product", "--depth", "2", "moment", "O(a b a) a"),
+    refused("budget-lone-moment", "--depth", "2", "moment", "O(a b a)"),
     ["--depth", "2", "oracle", "O(a b a)"],
     # input errors
-    ["--config", "bad.cfg", "join"],
-    ["--config", "missing.cfg", "join"],
-    ["--config", "weights.cfg", "ergodic"],
-    ["measure", "O(a q)"],
-    ["moment", "a A[e]{1,2}"],
+    refused("unknown-key", "--config", "bad.cfg", "join"),
+    refused("missing-config", "--config", "missing.cfg", "join"),
+    refused("bad-state", "--config", "weights.cfg", "ergodic"),
+    refused("unresolved-letter", "measure", "O(a q)"),
+    refused("mixed-atoms", "moment", "a A[e]{1,2}"),
     ["moment", "(a b"],
-    ["measure", "O(a a')"],
-    ["rn", "a", "O(b b')"],
-    ["moment", "O(a a') b"],
-    ["measure", "O(a e a')"],
-    ["--config", "overlap.cfg", "join"],
+    refused("unreduced-measure", "measure", "O(a a')"),
+    refused("unreduced-rn", "rn", "a", "O(b b')"),
+    refused("unreduced-moment", "moment", "O(a a') b"),
+    refused("unreduced-past-e", "measure", "O(a e a')"),
+    refused("overlap-join", "--config", "overlap.cfg", "join"),
     ["--config", "offbase.cfg", "join"],
-    ["haar", "a", "0"],
-    ["series", "1", "-3"],
-    ["moment", "A[u]{1,2}^0"],
-    ["moment", "A[e]{9,1}^0"],
-    ["--depth", "2", "moment", "O(a b a)^0"],
+    refused("kmax-zero", "haar", "a", "0"),
+    refused("terms-negative", "series", "1", "-3"),
+    refused("zeroth-plain-shift", "moment", "A[u]{1,2}^0"),
+    refused("zeroth-bad-slot", "moment", "A[e]{9,1}^0"),
+    refused("zeroth-too-deep", "--depth", "2", "moment", "O(a b a)^0"),
     # relations from config classes
     ["--format", "machine", "--config", "repeat.cfg", "join"],
     ["--format", "machine", "--config", "repeat.cfg", "ergodic"],
@@ -197,7 +209,8 @@ def commands():
     # overlapping classes fail at parse time, so also for a command that
     # never builds the relation; a zero denominator is a bad weight; a
     # large shift power moves each point once
-    out += [["--config", "overlap.cfg", "measure", "O(a)"],
+    out += [refused("overlap-measure", "--config", "overlap.cfg", "measure",
+                    "O(a)"),
             ["--config", "zero.cfg", "ergodic"],
             ["--format", "machine", "moment", "B[u^1000000]{1,2}"]]
     # a misspelt config key is an error, not a silent default; a slot index
@@ -215,89 +228,101 @@ def commands():
     out += [["--format", "machine", "moment", "(a b)^600 ~((a b)^600)"],
             ["--format", "machine", "moment",
              "(%s)^600 ~((%s)^600)" % (corner, corner)],
-            ["moment", "(" * 101 + "a" + ")" * 101]]
+            refused("nesting-parentheses", "moment",
+                    "(" * 101 + "a" + ")" * 101)]
     # a 1,201-letter translate meets the depth budget, not the stack; a
     # third block, the unit and the zeroth power of a cylinder, and a cycle
     # point off the base
-    out += [["moment", "a^1200 O(b)"],
+    out += [refused("deep-translate", "moment", "a^1200 O(b)"),
             ["--format", "machine", "--depth", "1300", "moment",
              "a^1200 O(b)"],
-            ["series", "3", "2"],
+            refused("third-block", "series", "3", "2"),
             ["--format", "machine", "moment", "e"],
             ["--format", "machine", "moment", "O(a)^0"],
-            ["--config", "offcycle.cfg", "join"]]
+            refused("off-base-cycle", "--config", "offcycle.cfg", "join")]
     # a battery over a shift of order 3 fits its windows to it; a point
     # pair in neither relation, an unknown point and an unclosed core are
     # input errors; a sweep past the word bound is refused
     out += [["--format", "machine", "--config", "short.cfg", "suite67"],
-            ["--config", "three.cfg", "moment", "e[p,v]"],
-            ["moment", "e[x0,zz]"],
-            ["moment", "A[e}"],
-            ["--max-len", "1200", "freeness", "boundary"]]
+            refused("unit-off-both", "--config", "three.cfg", "moment",
+                    "e[p,v]"),
+            refused("unresolved-point", "moment", "e[x0,zz]"),
+            refused("unclosed-core", "moment", "A[e}"),
+            refused("sweep-bound", "--max-len", "1200", "freeness",
+                    "boundary")]
     # counts given on the command line are bounded, so none of these runs
     # on; a value too long to print is an input error, not a traceback
-    out += [["moment", "e^100000000"],
-            ["moment", "A[e]{1,1}^-100000000"],
-            ["rn", "a^100000000", "O(b)"],
-            ["haar", "a", "100000000"],
-            ["series", "1", "100000000"],
+    out += [refused("letters-identity", "moment", "e^100000000"),
+            refused("letters-corner", "moment", "A[e]{1,1}^-100000000"),
+            refused("letters-rn", "rn", "a^100000000", "O(b)"),
+            refused("haar-window", "haar", "a", "100000000"),
+            refused("terms-bound", "series", "1", "100000000"),
             ["series", "1", "10000"],
-            ["--config", "letters26.cfg", "measure",
-             "O(%s)" % " ".join(["a n"] * 1300)]]
+            refused("too-long-to-print", "--config", "letters26.cfg",
+                    "measure", "O(%s)" % " ".join(["a n"] * 1300))]
     # a number is refused at its position past nine digits, and the depth
     # budget is bounded on the command line and in a config file
-    out += [["moment", "a^" + "1" * 5000],
-            ["--depth", "6000", "oracle", "a^4999 O(b)"],
-            ["--config", "deep.cfg", "join"]]
+    out += [refused("long-number", "moment", "a^" + "1" * 5000),
+            refused("depth-bound", "--depth", "6000", "oracle",
+                    "a^4999 O(b)"),
+            refused("depth-bound-config", "--config", "deep.cfg", "join")]
     # the exponent windows, the base and suite67's alphabet are bounded;
     # series over 26 generators no longer builds its 6.9 * 10^9 cylinders
-    out += [["--config", "nmax.cfg", "join"],
-            ["--config", "kappa.cfg", "join"],
-            ["--config", "wide.cfg", "join"],
-            ["--config", "five.cfg", "suite67"],
+    out += [refused("n-max-bound", "--config", "nmax.cfg", "join"),
+            refused("kappa-max-bound", "--config", "kappa.cfg", "join"),
+            refused("point-bound", "--config", "wide.cfg", "join"),
+            refused("suite67-generators", "--config", "five.cfg", "suite67"),
             ["--format", "machine", "--config", "letters26.cfg", "series",
              "1", "6"]]
     # malformed expressions and commands given the wrong kind of argument
-    out += [["moment", ")"],
-            ["measure", "O()"],
-            ["rn", "O(a)", "O(a b)"],
-            ["moment", "e[(,x0]"],
-            ["moment", "a $"],
-            ["moment", "a^x"],
-            ["moment", "C"],
-            ["moment", "A[1]{1,1}"],
-            ["moment", "A[e[x1,x2]]{1,1}"],
-            ["oracle", "A[e]{1,2}"],
-            ["measure", "a"]]
+    out += [refused("no-expression", "moment", ")"),
+            refused("empty-cylinder", "measure", "O()"),
+            refused("rn-cylinder-word", "rn", "O(a)", "O(a b)"),
+            refused("bad-point", "moment", "e[(,x0]"),
+            refused("bad-character", "moment", "a $"),
+            refused("bad-exponent", "moment", "a^x"),
+            refused("unknown-name", "moment", "C"),
+            refused("no-core", "moment", "A[1]{1,1}"),
+            refused("unit-off-relation", "moment", "A[e[x1,x2]]{1,1}"),
+            refused("oracle-corner", "oracle", "A[e]{1,2}"),
+            refused("measure-word", "measure", "a")]
     # an unchecked cycle (p q p) made `join` loop in Permutation.orbits;
     # every e in an expression is the identity, so a generator named e
     # could never be addressed: O(e) measured the whole space
-    out += [["--config", "no-points.cfg", "join"],
-            ["--config", "repeated-cycle-point.cfg", "join"],
-            ["--config", "duplicate-generator.cfg", "series", "1", "2"],
-            ["--config", "uppercase-generator.cfg", "join"],
-            ["--config", "reserved-e.cfg", "measure", "O(e)"],
-            ["--config", "reserved-e.cfg", "rn", "e", "O(e b)"]]
+    out += [refused("no-points", "--config", "no-points.cfg", "join"),
+            refused("repeated-cycle-point", "--config",
+                    "repeated-cycle-point.cfg", "join"),
+            refused("duplicate-generator", "--config",
+                    "duplicate-generator.cfg", "series", "1", "2"),
+            refused("uppercase-generator", "--config",
+                    "uppercase-generator.cfg", "join"),
+            refused("reserved-e-measure", "--config", "reserved-e.cfg",
+                    "measure", "O(e)"),
+            refused("reserved-e-rn", "--config", "reserved-e.cfg", "rn", "e",
+                    "O(e b)")]
     # an empty haar window checked nothing and a negative series window
     # summed nothing, yet both printed a record; no reduced point starts
     # with a a' under a configured alphabet either; a lone cylinder atom
     # still meets the budget
-    out += [["haar", "A[e]{1,2}", "-2"],
-            ["series", "2", "-1"],
-            ["--config", "unreduced-configured.cfg", "measure", "O(a a')"],
-            ["--depth", "2", "haar", "O(a b a)", "1"]]
+    out += [refused("kmax-negative", "haar", "A[e]{1,2}", "-2"),
+            refused("terms-negative-block2", "series", "2", "-1"),
+            refused("unreduced-configured", "--config",
+                    "unreduced-configured.cfg", "measure", "O(a a')"),
+            refused("budget-lone-haar", "--depth", "2", "haar", "O(a b a)",
+                    "1")]
     # one letter past the bound, each ^ alone far below it; past CPython's
     # int conversion limit a config limit was called not an integer, and
     # argparse's own message for a bad int printed the whole value
-    out += [["moment", "(a^100)^50 a"],
-            ["haar", "a b", "2501"],
-            ["--config", "k-bound.cfg", "join"],
-            ["--config", "long-limit.cfg", "join"],
-            ["--depth", "1" * 5000, "join"],
-            ["series", "1", "1" * 5000]]
+    out += [refused("letters-past-bound", "moment", "(a^100)^50 a"),
+            refused("haar-letters", "haar", "a b", "2501"),
+            refused("k-bound", "--config", "k-bound.cfg", "join"),
+            refused("long-limit", "--config", "long-limit.cfg", "join"),
+            refused("long-option", "--depth", "1" * 5000, "join"),
+            refused("long-argument", "series", "1", "1" * 5000)]
     # suite67 fits its windows to a shift of order 3, the corner sweep
-    # refuses it
-    out.append(["--config", "short.cfg", "freeness", "corner"])
+    # refuses it; adjoints nest under the parser's bound as parentheses do
+    out += [["--config", "short.cfg", "freeness", "corner"],
+            refused("nesting-adjoints", "moment", "~" * 101 + "a")]
     return out
 
 

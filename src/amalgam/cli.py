@@ -101,7 +101,7 @@ def cmd_measure(args, config):
     refined = sum(map(cylinder_measure, refine(prefix, len(prefix) + 1)),
                   Fraction(0))
     return [Record("measure", [
-        ("cylinder", dsl.machine_text(expr)),
+        ("cylinder", dsl.render(expr)),
         ("value", value),
         ("refinement", refined),
     ], ok=(refined == value))]
@@ -157,7 +157,7 @@ def cmd_moment(args, config):
     _, context = _context_for(expr, config)
     value = context.expect(dsl.evaluate(expr, context))
     return [Record("moment", [
-        ("expr", dsl.machine_text(expr)),
+        ("expr", dsl.render(expr)),
         ("value", value),
     ])]
 
@@ -171,7 +171,7 @@ def cmd_oracle(args, config):
     engine_value = engine_ctx.expect(dsl.evaluate(expr, engine_ctx))
     oracle_value = oracle_ctx.expect(dsl.evaluate(expr, oracle_ctx))
     return [Record("oracle", [
-        ("expr", dsl.machine_text(expr)),
+        ("expr", dsl.render(expr)),
         ("engine", engine_value),
         ("oracle", oracle_value),
     ], ok=(engine_value == oracle_value))]
@@ -190,7 +190,7 @@ def cmd_haar(args, config):
     unit = context.model.corner_identity() if kind == "corner" else None
     report = haar_check(context, element, args.kmax, unit=unit)
     return [Record("haar", [
-        ("expr", dsl.machine_text(expr)),
+        ("expr", dsl.render(expr)),
         ("kmax", args.kmax),
         ("unitary", _yes(report.unitary_ok)),
         ("failed_exponents", ",".join(map(str, report.failed_exponents)) or "none"),

@@ -42,6 +42,11 @@ def load_script(name):
 
 TRANSCRIPT = load_script("transcript")
 CONFIGS = TRANSCRIPT.CONFIGS  # config texts the transcript runs with
+ARGVS = TRANSCRIPT.commands()
+# named refused inputs: each is a transcript command, named where the
+# transcript lists it, whose block in scripts/transcript.txt is the one
+# copy of its exit code and message
+REFUSALS = TRANSCRIPT.REFUSALS
 
 
 # -- expression language -----------------------------------------------------------
@@ -171,6 +176,47 @@ def test_letter_count(text, letters):
     # x^n counts x |n| times, so nested powers multiply; an expression at
     # the bound parses (one more letter is a refused transcript command)
     assert dsl.letter_count(dsl.parse(text, CFG)) == letters
+
+
+class LetterCounter:
+    """A context that evaluates an expression to the letters it multiplies:
+    an atom gives the letters of its word, at least one, and a product adds
+    its factors' letters."""
+
+    def atom(self, node):
+        word = getattr(node, "word", None)
+        return (0 if word is None else len(word.letters)) or 1
+
+    def mul(self, left, right):
+        return left + right
+
+    def adjoint(self, count):
+        return count
+
+    def one(self):
+        return 0
+
+
+def _exponents(expr):
+    if isinstance(expr, Product):
+        return [n for factor in expr.factors for n in _exponents(factor)]
+    if isinstance(expr, Power):
+        return [expr.n] + _exponents(expr.inner)
+    if isinstance(expr, Adjoint):
+        return _exponents(expr.inner)
+    return []
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPRS)
+def test_letter_count_bounds_what_evaluation_multiplies(expr):
+    # LETTER_BOUND caps evaluation through letter_count; a zeroth power
+    # evaluates its base, then drops it
+    count = dsl.evaluate(expr, LetterCounter())
+    if 0 in _exponents(expr):
+        assert count <= dsl.letter_count(expr)
+    else:
+        assert count == dsl.letter_count(expr)
 
 
 def test_word_value_folds_products():
@@ -330,16 +376,18 @@ def test_haar_pass_and_fail(capsys):
     assert "unitary=no" in out and "ok=no" in out
 
 
-@pytest.mark.parametrize("opening, closing", [("(", ")"), ("~", "")],
+@pytest.mark.parametrize("name, opening, closing",
+                         [("parentheses", "(", ")"), ("adjoints", "~", "")],
                          ids=["parentheses", "adjoints"])
-def test_nesting_bound(capsys, opening, closing):
+def test_nesting_bound(capsys, name, opening, closing):
+    # the bound parses; one level more is a refused transcript command
     bound = dsl._NESTING_BOUND
     expr = opening * bound + "a" + closing * bound
     assert run(capsys, "moment", expr)[0] == 0
-    expr = opening * (bound + 1) + "a" + closing * (bound + 1)
-    assert run(capsys, "moment", expr) == (
-        2, "", "error: line 1, column %d: %r nested deeper than %d levels\n"
-        % (bound + 1, opening, bound))
+    argv = list(REFUSALS["nesting-" + name])
+    assert argv == ["moment", opening + expr + closing]
+    assert TRANSCRIPT.block(argv, *run(capsys, *argv)) == \
+        BLOCKS[ARGVS.index(argv)]
 
 
 def test_freeness_boundary(capsys):
@@ -415,85 +463,6 @@ def test_identity_letter_allowed_in_cylinder(capsys):
     for text, shown in (("O(e)", "O(e) value=1 "), ("O(e a)", "O(a) value=1/4 ")):
         code, out, _ = run(capsys, "--format", "machine", "measure", text)
         assert code == 0 and "cylinder=" + shown in out
-
-
-# Named refused inputs: each is the argv of a scripts/transcript.py command,
-# whose block in scripts/transcript.txt is the one copy of its exit code and
-# message; a config named here is one of the transcript's CONFIGS.
-REFUSALS = {
-    "no-expression": ("moment", ")"),
-    "empty-cylinder": ("measure", "O()"),
-    "rn-cylinder-word": ("rn", "O(a)", "O(a b)"),
-    "bad-point": ("moment", "e[(,x0]"),
-    "bad-character": ("moment", "a $"),
-    "bad-exponent": ("moment", "a^x"),
-    "unknown-name": ("moment", "C"),
-    "no-core": ("moment", "A[1]{1,1}"),
-    "unit-off-relation": ("moment", "A[e[x1,x2]]{1,1}"),
-    "oracle-corner": ("oracle", "A[e]{1,2}"),
-    "measure-word": ("measure", "a"),
-    "third-block": ("series", "3", "2"),
-    "no-points": ("--config", "no-points.cfg", "join"),
-    "off-base-cycle": ("--config", "offcycle.cfg", "join"),
-    "unit-off-both": ("--config", "three.cfg", "moment", "e[p,v]"),
-    "unresolved-point": ("moment", "e[x0,zz]"),
-    "unclosed-core": ("moment", "A[e}"),
-    # the translate O(a^1200 b) is refused by the budget, not the stack
-    "deep-translate": ("moment", "a^1200 O(b)"),
-    # about 4 * 3^1199 words: refused before the sweep starts
-    "sweep-bound": ("--max-len", "1200", "freeness", "boundary"),
-    "unresolved-letter": ("measure", "O(a q)"),
-    "mixed-atoms": ("moment", "a A[e]{1,2}"),
-    "unknown-key": ("--config", "bad.cfg", "join"),
-    "missing-config": ("--config", "missing.cfg", "join"),
-    # the plain relation is built when the file is read, so a command that
-    # never uses it refuses overlapping classes too
-    "overlap-measure": ("--config", "overlap.cfg", "measure", "O(a)"),
-    "overlap-join": ("--config", "overlap.cfg", "join"),
-    "bad-state": ("--config", "weights.cfg", "ergodic"),
-    "repeated-cycle-point": ("--config", "repeated-cycle-point.cfg", "join"),
-    "duplicate-generator": ("--config", "duplicate-generator.cfg", "series",
-                            "1", "2"),
-    "uppercase-generator": ("--config", "uppercase-generator.cfg", "join"),
-    "reserved-e-measure": ("--config", "reserved-e.cfg", "measure", "O(e)"),
-    "reserved-e-rn": ("--config", "reserved-e.cfg", "rn", "e", "O(e b)"),
-    "kmax-zero": ("haar", "a", "0"),
-    "kmax-negative": ("haar", "A[e]{1,2}", "-2"),
-    "terms-negative": ("series", "1", "-3"),
-    "terms-negative-block2": ("series", "2", "-1"),
-    "unreduced-measure": ("measure", "O(a a')"),
-    "unreduced-rn": ("rn", "a", "O(b b')"),
-    "unreduced-moment": ("moment", "O(a a') b"),
-    "unreduced-past-e": ("measure", "O(a e a')"),
-    "unreduced-configured": ("--config", "unreduced-configured.cfg",
-                             "measure", "O(a a')"),
-    "budget-product": ("--depth", "2", "moment", "O(a b a) a"),
-    "budget-lone-moment": ("--depth", "2", "moment", "O(a b a)"),
-    "budget-lone-haar": ("--depth", "2", "haar", "O(a b a)", "1"),
-    "zeroth-plain-shift": ("moment", "A[u]{1,2}^0"),
-    "zeroth-bad-slot": ("moment", "A[e]{9,1}^0"),
-    "zeroth-too-deep": ("--depth", "2", "moment", "O(a b a)^0"),
-    "letters-identity": ("moment", "e^100000000"),
-    "letters-corner": ("moment", "A[e]{1,1}^-100000000"),
-    "letters-rn": ("rn", "a^100000000", "O(b)"),
-    "letters-past-bound": ("moment", "(a^100)^50 a"),
-    "haar-window": ("haar", "a", "100000000"),
-    "haar-letters": ("haar", "a b", "2501"),
-    "terms-bound": ("series", "1", "100000000"),
-    "k-bound": ("--config", "k-bound.cfg", "join"),
-    "too-long-to-print": ("--config", "letters26.cfg", "measure",
-                          "O(%s)" % " ".join(["a n"] * 1300)),
-    "long-number": ("moment", "a^" + "1" * 5000),
-    "long-limit": ("--config", "long-limit.cfg", "join"),
-    "depth-bound": ("--depth", "6000", "oracle", "a^4999 O(b)"),
-    "depth-bound-config": ("--config", "deep.cfg", "join"),
-    "n-max-bound": ("--config", "nmax.cfg", "join"),
-    "kappa-max-bound": ("--config", "kappa.cfg", "join"),
-    "point-bound": ("--config", "wide.cfg", "join"),
-    "suite67-generators": ("--config", "five.cfg", "suite67"),
-    "long-option": ("--depth", "1" * 5000, "join"),
-    "long-argument": ("series", "1", "1" * 5000),
-}
 
 
 @pytest.mark.parametrize("name", REFUSALS)
@@ -589,7 +558,6 @@ def split_blocks(text):
     return re.split(r"(?m)^(?=\$ amalgam )", text)[1:]
 
 
-ARGVS = TRANSCRIPT.commands()
 BLOCKS = split_blocks((SRC.parent / "scripts" / "transcript.txt").read_text())
 GOLDEN = [(argv, block) for argv, block in zip(ARGVS, BLOCKS)
           if not slow(argv, block)]
