@@ -107,18 +107,23 @@ def ratio_powers(alphabet, depth, cocycle_radius):
     return report
 
 
-def oracle_agreement(product, max_len):
-    """Criterion 05: on a boundary product, the expectation recursion and
-    the crossed-product oracle agree on every word of length 1..max_len in
-    four generators: the translations by the first letters a and b of the
-    two blocks, O(b) at a in face A, and O(a b) on the diagonal of face B."""
+def boundary_generators(product):
+    """Criterion 05's four letters, as (tag, face element) pairs: the
+    translations by the first letters a and b of the two blocks, O(b) at a
+    in face A, and O(a b) on the diagonal of face B."""
     face_a, face_b = product.face("A"), product.face("B")
     alphabet = face_a.alphabet
-    a = ReducedWord.from_letters(alphabet, (alphabet.letters(1)[0],))
-    b = ReducedWord.from_letters(alphabet, (alphabet.letters(2)[0],))
-    gens = [("A", face_a.unitary(a)), ("B", face_b.unitary(b)),
+    a, b = (ReducedWord.from_letters(alphabet, (alphabet.letters(block)[0],))
+            for block in (1, 2))
+    return [("A", face_a.unitary(a)), ("B", face_b.unitary(b)),
             ("A", face_a.element({a: CylFn.indicator(b)})),
             ("B", face_b.embed_d(CylFn.indicator(a * b)))]
+
+
+def oracle_agreement(product, max_len):
+    """Criterion 05: the expectation recursion and the crossed-product
+    oracle agree on every word of length 1..max_len in boundary_generators."""
+    gens = boundary_generators(product)
     report = SweepReport()
     for length in range(1, max_len + 1):
         for letters in iproduct(gens, repeat=length):

@@ -19,16 +19,14 @@ from .boundary import (
     act, complement_decomposition, complement_series, complement_series_tail,
     cylinder_measure, refine, rn_exponent, rn_ratio,
 )
-from .config import default_config, load_config
-from .engine import (
-    CylFn, DepthBudgetExceeded, MAmbient, freeness_check, haar_check,
-)
+from .config import check_limit, default_config, load_config
+from .engine import DepthBudgetExceeded, MAmbient, freeness_check, haar_check
 from .fmalg import is_ergodic, join
 from .matrix import (
     bracket_law_report, covariance_report, family_freeness_report,
     moment_vanishing_report, reduction_identities_report,
 )
-from .words import ReducedWord, count_sphere
+from .words import count_sphere
 
 SERIES_TERM_BOUND = 1000  # about 0.25 s at the bound
 # series measures its decomposition only up to this many cylinders: about
@@ -124,11 +122,7 @@ def cmd_rn(args, config):
 
 def cmd_series(args, config):
     alphabet, block = config.alphabet, args.block
-    if args.terms < 0:
-        raise ValueError("terms must be at least 0, not %d" % args.terms)
-    if args.terms > SERIES_TERM_BOUND:
-        raise ValueError("terms must be at most %d, not %d"
-                         % (SERIES_TERM_BOUND, args.terms))
+    check_limit("terms", args.terms, 0, SERIES_TERM_BOUND)
     partial = complement_series(alphabet, block, args.terms)
     tail = complement_series_tail(alphabet, block, args.terms)
     ok = partial + tail == 1
@@ -178,8 +172,7 @@ def cmd_oracle(args, config):
 
 
 def cmd_haar(args, config):
-    if args.kmax < 1:
-        raise ValueError("kmax must be at least 1, not %d" % args.kmax)
+    check_limit("kmax", args.kmax, 1)
     expr = dsl.parse(" ".join(args.expr), config)
     if args.kmax * dsl.letter_count(expr) > dsl.LETTER_BOUND:
         # the check raises the expression to every power up to kmax
@@ -199,16 +192,10 @@ def cmd_haar(args, config):
 
 def cmd_freeness(args, config):
     if args.suite == "boundary":
-        # translations by the first letters a and b; O(b) at a; diagonal O(b)
-        alphabet, product = config.alphabet, config.boundary_product()
-        face_a, face_b = product.face("A"), product.face("B")
-        a, b = (ReducedWord.from_letters(
-            alphabet, (alphabet.letters(block)[0],)) for block in (1, 2))
-        fn = CylFn.indicator(b)
-        families = [[product.embed("A", face_a.unitary(a))],
-                    [product.embed("B", face_b.unitary(b))],
-                    [product.embed("A", face_a.element({a: fn}))],
-                    [product.embed("B", face_b.embed_d(fn))]]
+        # criterion 05's four letters, one family each
+        product = config.boundary_product()
+        families = [[product.embed(tag, x)]
+                    for tag, x in battery.boundary_generators(product)]
         report = freeness_check(MAmbient(product), families, config.max_len)
         return [Record("freeness", [
             ("suite", "boundary"),

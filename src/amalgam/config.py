@@ -24,12 +24,6 @@ from .words import Alphabet
 # default base of 11 points keeps that below one shift period
 DEFAULT_CONFIG = "[base]\nclasses = {x0 x1} {x2 x3}\n"
 
-# the keys each section may hold; any other section or key is an error
-KEYS = {"alphabet": ("block1", "block2"), "base": ("points", "classes"),
-        "state": ("weights",), "alpha": ("cycles",),
-        "limits": ("depth", "k", "n_max", "kappa_max", "max_len")}
-
-
 # each amplified face relation has k^2 times the pairs of its core relation;
 # suite67 over the default base takes about 3.5 s at k = 8 and 13 s at k = 12
 K_BOUND = 8
@@ -43,9 +37,30 @@ DEPTH_BOUND = 1500
 N_MAX_BOUND = KAPPA_MAX_BOUND = 16
 POINT_BOUND = 22
 
+# one (name, least, most) row per [limits] key, most None for no upper bound
+LIMITS = (("depth", 1, DEPTH_BOUND), ("k", 2, K_BOUND),
+          ("n_max", 1, N_MAX_BOUND), ("kappa_max", 1, KAPPA_MAX_BOUND),
+          ("max_len", 1, None))
+
+# the keys each section may hold; any other section or key is an error
+KEYS = {"alphabet": ("block1", "block2"), "base": ("points", "classes"),
+        "state": ("weights",), "alpha": ("cycles",),
+        "limits": tuple(name for name, _, _ in LIMITS)}
+
 
 class ConfigError(ValueError):
     pass
+
+
+def check_limit(name, value, least, most=None):
+    """Refuse the integer value of name below least, or above most unless
+    most is None."""
+    if value < least:
+        raise ConfigError("%s must be at least %d, not %d"
+                          % (name, least, value))
+    if most is not None and value > most:
+        raise ConfigError("%s must be at most %d, not %d"
+                          % (name, most, value))
 
 
 @dataclass(frozen=True)
@@ -61,23 +76,11 @@ class RunConfig:
     max_len: int = 4
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError("k must be at least 2, not %d" % self.k)
-        for name, bound in (("k", K_BOUND), ("depth", DEPTH_BOUND),
-                            ("n_max", N_MAX_BOUND),
-                            ("kappa_max", KAPPA_MAX_BOUND)):
-            value = getattr(self, name)
-            if value > bound:
-                raise ConfigError("%s must be at most %d, not %d"
-                                  % (name, bound, value))
+        for name, least, most in LIMITS:
+            check_limit(name, getattr(self, name), least, most)
         if len(self.base.points) > POINT_BOUND:
             raise ConfigError("base must have at most %d points, not %d"
                               % (POINT_BOUND, len(self.base.points)))
-        for name in ("depth", "n_max", "kappa_max", "max_len"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError("%s must be at least 1, not %d"
-                                  % (name, value))
 
     def plain_relation(self):
         return self.plain

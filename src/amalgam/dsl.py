@@ -485,26 +485,30 @@ class CornerContext(MAmbient):
         raise DslError("boundary atom in a corner expression")
 
 
+class WordContext:
+    """Evaluates into the free group, where only word atoms have a value."""
+
+    def __init__(self, alphabet):
+        self.alphabet = alphabet
+
+    def one(self):
+        return ReducedWord.identity(self.alphabet)
+
+    def mul(self, x, y):
+        return x * y
+
+    def adjoint(self, x):
+        return x.inverse()
+
+    def atom(self, node):
+        if isinstance(node, WordAtom):
+            return node.word
+        raise DslError("expected a group word")
+
+
 def word_value(expr, config):
     """Fold a pure group-word expression into a reduced word."""
-    if isinstance(expr, WordAtom):
-        return expr.word
-    if isinstance(expr, Product):
-        out = ReducedWord.identity(config.alphabet)
-        for factor in expr.factors:
-            out = out * word_value(factor, config)
-        return out
-    if isinstance(expr, Adjoint):
-        return word_value(expr.inner, config).inverse()
-    if isinstance(expr, Power):
-        base = word_value(expr.inner, config)
-        if expr.n < 0:
-            base = base.inverse()
-        out = ReducedWord.identity(config.alphabet)
-        for _ in range(abs(expr.n)):
-            out = out * base
-        return out
-    raise DslError("expected a group word")
+    return evaluate(expr, WordContext(config.alphabet))
 
 
 def cylinder_value(expr):

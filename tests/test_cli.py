@@ -10,7 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 import amalgam
 from amalgam import cli, dsl, engine
 from amalgam.cli import main
-from amalgam.config import ConfigError, default_config, parse_config
+from amalgam.config import (
+    LIMITS, ConfigError, RunConfig, default_config, parse_config,
+)
 from amalgam.dsl import (
     Adjoint, BracketAtom, CylinderAtom, DslError, Power, Product, UnitAtom,
     WordAtom,
@@ -418,6 +420,21 @@ def test_parse_config_admits_the_bounds():
         % " ".join("x%d" % i for i in range(22)))
     assert (len(cfg.base.points), cfg.k, cfg.n_max, cfg.kappa_max,
             cfg.depth) == (22, 8, 16, 16, 1500)
+
+
+def test_every_integer_limit_is_one_row_of_the_table():
+    # a new int field of RunConfig is checked only through a row of LIMITS
+    ints = [field.name for field in fields(RunConfig) if field.type is int]
+    assert sorted(name for name, _, _ in LIMITS) == sorted(ints)
+    for name, least, most in LIMITS:
+        refused = [(least - 1, "least", least)]
+        if most is not None:
+            refused.append((most + 1, "most", most))
+        for value, side, bound in refused:
+            message = "%s must be at %s %d, not %d" % (name, side, bound,
+                                                       value)
+            with pytest.raises(ConfigError, match="^%s$" % message):
+                parse_config("[limits]\n%s = %d\n" % (name, value))
 
 
 @pytest.mark.parametrize("config, argv, built", [

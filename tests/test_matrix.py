@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import amalgam
+from amalgam.battery import boundary_generators
 from amalgam.engine import (
-    CrossedFace, CylFn, FreeProduct, MAmbient, freeness_check, haar_check,
+    CrossedFace, FreeProduct, MAmbient, freeness_check, haar_check,
 )
 from amalgam.fmalg import FMElement, FiniteBase, FiniteRelation
 from amalgam.matrix import (
@@ -19,7 +20,7 @@ from amalgam.matrix import (
     reduction_identities_report,
 )
 from amalgam.scalars import QC
-from amalgam.words import Alphabet, ReducedWord
+from amalgam.words import Alphabet
 
 BASE5 = FiniteBase.uniform(tuple("x%d" % i for i in range(5)))
 SHIFT5 = Permutation.from_cycles(BASE5, (BASE5.points,))
@@ -418,17 +419,11 @@ def planted_corner_families():
 def planted_boundary_families():
     # the families of `freeness boundary`, and the adjoint of the first
     alphabet = Alphabet(("a", "b"), 1)
-    face_a, face_b = CrossedFace("A", alphabet, 1, 8), \
-        CrossedFace("B", alphabet, 2, 8)
-    product = FreeProduct(face_a, face_b)
-    a, b = (ReducedWord.from_letters(alphabet, (alphabet.letters(block)[0],))
-            for block in (1, 2))
-    fn = CylFn.indicator(b)
-    u_a = product.embed("A", face_a.unitary(a))
-    return product, [[[u_a], [product.embed("B", face_b.unitary(b))],
-                      [product.embed("A", face_a.element({a: fn}))],
-                      [product.embed("B", face_b.embed_d(fn))],
-                      [u_a.adjoint()]]]
+    product = FreeProduct(CrossedFace("A", alphabet, 1, 8),
+                          CrossedFace("B", alphabet, 2, 8))
+    families = [[product.embed(tag, x)]
+                for tag, x in boundary_generators(product)]
+    return product, [families + [[families[0][0].adjoint()]]]
 
 
 @pytest.mark.parametrize("max_len", [1, 2, 3, 4])
