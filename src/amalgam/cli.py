@@ -221,9 +221,8 @@ def cmd_freeness(args, config):
 
 
 def cmd_join(args, config):
-    rel_a = config.plain_relation()
-    rel_b = config.alpha.orbit_relation()
-    joined = join(rel_a, rel_b)
+    rel_a, rel_b = config.plain_relation(), config.orbit_relation
+    joined = config.joined_relation
     contains = rel_a.pairs <= joined.pairs and rel_b.pairs <= joined.pairs
     stable = join(joined, rel_a).pairs == joined.pairs
     return [Record("join", [
@@ -235,7 +234,7 @@ def cmd_join(args, config):
 
 
 def cmd_ergodic(args, config):
-    joined = join(config.plain_relation(), config.alpha.orbit_relation())
+    joined = config.joined_relation
     masses = (sum((config.base.weight(p) for p in cls), Fraction(0))
               for cls in sorted(joined.classes(), key=str))
     return [Record("ergodic", [

@@ -15,7 +15,7 @@ from functools import cache, cached_property
 
 from .dsl import DIGIT_BOUND
 from .engine import CrossedFace, FMFace, FreeProduct
-from .fmalg import FiniteBase, FiniteRelation
+from .fmalg import FiniteBase, FiniteRelation, join
 from .matrix import CornerModel, Permutation
 from .words import Alphabet
 
@@ -92,15 +92,22 @@ class RunConfig:
     def corner_model(self):
         return self._corner_model
 
+    # a config is frozen, so its model and relations are built once; a
+    # config with other limits comes from `replace` and builds its own
     @cached_property
     def _corner_model(self):
-        # a config is frozen, so its model is built once; a config with
-        # other limits comes from `replace` and builds its own
         return CornerModel(self.base, self.alpha, self.plain, self.k)
 
+    @cached_property
+    def orbit_relation(self):
+        return self.alpha.orbit_relation()
+
+    @cached_property
+    def joined_relation(self):
+        return join(self.plain, self.orbit_relation)
+
     def fm_faces(self):
-        return (FMFace("A", self.plain),
-                FMFace("B", self.alpha.orbit_relation()))
+        return FMFace("A", self.plain), FMFace("B", self.orbit_relation)
 
 
 @cache

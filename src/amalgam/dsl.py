@@ -13,6 +13,7 @@ Juxtaposition multiplies, `~` takes adjoints, `^` raises to integer powers
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import CrossedFace, CylFn, MAmbient
 from .words import ReducedWord
@@ -80,8 +81,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<int>[0-9]+)|(?P<sym>[()\[\]{}^~,-])")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     offset: int  # of its first character in the text

@@ -192,11 +192,6 @@ class Algebra:
         d = self.expect(x)
         return d, self.sub(x, self.embed_d(d))
 
-    def d_mul(self, d, x, left):
-        """d x when left, else x d, for d in the diagonal D."""
-        embedded = self.embed_d(d)
-        return self.mul(embedded, x) if left else self.mul(x, embedded)
-
     def expected_product(self, x, y):
         """E(x y) as an element: what expect reads of x y, and no more."""
         return self.embed_d(self.expect(self.mul(x, y)))
@@ -286,6 +281,28 @@ class CrossedFace(Algebra):
     def is_zero(self, x):
         return not x
 
+    def split(self, x):
+        """(E(x), x - E(x)): the identity coefficient and the other terms;
+        x itself as the rest when it has no identity term."""
+        d = x.get(self.identity)
+        if d is None:
+            return CylFn.zero(self.alphabet), x
+        return d, {g: f for g, f in x.items() if g != self.identity}
+
+    def d_mul(self, d, x, left):
+        """d x or x d coefficient by coefficient, without the crossed
+        product: d f_g on the left, f_g times d moved by g on the right;
+        x itself when d is 1."""
+        self.guard(d)
+        if len(d.terms) == 1 and d.terms.get(self.identity) == ONE:
+            return x
+        out = {}
+        for g, f in x.items():
+            fn = d * f if left else f * self.guard(d.translate(g))
+            if fn.terms:
+                out[g] = fn
+        return out
+
     def right_support(self, x) -> CylFn:
         """Smallest diagonal projection q with x q = x."""
         ones = {image: ONE for g, f in x.items() for w in f.terms
@@ -293,8 +310,13 @@ class CrossedFace(Algebra):
         return CylFn(self.alphabet, ones.items()).support_projection()
 
     def seam(self, a, b):
-        """b cut to the right support q of a, so that a b = a (q b)."""
-        return self.d_mul(self.right_support(a), b, left=True)
+        """b cut to the right support q of a, so that a b = a (q b); b
+        itself when every cylinder of b lies in a cylinder of q."""
+        q = self.guard(self.right_support(a))
+        if all(any(w.starts_with(p) for p in q.terms)
+               for f in b.values() for w in f.terms):
+            return b
+        return self.d_mul(q, b, left=True)
 
     def d_one(self):
         return CylFn.one(self.alphabet)
@@ -625,14 +647,14 @@ class FreeProduct:
         for i in range(known_centered, m):
             tag_i, x_i = seq[i]
             face_i = self.faces[tag_i]
-            # the generic split, not FMFace.split: the tests check the normal
-            # form, which uses it, against this recursion
+            # the generic split, not the face's split: the tests check the
+            # normal form, which uses it, against this recursion
             d_i, centered = Algebra.split(face_i, x_i)
             if not d_i.is_zero() and i < m - 1:
                 tag_n, x_n = seq[i + 1]
                 face_n = self.faces[tag_n]
-                # the general product, not d_mul: criterion 06 checks the
-                # normal form, which uses d_mul, against this recursion
+                # the general product, not the face's d_mul: criterion 06
+                # checks the normal form, which uses it, against this recursion
                 absorbed = face_n.mul(face_n.embed_d(d_i), x_n)
                 if not face_n.is_zero(absorbed):
                     # the absorbed letter merges with the centered one before

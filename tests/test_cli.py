@@ -28,6 +28,7 @@ from amalgam.dsl import (
     Adjoint, BracketAtom, CylinderAtom, DslError, Power, Product, UnitAtom,
     WordAtom,
 )
+from amalgam.fmalg import join
 from amalgam.words import ReducedWord, ball
 
 CFG = default_config()
@@ -270,6 +271,16 @@ def test_corner_model_is_built_once_per_config():
     assert cfg.corner_model() is cfg.corner_model()
     other = replace(cfg, k=2)
     assert other.corner_model().k == 2 and cfg.corner_model().k == 3
+
+
+def test_relations_are_built_once_per_config():
+    cfg = default_config()
+    joined = cfg.joined_relation
+    assert cfg.joined_relation is joined
+    assert joined == join(cfg.plain, cfg.alpha.orbit_relation())
+    other = replace(cfg, depth=3)
+    assert other.joined_relation is not joined
+    assert other.joined_relation == joined
 
 
 @pytest.mark.parametrize("text,match", [

@@ -162,6 +162,63 @@ def test_crossed_results_are_clean(x, y):
         assert all(not fn.is_zero() for fn in r.values())
 
 
+FACE_B = CrossedFace("B", AB, 2, budget=8)
+crossed_b_st = st.dictionaries(
+    st.sampled_from(ball(AB, 2, block=2)), cylfn_st, max_size=3,
+).map(FACE_B.element)
+FULL_CROSSED = CrossedFace("M", AB, None, budget=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(crossed_st)
+@example({})
+@example(FACE_A.embed_d(indicator("b")))  # diagonal only
+@example(FACE_A.element({w("a"): indicator("b"), w("e"): indicator("a")}))
+@example(FACE_A.unitary(w("a a")))  # no identity term: x itself
+def test_crossed_split_matches_the_generic_split(x):
+    d, centered = FACE_A.split(x)
+    generic_d, generic_centered = Algebra.split(FACE_A, x)
+    assert d == generic_d and centered == generic_centered
+    assert list(centered) == list(generic_centered)
+    assert (centered is x) == (w("e") not in x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cylfn_st, crossed_st, st.booleans())
+@example(CylFn.zero(AB), FACE_A.unitary(w("a")), True)
+@example(CylFn.one(AB), FACE_A.unitary(w("a")), False)
+@example(indicator("a'"), FACE_A.element({w("a"): indicator("b")}), False)
+def test_crossed_d_mul_is_the_product_with_the_embedded_diagonal(d, x, left):
+    embedded = FACE_A.embed_d(d)
+    expected = FACE_A.mul(embedded, x) if left else FACE_A.mul(x, embedded)
+    got = FACE_A.d_mul(d, x, left)
+    assert got == expected and list(got) == list(expected)
+    assert FACE_A.d_mul(FACE_A.d_one(), x, left) is x
+    # d is guarded before anything else, as embed_d guards it
+    with pytest.raises(DepthBudgetExceeded):
+        FACE_A.d_mul(indicator("a " * 9), x, left)
+
+
+# a has right support O(a' b): the cylinders of b below it are kept
+SEAM_LEFT = FACE_A.element({w("a"): indicator("b")})
+
+
+@settings(max_examples=100, deadline=None)
+@given(crossed_st, crossed_b_st)
+@example(SEAM_LEFT, FACE_B.element({w("b"): indicator("a' b b")}))  # all kept
+@example(SEAM_LEFT, FACE_B.element({w("b"): indicator("a")}))  # none kept
+# partly covered: one cylinder of a coefficient, or one coefficient
+@example(SEAM_LEFT, FACE_B.element({w("b"): indicator("a' b") + indicator("a")}))
+@example(SEAM_LEFT, FACE_B.element({w("b"): indicator("a' b"),
+                                    w("e"): indicator("b")}))
+def test_crossed_seam_is_the_projection_by_the_right_support(a, b):
+    q = FACE_A.right_support(a)
+    cut = FACE_B.seam(a, b)
+    assert cut == FACE_B.d_mul(q, b, left=True)
+    assert (cut is b) == all(q * f == f for f in b.values())
+    assert FULL_CROSSED.mul(a, b) == FULL_CROSSED.mul(a, cut)
+
+
 def test_crossed_block_membership_enforced():
     face_a, _ = faces_boundary()
     with pytest.raises(ValueError):
@@ -544,6 +601,19 @@ def test_crossed_hot_path_never_refines(monkeypatch):
         raise AssertionError("refine called on the hot path")
 
     monkeypatch.setattr(amalgam.boundary, "refine", refuse)
+    product = FreeProduct(CrossedFace("A", AB, 1, 16), CrossedFace("B", AB, 2, 16))
+    report = battery.oracle_agreement(product, 3)
+    assert report.passed and report.checked == 84
+
+
+def test_recursion_and_oracle_never_take_the_face_shortcuts(monkeypatch):
+    # criterion 05 checks the raw-letter recursion against the crossed
+    # oracle, so neither may run the normal form's split, d_mul or seam
+    def refuse(*args):
+        raise AssertionError("a normal-form shortcut on an independent route")
+
+    for name in ("split", "d_mul", "seam"):
+        monkeypatch.setattr(CrossedFace, name, refuse)
     product = FreeProduct(CrossedFace("A", AB, 1, 16), CrossedFace("B", AB, 2, 16))
     report = battery.oracle_agreement(product, 3)
     assert report.passed and report.checked == 84
