@@ -14,11 +14,13 @@ size mappings (`--max-len 2`, `--depth 3` and a weighted three-generator
 config), depth sweeps of `moment`, `oracle`, `haar` and `freeness boundary`
 over boundary expressions drawn from a fixed seed, an `rn` sweep: every
 reduced word of length 1 or 2 against every cylinder one letter deeper, and
-sixty-nine late additions at the end, so that the earlier commands keep
-their places. Every refused input is a command of the list, so this file is
-the one place a refusal message is written; a new one is appended. A refusal
-named by the rule it breaks is listed as `refused(name, ...)`, which records
-it in REFUSALS; tests/test_cli.py runs each named one again.
+ninety-five late additions at the end, so that the earlier commands keep
+their places; the last are the complement series table over three alphabets
+and the corner freeness survey at two word lengths. Every refused input is
+a command of the list, so this file is the one place a refusal message is
+written; a new one is appended. A refusal named by the rule it breaks is
+listed as `refused(name, ...)`, which records it in REFUSALS;
+tests/test_cli.py runs each named one again.
 """
 
 import contextlib
@@ -42,6 +44,9 @@ CONFIGS = {
     "bad.cfg": "[limits]\nbogus = 3\n",
     "weights.cfg": "[base]\npoints = p q r\n[state]\nweights = 5 5 1\n",
     "abc.cfg": "[alphabet]\nblock1 = a c\nblock2 = b\n",
+    # free ranks 3 and 4 for the complement series table
+    "rank3.cfg": "[alphabet]\nblock1 = a\nblock2 = b c\n",
+    "rank4.cfg": "[alphabet]\nblock1 = a\nblock2 = b c d\n",
     # relations built from [base] classes
     "repeat.cfg": "[base]\npoints = p q r\nclasses = {p p q}\n",
     "overlap.cfg": "[base]\npoints = p q r\nclasses = {p q} {q r}\n",
@@ -326,6 +331,13 @@ def commands():
     # rn folds its word with dsl.evaluate, which evaluates the base of a
     # zeroth power before it drops it, so a cylinder there is refused
     out.append(refused("rn-zeroth-cylinder", "rn", "O(a)^0", "O(a b)"))
+    # the complement series table over free ranks 3 and 4 and a fat first
+    # block, and the corner freeness survey at two word lengths
+    out += [["--format", "machine", "--config", name, "series", "1", str(m)]
+            for name in ("rank3.cfg", "rank4.cfg", "abc.cfg")
+            for m in range(1, 9)]
+    out += [["--format", "machine", "--max-len", str(n), "freeness", "corner"]
+            for n in (2, 3)]
     return out
 
 

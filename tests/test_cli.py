@@ -713,15 +713,10 @@ def test_modular_sweep_script_runs(capsys):
     assert "exact grade checks, every real t: 356, passed" in out
 
 
-def test_corner_report_script_runs(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["corner_report.py", "--max-len", "2"])
-    assert load_script("corner_report").main() == 0
-    out = capsys.readouterr().out
-    assert "freeness   base=11 k=3 shift_order=11: 170 words, 90 shapes, " \
-        "0 violations\n" in out
-
-
-def test_series_table_script_runs(capsys):
-    assert load_script("series_table").main(["series_table", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "    2  17/18        1/18         10\n" in out
+@pytest.mark.parametrize("samples", ["abc", "0", "-3", "10001"])
+def test_modular_sweep_refuses_a_bad_sample_count(capsys, samples):
+    # one error line and exit 2, as amalgam refuses a bad integer
+    assert load_script("modular_sweep").main(["modular_sweep", samples]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: SAMPLES must be an integer from 1 to 10000\n"

@@ -431,7 +431,8 @@ def planted_boundary_families():
                                      planted_boundary_families])
 def test_freeness_failures_in_pre_order_match_the_full_products(planted,
                                                                max_len):
-    # corner_report.py prints the first failures, so their order counts.
+    # freeness_check's docstring promises its failures in depth-first
+    # pre-order, so their order counts.
     # At max_len 2 the words of full length hang off the roots; at max_len
     # 1 no word is checked
     product, family_sets = planted()
