@@ -14,13 +14,13 @@ size mappings (`--max-len 2`, `--depth 3` and a weighted three-generator
 config), depth sweeps of `moment`, `oracle`, `haar` and `freeness boundary`
 over boundary expressions drawn from a fixed seed, an `rn` sweep: every
 reduced word of length 1 or 2 against every cylinder one letter deeper, and
-ninety-five late additions at the end, so that the earlier commands keep
-their places; the last are the complement series table over three alphabets
-and the corner freeness survey at two word lengths. Every refused input is
-a command of the list, so this file is the one place a refusal message is
-written; a new one is appended. A refusal named by the rule it breaks is
-listed as `refused(name, ...)`, which records it in REFUSALS;
-tests/test_cli.py runs each named one again.
+ninety-six late additions at the end, so that the earlier commands keep
+their places; among the last are the complement series table over three
+alphabets and the corner freeness survey at two word lengths. Every
+refused input is a command of the list, so this file is the one place a
+refusal message is written; a new one is appended. A refusal named by the
+rule it breaks is listed as `refused(name, ...)`, which records it in
+REFUSALS; tests/test_cli.py runs each named one again.
 """
 
 import contextlib
@@ -338,6 +338,10 @@ def commands():
             for m in range(1, 9)]
     out += [["--format", "machine", "--max-len", str(n), "freeness", "corner"]
             for n in (2, 3)]
+    # a word of length 1 cannot alternate, so a sweep to length 1 checked
+    # nothing and passed
+    out.append(refused("max-len-one", "--max-len", "1", "freeness",
+                       "boundary"))
     return out
 
 

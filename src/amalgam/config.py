@@ -40,7 +40,7 @@ POINT_BOUND = 22
 # one (name, least, most) row per [limits] key, most None for no upper bound
 LIMITS = (("depth", 1, DEPTH_BOUND), ("k", 2, K_BOUND),
           ("n_max", 1, N_MAX_BOUND), ("kappa_max", 1, KAPPA_MAX_BOUND),
-          ("max_len", 1, None))
+          ("max_len", 2, None))  # a freeness word of length 1 cannot alternate
 
 # the keys each section may hold; any other section or key is an error
 KEYS = {"alphabet": ("block1", "block2"), "base": ("points", "classes"),

@@ -7,7 +7,7 @@ the 2-cocycle being trivial throughout.  The conditional expectation onto
 the diagonal keeps the (x,x) coefficients.  The modular flow of the state
 is the grading of `modular_spectrum`, so all of it is exact; only the
 display helpers `modular_scale` and `coefficient_gap` evaluate its phases
-in floats.
+in floats, and nothing in the package calls them.
 """
 
 from __future__ import annotations

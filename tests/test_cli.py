@@ -33,17 +33,10 @@ from amalgam.words import ReducedWord, ball
 
 CFG = default_config()
 SRC = Path(amalgam.__file__).resolve().parents[1]
-
-
-def load_script(name):
-    path = SRC.parent / "scripts" / (name + ".py")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TRANSCRIPT = load_script("transcript")
+SPEC = importlib.util.spec_from_file_location(
+    "transcript", SRC.parent / "scripts" / "transcript.py")
+TRANSCRIPT = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(TRANSCRIPT)
 CONFIGS = TRANSCRIPT.CONFIGS  # config texts the transcript runs with
 ARGVS = TRANSCRIPT.commands()
 # named refused inputs: each is a transcript command, named where the
@@ -478,8 +471,9 @@ def test_series_measures_a_small_decomposition(capsys, tmp_path, monkeypatch,
                          ids=["freeness", "suite67"])
 def test_limit_overrides_are_validated(capsys, tmp_path, key, value, command):
     # a flag and a config file line are checked alike, and the message
-    # names the limit and its value
-    err = "error: %s must be at least 1, not %s\n" % (key, value)
+    # names the limit, its least value and the value given
+    least = next(least for name, least, _ in LIMITS if name == key)
+    err = "error: %s must be at least %d, not %s\n" % (key, least, value)
     flag = "--" + key.replace("_", "-")
     assert run(capsys, flag, value, *command) == (2, "", err)
     cfg = tmp_path / "limits.cfg"
@@ -673,6 +667,35 @@ def test_no_source_depends_on_optimize():
                         and node.id == "__debug__"), where
 
 
+# the two display helpers that evaluate modular phases in floats; no
+# command calls them
+FLOAT_HELPERS = {("fmalg.py", "modular_scale"),
+                 ("fmalg.py", "coefficient_gap")}
+
+
+def test_floats_stay_in_the_display_helpers():
+    # every value the package computes is exact: no float or complex
+    # constant and no float() or complex() call outside the helpers
+    helpers, exempt = set(), set()
+    for path in sorted(SRC.joinpath("amalgam").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and (path.name, node.name) in FLOAT_HELPERS):
+                helpers.add((path.name, node.name))
+                exempt.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            assert not (isinstance(node, ast.Constant)
+                        and isinstance(node.value, (float, complex))), where
+            assert not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in ("float", "complex")), where
+    assert helpers == FLOAT_HELPERS  # no exemption outlives its helper
+
+
 def test_custom_config_changes_alphabet(capsys, tmp_path):
     path = tmp_path / "three.cfg"
     path.write_text(CONFIGS["custom.cfg"])
@@ -704,19 +727,3 @@ def test_machine_lines_are_flat_records(capsys):
             for piece in pieces:
                 key, sep, value = piece.partition("=")
                 assert sep == "=" and key and value
-
-
-def test_modular_sweep_script_runs(capsys):
-    assert load_script("modular_sweep").main(["modular_sweep", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "e[p0,p1] grade 2 " in out
-    assert "exact grade checks, every real t: 356, passed" in out
-
-
-@pytest.mark.parametrize("samples", ["abc", "0", "-3", "10001"])
-def test_modular_sweep_refuses_a_bad_sample_count(capsys, samples):
-    # one error line and exit 2, as amalgam refuses a bad integer
-    assert load_script("modular_sweep").main(["modular_sweep", samples]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: SAMPLES must be an integer from 1 to 10000\n"
