@@ -14,9 +14,9 @@ size mappings (`--max-len 2`, `--depth 3` and a weighted three-generator
 config), depth sweeps of `moment`, `oracle`, `haar` and `freeness boundary`
 over boundary expressions drawn from a fixed seed, an `rn` sweep: every
 reduced word of length 1 or 2 against every cylinder one letter deeper, and
-ninety-six late additions at the end, so that the earlier commands keep
-their places; among the last are the complement series table over three
-alphabets and the corner freeness survey at two word lengths. Every
+late additions at the end, so that the earlier commands keep their places;
+among the last are the complement series table over three alphabets, the
+corner freeness survey at two word lengths and argparse's own refusals. Every
 refused input is a command of the list, so this file is the one place a
 refusal message is written; a new one is appended. A refusal named by the
 rule it breaks is listed as `refused(name, ...)`, which records it in
@@ -271,10 +271,11 @@ def commands():
             refused("depth-bound", "--depth", "6000", "oracle",
                     "a^4999 O(b)"),
             refused("depth-bound-config", "--config", "deep.cfg", "join")]
-    # the exponent windows, the base and suite67's alphabet are bounded;
-    # series over 26 generators no longer builds its 6.9 * 10^9 cylinders
+    # the exponent window, the base and suite67's alphabet are bounded, and
+    # the corner power window is no key; series over 26 generators no
+    # longer builds its 6.9 * 10^9 cylinders
     out += [refused("n-max-bound", "--config", "nmax.cfg", "join"),
-            refused("kappa-max-bound", "--config", "kappa.cfg", "join"),
+            ["--config", "kappa.cfg", "join"],
             refused("point-bound", "--config", "wide.cfg", "join"),
             refused("suite67-generators", "--config", "five.cfg", "suite67"),
             ["--format", "machine", "--config", "letters26.cfg", "series",
@@ -342,6 +343,23 @@ def commands():
     # nothing and passed
     out.append(refused("max-len-one", "--max-len", "1", "freeness",
                        "boundary"))
+    # record shapes once probed only by a test
+    out += [["--format", "machine", "measure", "O(a b a)"],
+            ["--format", "machine", "series", "2", "3"],
+            ["--format", "machine", "moment", "~(a b)^2"]]
+    # one grammar reads every integer, and argparse's own errors are one
+    # line each: an unknown command, a missing argument, a bad choice and
+    # an unrecognised option
+    out += [refused("option-not-integer", "--depth", "x", "join"),
+            refused("argument-not-integer", "haar", "a", "x"),
+            refused("digit-separator", "--depth", "1_0", "join"),
+            refused("unknown-command", "bogus"),
+            refused("missing-argument", "haar", "a"),
+            refused("bad-choice", "freeness", "sideways"),
+            refused("bad-format", "--format", "xml", "join"),
+            refused("unrecognised-option", "join", "--bogus")]
+    # the zeroth power of a word is the identity
+    out.append(["--format", "machine", "rn", "a^0", "O(b)"])
     return out
 
 

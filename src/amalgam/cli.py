@@ -4,8 +4,8 @@ One command per invocation; structured reports in a human or a machine
 rendering (one record per line, key=value pairs). A value prints as its
 text, rationals as p/q, with each space as '.' so that it is one token. The
 exit status is 0 when every asserted check passes, 1 when one fails (a
-failed check is a record with ok=no), 2 on bad input and 3 when a cylinder
-depth budget is exceeded.
+failed check is a record with ok=no), 2 on bad input, usage errors too, and
+3 when a cylinder depth budget is exceeded: main prints one `error:` line.
 """
 
 import argparse
@@ -44,23 +44,6 @@ class Record:
 
 def _yes(flag):
     return "yes" if flag else "no"
-
-
-class LongNumber(Exception):
-    """An integer argument of more than dsl.DIGIT_BOUND digits. Not a
-    ValueError, which argparse answers itself with the whole value."""
-
-
-def _integer(name):
-    """The argparse type of the integer argument name: int, refused by its
-    length first, as the expression language refuses a long number."""
-    def parse(text):
-        if sum(map(str.isdigit, text)) > dsl.DIGIT_BOUND:
-            raise LongNumber("%s has more than %d digits"
-                             % (name, dsl.DIGIT_BOUND))
-        return int(text)
-    parse.__name__ = "int"  # argparse names the type in its other errors
-    return parse
 
 
 # -- report emission --------------------------------------------------------------
@@ -121,19 +104,20 @@ def cmd_rn(args, config):
 
 
 def cmd_series(args, config):
-    alphabet, block = config.alphabet, args.block
-    check_limit("terms", args.terms, 0, SERIES_TERM_BOUND)
-    partial = complement_series(alphabet, block, args.terms)
-    tail = complement_series_tail(alphabet, block, args.terms)
+    alphabet, block = config.alphabet, dsl.read_int("block", args.block)
+    terms = dsl.read_int("terms", args.terms)
+    check_limit("terms", terms, 0, SERIES_TERM_BOUND)
+    partial = complement_series(alphabet, block, terms)
+    tail = complement_series_tail(alphabet, block, terms)
     ok = partial + tail == 1
     cylinders = len(alphabet.letters(2 if block == 1 else 1)) * sum(
-        count_sphere(alphabet, block, m) for m in range(args.terms + 1))
+        count_sphere(alphabet, block, m) for m in range(terms + 1))
     if cylinders <= SERIES_CYLINDER_BOUND:
-        decomposition = complement_decomposition(alphabet, block, args.terms)
+        decomposition = complement_decomposition(alphabet, block, terms)
         ok = ok and decomposition.measure() == partial
     return [Record("series", [
         ("block", block),
-        ("terms", args.terms),
+        ("terms", terms),
         ("partial", partial),
         ("tail", tail),
     ], ok=ok)]
@@ -172,19 +156,20 @@ def cmd_oracle(args, config):
 
 
 def cmd_haar(args, config):
-    check_limit("kmax", args.kmax, 1)
+    kmax = dsl.read_int("kmax", args.kmax)
+    check_limit("kmax", kmax, 1)
     expr = dsl.parse(" ".join(args.expr), config)
-    if args.kmax * dsl.letter_count(expr) > dsl.LETTER_BOUND:
+    if kmax * dsl.letter_count(expr) > dsl.LETTER_BOUND:
         # the check raises the expression to every power up to kmax
         raise ValueError("haar to kmax %d unfolds to more than %d letters"
-                         % (args.kmax, dsl.LETTER_BOUND))
+                         % (kmax, dsl.LETTER_BOUND))
     kind, context = _context_for(expr, config)
     element = dsl.evaluate(expr, context)
     unit = context.model.corner_identity() if kind == "corner" else None
-    report = haar_check(context, element, args.kmax, unit=unit)
+    report = haar_check(context, element, kmax, unit=unit)
     return [Record("haar", [
         ("expr", dsl.render(expr)),
-        ("kmax", args.kmax),
+        ("kmax", kmax),
         ("unitary", _yes(report.unitary_ok)),
         ("failed_exponents", ",".join(map(str, report.failed_exponents)) or "none"),
     ], ok=report.passed)]
@@ -273,10 +258,10 @@ def cmd_suite67(args, config):
     model = config.corner_model()
     order = model.face_b.alpha.order()
     n_limit = min(config.n_max, order - 1)
-    kappa_limit = min(config.kappa_max, order - 1)
     i_values = tuple(i for i in (2, 3) if i <= config.k)
     report = moment_vanishing_report(
-        model, n_limit=n_limit, i_values=i_values, kappa_limit=kappa_limit)
+        model, n_limit=n_limit, i_values=i_values,
+        kappa_limit=min(4, order - 1))  # criterion 06's corner powers
     add("corner_moments", report, checked=report.checked,
         fixture=model.fixture_line().replace(" ", ","))
 
@@ -331,20 +316,25 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it as one line, exit 2
+        raise ValueError(message)
+
+
 @cache
 def build_parser():
-    # one parser per process: parse_args reads it and never changes it
-    parser = argparse.ArgumentParser(
+    # one parser per process: parse_args reads it and never changes it;
+    # every integer argument is read by dsl.read_int, not by argparse
+    parser = _ArgumentParser(
         prog="amalgam",
         description="Exact checks for a two-face amalgamated free product "
                     "and its corner amplification.")
     parser.add_argument("--config", help="path to a run configuration file")
     parser.add_argument("--format", choices=("human", "machine"),
                         default="human")
-    parser.add_argument("--max-len", type=_integer("--max-len"),
-                        dest="max_len", help="override the word-length window")
-    parser.add_argument("--depth", type=_integer("--depth"),
-                        help="override the boundary depth budget")
+    parser.add_argument("--max-len", dest="max_len",
+                        help="override the word-length window")
+    parser.add_argument("--depth", help="override the boundary depth budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("measure", help="exact cylinder measure")
@@ -353,15 +343,15 @@ def build_parser():
     p.add_argument("word")
     p.add_argument("cylinder")
     p = sub.add_parser("series", help="complement decomposition series")
-    p.add_argument("block", type=_integer("block"))
-    p.add_argument("terms", type=_integer("terms"))
+    p.add_argument("block")
+    p.add_argument("terms")
     p = sub.add_parser("moment", help="expectation of an expression")
     p.add_argument("expr", nargs="+")
     p = sub.add_parser("oracle", help="expectation via both routes")
     p.add_argument("expr", nargs="+")
     p = sub.add_parser("haar", help="moment vanishing up to a window")
     p.add_argument("expr", nargs="+")
-    p.add_argument("kmax", type=_integer("kmax"))
+    p.add_argument("kmax")
     p = sub.add_parser("freeness", help="alternating-word freeness sweep")
     p.add_argument("suite", choices=("boundary", "corner"))
     sub.add_parser("join", help="join of the two base relations")
@@ -373,17 +363,18 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        config = load_config(args.config) if args.config else default_config()
-        overrides = {key: getattr(args, key) for key in ("max_len", "depth")
+        overrides = {key: dsl.read_int(key, getattr(args, key))
+                     for key in ("max_len", "depth")
                      if getattr(args, key) is not None}
+        config = load_config(args.config) if args.config else default_config()
         if overrides:
             # a new config, with a corner model of its own; the shared
             # default keeps the model it built
             config = replace(config, **overrides)
         records = COMMANDS[args.command](args, config)
         emit(records, args.format)  # a value too long to print is exit 2
-    except (OSError, ValueError, LongNumber) as exc:
-        # ConfigError and DslError are ValueErrors
+    except (OSError, ValueError) as exc:
+        # argparse's errors, ConfigError and DslError are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except DepthBudgetExceeded as exc:

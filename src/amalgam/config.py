@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .dsl import DIGIT_BOUND
+from .dsl import read_int
 from .engine import CrossedFace, FMFace, FreeProduct
 from .fmalg import FiniteBase, FiniteRelation, join
 from .matrix import CornerModel, Permutation
@@ -33,13 +33,13 @@ DEPTH_BOUND = 1500
 # suite67's covariance window is not clamped and its moment window only
 # below the shift order; join's pair sets grow as the square of the points.
 # The worst admitted suite67 found (4 generators, 22 points in cycles of 2,
-# 3, 5, 7, k = 8, both windows 16, max_len = 3) takes 8-12 s, 2-vCPU VM
-N_MAX_BOUND = KAPPA_MAX_BOUND = 16
+# 3, 5, 7, k = 8, n_max = 16, max_len = 3) takes about 5 s, 2-vCPU VM
+N_MAX_BOUND = 16
 POINT_BOUND = 22
 
 # one (name, least, most) row per [limits] key, most None for no upper bound
 LIMITS = (("depth", 1, DEPTH_BOUND), ("k", 2, K_BOUND),
-          ("n_max", 1, N_MAX_BOUND), ("kappa_max", 1, KAPPA_MAX_BOUND),
+          ("n_max", 1, N_MAX_BOUND),
           ("max_len", 2, None))  # a freeness word of length 1 cannot alternate
 
 # the keys each section may hold; any other section or key is an error
@@ -72,7 +72,6 @@ class RunConfig:
     depth: int = 8
     k: int = 3
     n_max: int = 2
-    kappa_max: int = 4
     max_len: int = 4
 
     def __post_init__(self):
@@ -160,19 +159,8 @@ def parse_config(text):
     classes = _parse_groups(base_spec.get("classes", ""), "{", "}")
     plain = _built("", FiniteRelation.from_classes, base, classes)
 
-    limit_spec = sections.get("limits", {})
-    limits = {}
-    for key, value in limit_spec.items():
-        # the expression language's rule: past CPython's int conversion
-        # limit, int() would fail on the length and blame the form
-        if sum(map(str.isdigit, value)) > DIGIT_BOUND:
-            raise ConfigError("limit %s has more than %d digits"
-                              % (key, DIGIT_BOUND))
-        try:
-            limits[key] = int(value)
-        except ValueError as exc:
-            raise ConfigError("limit %s must be an integer" % key) from exc
-
+    limits = {key: _built("", read_int, key, value)
+              for key, value in sections.get("limits", {}).items()}
     return RunConfig(alphabet=alphabet, base=base, alpha=alpha,
                      plain=plain, **limits)
 

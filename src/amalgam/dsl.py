@@ -30,6 +30,18 @@ LETTER_BOUND = 5000
 # digits of one number: the letter bound caps every exponent anyway, and a
 # number past CPython's int conversion limit would be refused with no position
 DIGIT_BOUND = 9
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def read_int(name, text):
+    """The integer text spells: the one reader of an integer from the
+    command line, a config file or an expression. The grammar is -?[0-9]+,
+    so int's `1_0`, ` 3`, `+3` and non-ASCII digits are refused too."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError("%s must be an integer" % name)
+    if len(text.lstrip("-")) > DIGIT_BOUND:
+        raise ValueError("%s has more than %d digits" % (name, DIGIT_BOUND))
+    return int(text)
 
 
 # -- syntax trees ---------------------------------------------------------------
@@ -197,9 +209,10 @@ class _Parser:
             token = self.take()
         if token.kind != "int":
             self.fail("expected an integer", token)
-        if len(token.value) > DIGIT_BOUND:
-            self.fail("number has more than %d digits" % DIGIT_BOUND, token)
-        return sign * int(token.value)
+        try:
+            return sign * read_int("number", token.value)
+        except ValueError as exc:
+            self.fail(str(exc), token)
 
     def primary(self):
         token = self.take()

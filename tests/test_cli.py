@@ -223,6 +223,34 @@ def test_word_value_folds_products():
         ReducedWord.parse(CFG.alphabet, "b' a'")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("-0", 0), ("007", 7), ("123456789", 123456789),
+    ("-123456789", -123456789),
+])
+def test_read_int_admits(text, value):
+    assert dsl.read_int("n", text) == value
+
+
+@pytest.mark.parametrize("text, message", [
+    # int() takes each of the first six; the grammar is -?[0-9]+
+    ("1_0", "n must be an integer"),
+    (" 3", "n must be an integer"),
+    ("3\n", "n must be an integer"),
+    ("+3", "n must be an integer"),
+    ("\u0663", "n must be an integer"),
+    ("-\uff13", "n must be an integer"),
+    ("", "n must be an integer"),
+    ("--3", "n must be an integer"),
+    ("3.0", "n must be an integer"),
+    ("1234567890", "n has more than 9 digits"),
+    ("-0000000001", "n has more than 9 digits"),
+    ("1" * 5000, "n has more than 9 digits"),
+])
+def test_read_int_refuses(text, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        dsl.read_int("n", text)
+
+
 # -- configuration -----------------------------------------------------------------
 
 def test_parse_config_custom():
@@ -236,7 +264,7 @@ def test_parse_config_custom():
     assert cfg.plain_relation().classes() == (("p", "q"), ("r",), ("s",))
     assert (cfg.depth, cfg.k) == (5, 2)
     # unspecified limits keep their defaults
-    assert (cfg.n_max, cfg.kappa_max, cfg.max_len) == (2, 4, 4)
+    assert (cfg.n_max, cfg.max_len) == (2, 4)
 
 
 def test_default_config_is_consistent():
@@ -248,8 +276,7 @@ def test_default_config_is_consistent():
     # the built-in text states only the classes; the rest are the defaults
     assert repr(cfg.plain_relation()) == \
         "{x0 x1}+{x10}+{x2 x3}+{x4}+{x5}+{x6}+{x7}+{x8}+{x9}"
-    assert (cfg.depth, cfg.k, cfg.n_max, cfg.kappa_max, cfg.max_len) == \
-        (8, 3, 2, 4, 4)
+    assert (cfg.depth, cfg.k, cfg.n_max, cfg.max_len) == (8, 3, 2, 4)
 
 
 def test_default_config_is_shared_and_frozen():
@@ -304,7 +331,8 @@ def test_relations_are_built_once_per_config():
      r"^line 3: repeated section: \[limits\]$"),
     ("[limits]\nk = 0\n", r"^k must be at least 2, not 0$"),
     ("[limits]\nn_max = 0\n", r"^n_max must be at least 1, not 0$"),
-    ("[limits]\nkappa_max = -2\n", r"^kappa_max must be at least 1, not -2$"),
+    # suite67's corner power window is fixed at 4, so it is no key
+    ("[limits]\nkappa_max = 4\n", r"^unknown key in \[limits\]: kappa_max$"),
 ])
 def test_parse_config_rejects(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -419,11 +447,10 @@ def test_series_accepts_zero_terms(capsys):
 
 def test_parse_config_admits_the_bounds():
     cfg = parse_config(
-        "[base]\npoints = %s\n[limits]\nk = 8\nn_max = 16\n"
-        "kappa_max = 16\ndepth = 1500\n"
+        "[base]\npoints = %s\n[limits]\nk = 8\nn_max = 16\ndepth = 1500\n"
         % " ".join("x%d" % i for i in range(22)))
-    assert (len(cfg.base.points), cfg.k, cfg.n_max, cfg.kappa_max,
-            cfg.depth) == (22, 8, 16, 16, 1500)
+    assert (len(cfg.base.points), cfg.k, cfg.n_max, cfg.depth) == \
+        (22, 8, 16, 1500)
 
 
 def test_every_integer_limit_is_one_row_of_the_table():
@@ -479,6 +506,16 @@ def test_limit_overrides_are_validated(capsys, tmp_path, key, value, command):
     cfg = tmp_path / "limits.cfg"
     cfg.write_text("[limits]\n%s = %s\n" % (key, value))
     assert run(capsys, "--config", str(cfg), *command) == (2, "", err)
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663"])
+def test_limit_overrides_share_the_integer_grammar(capsys, tmp_path, text):
+    # int() takes each; a flag and a config file line refuse each alike
+    err = "error: depth must be an integer\n"
+    assert run(capsys, "--depth", text, "join") == (2, "", err)
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text("[limits]\ndepth = %s\n" % text, encoding="utf-8")
+    assert run(capsys, "--config", str(cfg), "join") == (2, "", err)
 
 
 def test_identity_letter_allowed_in_cylinder(capsys):
@@ -544,10 +581,8 @@ def test_repeated_calls_answer_alike(capsys, tmp_path):
     first = answers()
     assert [code for code, _, _ in first] == [0, 0]
     assert "max_len=4 " in first[1][1]
-    with pytest.raises(SystemExit) as exc:  # an argparse usage error
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out, err = run(capsys, "no-such-command")  # an argparse usage error
+    assert (code, out) == (2, "") and re.fullmatch(r"error: [^\n]+\n", err)
     assert answers() == first
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[limits]\nmax_len = 3\n")
@@ -641,19 +676,52 @@ def test_input_error_under_optimize(golden_runs, name):
     assert golden_runs[1][index] == GOLDEN[index][1]
 
 
+def parse_block(block):
+    """The argv line, exit code, stdout and stderr of a transcript block."""
+    return re.fullmatch(r"\$ amalgam ([^\n]*)\nexit (\d+)\n"
+                        r"--- stdout\n(.*)--- stderr\n(.*)\n", block,
+                        re.S).groups()
+
+
 def test_every_refusal_is_one_error_line():
     # a refused input, exit 2 (bad input) or 3 (over the depth budget),
     # prints nothing on stdout and one "error: " line on stderr; the golden
     # diff pins each message
-    shape = re.compile(r"\$ amalgam ([^\n]*)\nexit (\d+)\n"
-                       r"--- stdout\n(.*)--- stderr\n(.*)\n", re.S)
-    parsed = (shape.fullmatch(block).groups() for block in BLOCKS)
-    refused = [(argv, out, err) for argv, code, out, err in parsed
-               if code in ("2", "3")]
+    refused = [(argv, out, err) for argv, code, out, err
+               in map(parse_block, BLOCKS) if code in ("2", "3")]
     assert refused
     for argv, out, err in refused:
         assert out == "" and re.fullmatch(r"error: [^\n]+\n", err), \
             "amalgam " + argv
+
+
+def test_machine_lines_are_flat_records():
+    # every answered --format machine block prints one record per line:
+    # record=NAME, then key=value pairs, each one token
+    answered = [(argv, out) for argv, code, out, _ in map(parse_block, BLOCKS)
+                if code in ("0", "1") and "--format machine " in argv]
+    assert answered
+    for argv, out in answered:
+        assert out.endswith("\n"), "amalgam " + argv
+        for line in out.splitlines():
+            pieces = line.split(" ")
+            assert pieces[0].startswith("record="), "amalgam " + argv
+            for piece in pieces:
+                key, sep, value = piece.partition("=")
+                assert sep == "=" and key and value, "amalgam " + argv
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["haar", "-h"]],
+                         ids=["main", "haar"])
+def test_help_exits_zero(capsys, argv):
+    # argparse's usage errors return from main as named refusals
+    # (unknown-command, missing-argument, bad-choice, unrecognised-option);
+    # only help leaves it by SystemExit
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: amalgam ")
 
 
 def test_no_source_depends_on_optimize():
@@ -704,26 +772,3 @@ def test_custom_config_changes_alphabet(capsys, tmp_path):
     assert code == 0
     # three generators: 1/6 for the first letter, 1/5 per further letter
     assert "value=1/30" in out
-
-
-def test_machine_lines_are_flat_records(capsys):
-    probes = [
-        ["--format", "machine", "measure", "O(a b a)"],
-        ["--format", "machine", "series", "2", "3"],
-        ["--format", "machine", "moment", "~(a b)^2"],
-        ["--format", "machine", "join"],
-        ["--format", "machine", "rn", "a b", "O(b' a' b)"],
-        ["--format", "machine", "oracle", "a b O(a) b' a'"],
-        ["--format", "machine", "haar", "A[e]{1,3} B[u^-2]{3,1}", "4"],
-        ["--format", "machine", "freeness", "corner"],
-    ]
-    for argv in probes:
-        code = main(argv)
-        out = capsys.readouterr().out
-        assert code == 0
-        for line in out.strip().splitlines():
-            pieces = line.split(" ")
-            assert pieces[0].startswith("record=")
-            for piece in pieces:
-                key, sep, value = piece.partition("=")
-                assert sep == "=" and key and value

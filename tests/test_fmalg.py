@@ -15,6 +15,7 @@ from amalgam.scalars import QC
 B3 = FiniteBase.uniform(("x", "y", "z"))
 FULL3 = FiniteRelation.full(B3)
 B2 = FiniteBase.uniform(("x", "y"))
+B4 = FiniteBase.uniform(("p0", "p1", "p2", "p3"))
 
 
 def unit(r, x, y):
@@ -213,18 +214,16 @@ def test_ergodicity():
 
 
 def groupoid_oracle(relation):
-    """Independent count: all total choice maps point -> (skip | target)."""
+    """Independent enumeration: every total choice map point -> (skip |
+    target) that is injective and inside the relation, as its graph."""
     points = relation.base.points
-    count = 0
+    graphs = set()
     for choice in itertools.product((None,) + points, repeat=len(points)):
-        targets = [y for y in choice if y is not None]
-        if len(set(targets)) != len(targets):
-            continue
-        if any(y is not None and (x, y) not in relation.pairs
-               for x, y in zip(points, choice)):
-            continue
-        count += 1
-    return count
+        graph = tuple((x, y) for x, y in zip(points, choice) if y is not None)
+        image = [y for _, y in graph]
+        if len(set(image)) == len(image) and set(graph) <= relation.pairs:
+            graphs.add(graph)
+    return graphs
 
 
 def test_normalizing_groupoid_frozen_counts():
@@ -233,18 +232,16 @@ def test_normalizing_groupoid_frozen_counts():
 
 
 def test_normalizing_groupoid_matches_oracle():
-    for base in (B2, B3):
+    # the same graphs, each once, x in base order; criterion 12 sweeps the
+    # 15 relations on four points, which hold 812 graphs
+    for base in (B2, B3, B4):
+        sizes = []
         for relation in all_equivalence_relations(base):
             found = normalizing_groupoid(relation)
-            assert len(found) == groupoid_oracle(relation)
             assert len(set(found)) == len(found)
-            # each graph: domain in base order, injective, in the relation
-            for graph in found:
-                domain = [x for x, _ in graph]
-                image = [y for _, y in graph]
-                assert domain == [x for x in base.points if x in domain]
-                assert len(set(image)) == len(image)
-                assert set(graph) <= relation.pairs
+            assert set(found) == groupoid_oracle(relation)
+            sizes.append(len(found))
+    assert (len(sizes), sum(sizes)) == (15, 812)
 
 
 def test_groupoid_bound_enforced():
