@@ -17,19 +17,22 @@ with |w| > |gamma| the measure moves by (2n-1)^(2k - |gamma|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .words import Alphabet, ReducedWord, ball, count_sphere, seam_cancel
+from .words import (
+    Alphabet, ReducedWord, Value, ball, count_sphere, seam_cancel,
+)
 
 
-@dataclass(frozen=True)
-class CylinderUnion:
+class CylinderUnion(Value):
     """Disjoint union of cylinders, named by prefixes none of which extends
     another; its builders, act and complement_decomposition, make them so."""
 
-    cylinders: tuple[ReducedWord, ...]
+    _fields = ("cylinders",)
+
+    def __init__(self, cylinders):  # a tuple of ReducedWords
+        object.__setattr__(self, "cylinders", cylinders)
 
     def measure(self):
         return sum(map(cylinder_measure, self.cylinders), Fraction(0))

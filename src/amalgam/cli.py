@@ -10,7 +10,6 @@ failed check is a record with ok=no), 2 on bad input, usage errors too, and
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 
@@ -35,11 +34,11 @@ SERIES_CYLINDER_BOUND = 1000
 SUITE67_GENERATOR_BOUND = 4  # 3, 4 and 5 generators: about 0.6, 3 and 10 s
 
 
-@dataclass
 class Record:
-    name: str
-    fields: list
-    ok: object = None  # True/False for asserted checks, None for plain facts
+    def __init__(self, name, fields, ok=None):
+        self.name = name
+        self.fields = fields
+        self.ok = ok  # True/False for asserted checks, None for plain facts
 
 
 def _yes(flag):
@@ -252,7 +251,7 @@ def cmd_suite67(args, config):
     report = battery.ratio_powers(alphabet, 4, 1)
     add("ratio_powers", report, exponents=",".join(map(str, report.values)))
     report = battery.oracle_agreement(
-        replace(config, depth=max(config.depth, 10)).boundary_product(), 3)
+        config.replace(depth=max(config.depth, 10)).boundary_product(), 3)
     add("oracle_agreement", report, words=report.checked)
 
     model = config.corner_model()
@@ -370,7 +369,7 @@ def main(argv=None):
         if overrides:
             # a new config, with a corner model of its own; the shared
             # default keeps the model it built
-            config = replace(config, **overrides)
+            config = config.replace(**overrides)
         records = COMMANDS[args.command](args, config)
         emit(records, args.format)  # a value too long to print is exit 2
     except (OSError, ValueError) as exc:

@@ -9,7 +9,6 @@ ValueErrors come back as ConfigErrors.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -17,7 +16,7 @@ from .dsl import read_int
 from .engine import CrossedFace, FMFace, FreeProduct
 from .fmalg import FiniteBase, FiniteRelation, join
 from .matrix import CornerModel, Permutation
-from .words import Alphabet
+from .words import Alphabet, Value
 
 # every key is optional; the built-in default adds only the plain classes.
 # Stacked shift exponents in freeness sweeps reach max_len * n_max, so the
@@ -63,23 +62,24 @@ def check_limit(name, value, least, most=None):
                           % (name, most, value))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    alphabet: Alphabet
-    base: FiniteBase
-    alpha: Permutation
-    plain: FiniteRelation
-    depth: int = 8
-    k: int = 3
-    n_max: int = 2
-    max_len: int = 4
+class RunConfig(Value):
+    _fields = ("alphabet", "base", "alpha", "plain", "depth", "k", "n_max",
+               "max_len")
 
-    def __post_init__(self):
+    def __init__(self, alphabet, base, alpha, plain, depth=8, k=3, n_max=2,
+                 max_len=4):
+        super().__init__(alphabet, base, alpha, plain, depth, k, n_max,
+                         max_len)
         for name, least, most in LIMITS:
             check_limit(name, getattr(self, name), least, most)
         if len(self.base.points) > POINT_BOUND:
             raise ConfigError("base must have at most %d points, not %d"
                               % (POINT_BOUND, len(self.base.points)))
+
+    def replace(self, **changes):
+        """A new config with the given fields changed, checked as any is."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        return RunConfig(**{**fields, **changes})
 
     def plain_relation(self):
         return self.plain

@@ -12,11 +12,10 @@ Juxtaposition multiplies, `~` takes adjoints, `^` raises to integer powers
 """
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .engine import CrossedFace, CylFn, MAmbient
-from .words import ReducedWord
+from .words import ReducedWord, Value
 
 
 class DslError(ValueError):
@@ -46,44 +45,32 @@ def read_int(name, text):
 
 # -- syntax trees ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WordAtom:
-    word: ReducedWord
+class WordAtom(Value):
+    _fields = ("word",)  # a ReducedWord
 
 
-@dataclass(frozen=True)
-class CylinderAtom:
-    word: ReducedWord  # the prefix of the cylinder
+class CylinderAtom(Value):
+    _fields = ("word",)  # the prefix of the cylinder, a ReducedWord
 
 
-@dataclass(frozen=True)
-class UnitAtom:
-    x: str
-    y: str
+class UnitAtom(Value):
+    _fields = ("x", "y")  # point names
 
 
-@dataclass(frozen=True)
-class BracketAtom:
-    tag: str
-    core: tuple
-    i: int
-    j: int
+class BracketAtom(Value):
+    _fields = ("tag", "core", "i", "j")  # face tag, core tuple, slots
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(Value):
+    _fields = ("factors",)  # a tuple
 
 
-@dataclass(frozen=True)
-class Adjoint:
-    inner: object
+class Adjoint(Value):
+    _fields = ("inner",)
 
 
-@dataclass(frozen=True)
-class Power:
-    inner: object
-    n: int
+class Power(Value):
+    _fields = ("inner", "n")  # n an int
 
 
 # -- tokenizer -------------------------------------------------------------------
@@ -93,10 +80,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<int>[0-9]+)|(?P<sym>[()\[\]{}^~,-])")
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    offset: int  # of its first character in the text
+# offset is that of its first character in the text
+Token = namedtuple("Token", ("kind", "value", "offset"))
 
 
 def _where(text, offset):

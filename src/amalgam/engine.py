@@ -16,7 +16,6 @@ recursively computed expectation.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 
 from .boundary import act
@@ -724,11 +723,11 @@ class MAmbient(Algebra):
 FREENESS_WORD_BOUND = 10 ** 6
 
 
-@dataclass
 class SweepReport:
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    values: list = field(default_factory=list)  # observed beyond the count
+    def __init__(self, checked=0, failures=None):
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.values = []  # observed beyond the count
 
     @property
     def passed(self):
@@ -791,10 +790,10 @@ def freeness_check(algebra, families, max_len) -> SweepReport:
     return SweepReport(checked, failures)
 
 
-@dataclass
 class HaarReport:
-    unitary_ok: bool
-    failed_exponents: list = field(default_factory=list)
+    def __init__(self, unitary_ok):
+        self.unitary_ok = unitary_ok
+        self.failed_exponents = []
 
     @property
     def passed(self):

@@ -12,10 +12,10 @@ in floats, and nothing in the package calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import ONE, QC
+from .words import Value
 
 GROUPOID_POINT_BOUND = 8  # hard bound for exhaustive partial-bijection sweeps
 
@@ -25,12 +25,14 @@ def _point_text(x):
     return "%s:%s" % x if isinstance(x, tuple) else str(x)
 
 
-@dataclass(frozen=True)
-class FiniteBase:
+class FiniteBase(Value):
     """Finite point set with a faithful state given by rational weights."""
 
-    points: tuple
-    weights: tuple
+    _fields = ("points", "weights")
+
+    def __init__(self, points, weights):
+        super().__init__(points, weights)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points) or not self.points:
@@ -58,17 +60,18 @@ class FiniteBase:
         return self.weights[self.points.index(x)]
 
 
-@dataclass(frozen=True, repr=False)
-class FiniteRelation:
+class FiniteRelation(Value):
     """Equivalence relation on the base, stored as its partition.
 
     The blocks are kept in canonical order, each in base order and all
     ordered by their first point, so equality is partition equality.
     """
 
-    base: FiniteBase
-    blocks: tuple
-    pairs: frozenset = field(init=False, repr=False, compare=False)
+    _fields = ("base", "blocks")
+
+    def __init__(self, base, blocks):
+        super().__init__(base, blocks)
+        self.__post_init__()
 
     def __post_init__(self):
         owner = dict.fromkeys(self.base.points)
@@ -86,6 +89,7 @@ class FiniteRelation:
             blocks.setdefault(i, []).append(x)
         blocks = tuple(map(tuple, blocks.values()))
         object.__setattr__(self, "blocks", blocks)
+        # every (x, y) in one block: not a field, as the blocks decide it
         object.__setattr__(self, "pairs", frozenset(
             (x, y) for cls in blocks for x in cls for y in cls))
 

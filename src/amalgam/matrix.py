@@ -7,7 +7,6 @@ from them satisfy exact moment, freeness, and covariance identities that
 the report sweeps below verify.
 """
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import lcm
 
@@ -312,12 +311,12 @@ def cyclic_model(core_size=5, k=3):
 # ---------------------------------------------------------------------------
 # report sweeps
 
-@dataclass
 class FamilyReport:
-    families: int
-    shape_checks: int
-    words_checked: int
-    violations: list
+    def __init__(self, families, shape_checks, words_checked, violations):
+        self.families = families
+        self.shape_checks = shape_checks
+        self.words_checked = words_checked
+        self.violations = violations
 
     @property
     def passed(self):

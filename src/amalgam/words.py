@@ -10,24 +10,60 @@ downstream (cylinders, crossed products) indexes by these words, so reduction
 is eager: parse and from_letters reduce; the ReducedWord constructor trusts
 its letters, and a product of two reduced words cancels only at the seam.
 Words compare and hash by their letters; the alphabet only breaks ties.
+Value, the base of the package's frozen records, is a plain class, so that
+importing the package generates no code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+_set = object.__setattr__  # how a constructor sets a field of a Value
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Value:
+    """Frozen record named by its _fields: the default constructor takes
+    them in order, and a record compares, hashes and prints by them.  Two
+    records are equal when of one class with equal fields.  Assigning or
+    deleting an attribute raises AttributeError."""
+
+    _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %r" % (type(self).__name__, self._fields))
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot assign to field %r" % name)
+
+
+class Alphabet(Value):
     """Generator names split into two blocks; block 1 is names[:block_size]."""
 
-    names: tuple[str, ...]
-    block_size: int
-    # (last, block) -> extensions(last, block), for last 0 or any letter
-    # and block None, 1 or 2; built once, read on every trie step and act
-    extension_table: dict = field(init=False, repr=False, compare=False)
+    _fields = ("names", "block_size")
 
-    def __post_init__(self):
+    def __init__(self, names, block_size):
+        super().__init__(names, block_size)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate generator")
         if not 1 <= self.block_size < len(self.names):
@@ -39,7 +75,9 @@ class Alphabet:
                 raise ValueError(f"bad generator name: {name!r}")
         if "e" in self.names:
             raise ValueError("generator name e is reserved for the identity")
-        object.__setattr__(self, "extension_table", {
+        # not a field: (last, block) -> extensions(last, block), for last 0 or
+        # any letter and block None, 1 or 2; read on every trie step and act
+        _set(self, "extension_table", {
             (last, block): [a for a in self.letters(block) if a != -last]
             for last in (0, *self.letters()) for block in (None, 1, 2)})
 
@@ -102,10 +140,12 @@ def _reduce(letters):
     return tuple(stack)
 
 
-@dataclass(frozen=True, repr=False)
-class ReducedWord:
-    alphabet: Alphabet
-    letters: tuple[int, ...]
+class ReducedWord(Value):
+    _fields = ("alphabet", "letters")
+
+    def __init__(self, alphabet, letters):
+        _set(self, "alphabet", alphabet)
+        _set(self, "letters", letters)
 
     def __eq__(self, other):
         if not isinstance(other, ReducedWord):

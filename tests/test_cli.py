@@ -10,7 +10,6 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from hypothesis import strategies as st
 
 import amalgam
 from amalgam import cli, dsl, engine
+from amalgam.boundary import CylinderUnion
 from amalgam.cli import main
 from amalgam.config import (
     LIMITS, ConfigError, RunConfig, default_config, parse_config,
@@ -28,8 +28,8 @@ from amalgam.dsl import (
     Adjoint, BracketAtom, CylinderAtom, DslError, Power, Product, UnitAtom,
     WordAtom,
 )
-from amalgam.fmalg import join
-from amalgam.words import ReducedWord, ball
+from amalgam.fmalg import FiniteBase, FiniteRelation, join
+from amalgam.words import Alphabet, ReducedWord, Value, ball
 
 CFG = default_config()
 SRC = Path(amalgam.__file__).resolve().parents[1]
@@ -282,14 +282,15 @@ def test_default_config_is_consistent():
 def test_default_config_is_shared_and_frozen():
     cfg = default_config()
     assert default_config() is cfg
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError,
+                       match="^cannot assign to field 'max_len'$"):
         cfg.max_len = 2
 
 
 def test_corner_model_is_built_once_per_config():
     cfg = default_config()
     assert cfg.corner_model() is cfg.corner_model()
-    other = replace(cfg, k=2)
+    other = cfg.replace(k=2)
     assert other.corner_model().k == 2 and cfg.corner_model().k == 3
 
 
@@ -298,9 +299,75 @@ def test_relations_are_built_once_per_config():
     joined = cfg.joined_relation
     assert cfg.joined_relation is joined
     assert joined == join(cfg.plain, cfg.alpha.orbit_relation())
-    other = replace(cfg, depth=3)
+    other = cfg.replace(depth=3)
     assert other.joined_relation is not joined
     assert other.joined_relation == joined
+
+
+def _word():
+    return ReducedWord(Alphabet(("a", "b"), 1), (1, -2))
+
+
+# one builder per frozen record class; each call builds its fields afresh
+VALUES = [
+    lambda: Alphabet(("a", "b", "c"), 1),
+    _word,
+    lambda: CylinderUnion((_word(), ReducedWord.identity(CFG.alphabet))),
+    lambda: FiniteBase.uniform(("x0", "x1", "x2")),
+    lambda: FiniteRelation.from_classes(
+        FiniteBase.uniform(("x0", "x1", "x2")), [("x0", "x2")]),
+    CFG.replace,
+    lambda: WordAtom(_word()),
+    lambda: CylinderAtom(_word()),
+    lambda: UnitAtom("x0", "x1"),
+    lambda: BracketAtom("B", ("u", 3), 1, 2),
+    lambda: Product((WordAtom(_word()), CylinderAtom(_word()))),
+    lambda: Adjoint(WordAtom(_word())),
+    lambda: Power(UnitAtom("x0", "x1"), -2),
+]
+
+
+@pytest.mark.parametrize("build", VALUES,
+                         ids=[type(build()).__name__ for build in VALUES])
+def test_frozen_records_are_values(build):
+    value, twin = build(), build()
+    assert value is not twin and value == twin and not value != twin
+    assert hash(value) == hash(twin)
+    # the same fields in another class: unequal, so no record is a tuple
+    cls = type(value)
+    fields = [getattr(value, name) for name in cls._fields]
+    other = type(cls.__name__, (Value,), {"_fields": cls._fields})(*fields)
+    assert value != other and other != value
+    assert WordAtom(_word()) != CylinderAtom(_word())
+    for name in cls._fields:
+        with pytest.raises(AttributeError,
+                           match="^cannot assign to field '%s'$" % name):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == twin
+
+
+def test_replace_checks_the_new_config():
+    cfg = default_config()
+    with pytest.raises(ConfigError) as from_file:
+        parse_config("[limits]\nmax_len = 1\n")
+    message = "^%s$" % re.escape(str(from_file.value))
+    with pytest.raises(ConfigError, match=message):
+        cfg.replace(max_len=1)
+    assert cfg.max_len == 4 and cfg == cfg.replace()
+
+
+def test_starting_the_calculator_imports_no_dataclasses():
+    # a site that loads them first does not fail this: only what importing
+    # the package adds counts
+    probe = ("import sys; before = set(sys.modules); import amalgam.cli; "
+             "print(sorted({'dataclasses', 'inspect'} "
+             "& (set(sys.modules) - before)))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("text,match", [
@@ -455,7 +522,8 @@ def test_parse_config_admits_the_bounds():
 
 def test_every_integer_limit_is_one_row_of_the_table():
     # a new int field of RunConfig is checked only through a row of LIMITS
-    ints = [field.name for field in fields(RunConfig) if field.type is int]
+    ints = [name for name in RunConfig._fields
+            if isinstance(getattr(CFG, name), int)]
     assert sorted(name for name, _, _ in LIMITS) == sorted(ints)
     for name, least, most in LIMITS:
         refused = [(least - 1, "least", least)]
