@@ -18,7 +18,7 @@ from .boundary import (
     act, complement_decomposition, complement_series, complement_series_tail,
     cylinder_measure, refine, rn_exponent, rn_ratio,
 )
-from .config import check_limit, default_config, load_config
+from .config import check_limit, default_config, load_config, read_int
 from .engine import DepthBudgetExceeded, MAmbient, freeness_check, haar_check
 from .fmalg import is_ergodic, join
 from .matrix import (
@@ -27,11 +27,9 @@ from .matrix import (
 )
 from .words import count_sphere
 
-SERIES_TERM_BOUND = 1000  # about 0.25 s at the bound
 # series measures its decomposition only up to this many cylinders: about
 # 0.06 s at the bound, and two generators to 6 terms make at most 26
 SERIES_CYLINDER_BOUND = 1000
-SUITE67_GENERATOR_BOUND = 4  # 3, 4 and 5 generators: about 0.6, 3 and 10 s
 
 
 class Record:
@@ -103,9 +101,9 @@ def cmd_rn(args, config):
 
 
 def cmd_series(args, config):
-    alphabet, block = config.alphabet, dsl.read_int("block", args.block)
-    terms = dsl.read_int("terms", args.terms)
-    check_limit("terms", terms, 0, SERIES_TERM_BOUND)
+    alphabet, block = config.alphabet, read_int("block", args.block)
+    terms = read_int("terms", args.terms)
+    check_limit("terms", terms)
     partial = complement_series(alphabet, block, terms)
     tail = complement_series_tail(alphabet, block, terms)
     ok = partial + tail == 1
@@ -155,13 +153,11 @@ def cmd_oracle(args, config):
 
 
 def cmd_haar(args, config):
-    kmax = dsl.read_int("kmax", args.kmax)
-    check_limit("kmax", kmax, 1)
+    kmax = read_int("kmax", args.kmax)
+    check_limit("kmax", kmax)
     expr = dsl.parse(" ".join(args.expr), config)
-    if kmax * dsl.letter_count(expr) > dsl.LETTER_BOUND:
-        # the check raises the expression to every power up to kmax
-        raise ValueError("haar to kmax %d unfolds to more than %d letters"
-                         % (kmax, dsl.LETTER_BOUND))
+    # the check raises the expression to every power up to kmax
+    check_limit("letters", kmax * dsl.letter_count(expr))
     kind, context = _context_for(expr, config)
     element = dsl.evaluate(expr, context)
     unit = context.model.corner_identity() if kind == "corner" else None
@@ -231,9 +227,7 @@ def cmd_ergodic(args, config):
 # -- the combined verification suite ------------------------------------------------
 
 def cmd_suite67(args, config):
-    if config.alphabet.size > SUITE67_GENERATOR_BOUND:
-        raise ValueError("suite67 takes at most %d generators, not %d"
-                         % (SUITE67_GENERATOR_BOUND, config.alphabet.size))
+    check_limit("generators", config.alphabet.size)
     records = []
 
     def add(name, report, **fields):
@@ -323,7 +317,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 @cache
 def build_parser():
     # one parser per process: parse_args reads it and never changes it;
-    # every integer argument is read by dsl.read_int, not by argparse
+    # every integer argument is read by config.read_int, not by argparse
     parser = _ArgumentParser(
         prog="amalgam",
         description="Exact checks for a two-face amalgamated free product "
@@ -362,7 +356,7 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        overrides = {key: dsl.read_int(key, getattr(args, key))
+        overrides = {key: read_int(key, getattr(args, key))
                      for key in ("max_len", "depth")
                      if getattr(args, key) is not None}
         config = load_config(args.config) if args.config else default_config()

@@ -12,7 +12,6 @@ import re
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .dsl import read_int
 from .engine import CrossedFace, FMFace, FreeProduct
 from .fmalg import FiniteBase, FiniteRelation, join
 from .matrix import CornerModel, Permutation
@@ -23,43 +22,70 @@ from .words import Alphabet, Value
 # default base of 11 points keeps that below one shift period
 DEFAULT_CONFIG = "[base]\nclasses = {x0 x1} {x2 x3}\n"
 
-# each amplified face relation has k^2 times the pairs of its core relation;
-# suite67 over the default base takes about 3.5 s at k = 8 and 13 s at k = 12
-K_BOUND = 8
-# a translate to cylinder depth n costs about n^2: at the bound,
-# `oracle "a^1499 O(b)"` takes about 0.7 s
-DEPTH_BOUND = 1500
-# suite67's covariance window is not clamped and its moment window only
-# below the shift order; join's pair sets grow as the square of the points.
-# The worst admitted suite67 found (4 generators, 22 points in cycles of 2,
-# 3, 5, 7, k = 8, n_max = 16, max_len = 3) takes about 5 s, 2-vCPU VM
-N_MAX_BOUND = 16
-POINT_BOUND = 22
-
-# one (name, least, most) row per [limits] key, most None for no upper bound
-LIMITS = (("depth", 1, DEPTH_BOUND), ("k", 2, K_BOUND),
-          ("n_max", 1, N_MAX_BOUND),
-          ("max_len", 2, None))  # a freeness word of length 1 cannot alternate
+# one (name, least, most) row per bound on an integer from the user, None
+# for no bound on that side; check_limit reads the row by its name
+LIMITS = (
+    # a translate to cylinder depth n costs about n^2: at the bound,
+    # `oracle "a^1499 O(b)"` takes about 0.7 s
+    ("depth", 1, 1500),
+    # each amplified face relation has k^2 times its core's pairs; suite67
+    # over the default base takes about 3.5 s at k = 8 and 13 s at k = 12
+    ("k", 2, 8),
+    # suite67's covariance window is not clamped to the shift order, and
+    # its moment window only below it
+    ("n_max", 1, 16),
+    ("max_len", 2, None),  # a freeness word of length 1 cannot alternate
+    # [base] points (FiniteBase refuses an empty base): join's pair sets
+    # grow as their square. The worst admitted suite67 found (4 generators,
+    # 22 points in cycles of 2, 3, 5, 7, k = 8, n_max = 16, max_len = 3)
+    # takes about 5 s, 2-vCPU VM
+    ("points", None, 22),
+    # letters an expression unfolds to (see dsl.letter_count), and haar's
+    # kmax times them: cost grows about as their square (the running group
+    # word); at the bound, `moment "a^5000"` takes about 0.25 s and
+    # `oracle "a^5000"` about 0.5 s
+    ("letters", None, 5000),
+    ("terms", 0, 1000),  # series terms: about 0.25 s at the bound
+    ("kmax", 1, None),  # haar's window; the letters row caps its cost
+    # suite67's generators: with 3, 4 and 5 it takes about 0.6, 3 and 10 s
+    ("generators", None, 4),
+)
 
 # the keys each section may hold; any other section or key is an error
 KEYS = {"alphabet": ("block1", "block2"), "base": ("points", "classes"),
         "state": ("weights",), "alpha": ("cycles",),
-        "limits": tuple(name for name, _, _ in LIMITS)}
+        "limits": ("depth", "k", "n_max", "max_len")}
+
+# digits of one number: the letters row caps every exponent anyway, and a
+# number past CPython's int conversion limit would be refused with no position
+DIGIT_BOUND = 9
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 class ConfigError(ValueError):
     pass
 
 
-def check_limit(name, value, least, most=None):
-    """Refuse the integer value of name below least, or above most unless
-    most is None."""
-    if value < least:
+def check_limit(name, value):
+    """Refuse the integer value of name outside its row of LIMITS."""
+    least, most = next(row[1:] for row in LIMITS if row[0] == name)
+    if least is not None and value < least:
         raise ConfigError("%s must be at least %d, not %d"
                           % (name, least, value))
     if most is not None and value > most:
         raise ConfigError("%s must be at most %d, not %d"
                           % (name, most, value))
+
+
+def read_int(name, text):
+    """The integer text spells: the one reader of an integer from the
+    command line, a config file or an expression. The grammar is -?[0-9]+,
+    so int's `1_0`, ` 3`, `+3` and non-ASCII digits are refused too."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError("%s must be an integer" % name)
+    if len(text.lstrip("-")) > DIGIT_BOUND:
+        raise ValueError("%s has more than %d digits" % (name, DIGIT_BOUND))
+    return int(text)
 
 
 class RunConfig(Value):
@@ -70,11 +96,9 @@ class RunConfig(Value):
                  max_len=4):
         super().__init__(alphabet, base, alpha, plain, depth, k, n_max,
                          max_len)
-        for name, least, most in LIMITS:
-            check_limit(name, getattr(self, name), least, most)
-        if len(self.base.points) > POINT_BOUND:
-            raise ConfigError("base must have at most %d points, not %d"
-                              % (POINT_BOUND, len(self.base.points)))
+        for name in KEYS["limits"]:
+            check_limit(name, getattr(self, name))
+        check_limit("points", len(self.base.points))
 
     def replace(self, **changes):
         """A new config with the given fields changed, checked as any is."""

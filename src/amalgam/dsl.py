@@ -14,6 +14,7 @@ Juxtaposition multiplies, `~` takes adjoints, `^` raises to integer powers
 import re
 from collections import namedtuple
 
+from .config import check_limit, read_int
 from .engine import CrossedFace, CylFn, MAmbient
 from .words import ReducedWord, Value
 
@@ -23,24 +24,6 @@ class DslError(ValueError):
 
 
 _NESTING_BOUND = 100  # ( and ~ levels: each costs a few stack frames
-# letters an expression may unfold to (see letter_count): at the bound,
-# `moment "a^5000"` takes about 0.6 s and `oracle "a^5000"` about 1 s
-LETTER_BOUND = 5000
-# digits of one number: the letter bound caps every exponent anyway, and a
-# number past CPython's int conversion limit would be refused with no position
-DIGIT_BOUND = 9
-_INT_RE = re.compile(r"-?[0-9]+")
-
-
-def read_int(name, text):
-    """The integer text spells: the one reader of an integer from the
-    command line, a config file or an expression. The grammar is -?[0-9]+,
-    so int's `1_0`, ` 3`, `+3` and non-ASCII digits are refused too."""
-    if not _INT_RE.fullmatch(text):
-        raise ValueError("%s must be an integer" % name)
-    if len(text.lstrip("-")) > DIGIT_BOUND:
-        raise ValueError("%s has more than %d digits" % (name, DIGIT_BOUND))
-    return int(text)
 
 
 # -- syntax trees ---------------------------------------------------------------
@@ -142,9 +125,7 @@ class _Parser:
         expr = self.expression()
         if self.peek() is not None:
             self.fail("trailing input")
-        if letter_count(expr) > LETTER_BOUND:
-            raise DslError("expression unfolds to more than %d letters"
-                           % LETTER_BOUND)
+        check_limit("letters", letter_count(expr))
         return expr
 
     def expression(self):

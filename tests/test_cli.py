@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amalgam
-from amalgam import cli, dsl, engine
+from amalgam import cli, config, dsl, engine
 from amalgam.boundary import CylinderUnion
 from amalgam.cli import main
 from amalgam.config import (
-    LIMITS, ConfigError, RunConfig, default_config, parse_config,
+    KEYS, LIMITS, ConfigError, RunConfig, default_config, parse_config,
 )
 from amalgam.dsl import (
     Adjoint, BracketAtom, CylinderAtom, DslError, Power, Product, UnitAtom,
@@ -206,8 +206,8 @@ def _exponents(expr):
 @settings(max_examples=200, deadline=None)
 @given(EXPRS)
 def test_letter_count_bounds_what_evaluation_multiplies(expr):
-    # LETTER_BOUND caps evaluation through letter_count; a zeroth power
-    # evaluates its base, then drops it
+    # the letters row of LIMITS caps evaluation through letter_count; a
+    # zeroth power evaluates its base, then drops it
     count = dsl.evaluate(expr, LetterCounter())
     if 0 in _exponents(expr):
         assert count <= dsl.letter_count(expr)
@@ -228,7 +228,7 @@ def test_word_value_folds_products():
     ("-123456789", -123456789),
 ])
 def test_read_int_admits(text, value):
-    assert dsl.read_int("n", text) == value
+    assert config.read_int("n", text) == value
 
 
 @pytest.mark.parametrize("text, message", [
@@ -248,7 +248,7 @@ def test_read_int_admits(text, value):
 ])
 def test_read_int_refuses(text, message):
     with pytest.raises(ValueError, match="^%s$" % message):
-        dsl.read_int("n", text)
+        config.read_int("n", text)
 
 
 # -- configuration -----------------------------------------------------------------
@@ -520,20 +520,43 @@ def test_parse_config_admits_the_bounds():
         (22, 8, 16, 1500)
 
 
-def test_every_integer_limit_is_one_row_of_the_table():
-    # a new int field of RunConfig is checked only through a row of LIMITS
+# the entry point that reads each row of LIMITS: the config text and the
+# argv that give the row's name the value v
+LIMIT_INPUTS = {
+    **{key: (lambda v, key=key: ("[limits]\n%s = %d\n" % (key, v), ["join"]))
+       for key in KEYS["limits"]},
+    "points": lambda v: ("[base]\npoints = %s\n"
+                         % " ".join("x%d" % i for i in range(v)), ["join"]),
+    "letters": lambda v: ("", ["moment", "a^%d" % v]),
+    "terms": lambda v: ("", ["series", "1", str(v)]),
+    "kmax": lambda v: ("", ["haar", "a", str(v)]),
+    "generators": lambda v: ("[alphabet]\nblock1 = %s\n" % " ".join(
+        "a%d" % i for i in range(v - 1)), ["suite67"]),
+}
+
+
+def test_every_integer_limit_is_one_row_of_the_table(capsys, tmp_path):
+    # a new int field of RunConfig is checked only through a row of LIMITS,
+    # and every row refuses one past each of its bounds, where it is read,
+    # in the one form
     ints = [name for name in RunConfig._fields
             if isinstance(getattr(CFG, name), int)]
-    assert sorted(name for name, _, _ in LIMITS) == sorted(ints)
+    assert sorted(KEYS["limits"]) == sorted(ints)
+    assert sorted(name for name, _, _ in LIMITS) == sorted(LIMIT_INPUTS)
+    path = tmp_path / "limit.cfg"
     for name, least, most in LIMITS:
-        refused = [(least - 1, "least", least)]
+        refused = []
+        if least is not None:
+            refused.append((least - 1, "least", least))
         if most is not None:
             refused.append((most + 1, "most", most))
+        assert refused, name
         for value, side, bound in refused:
-            message = "%s must be at %s %d, not %d" % (name, side, bound,
-                                                       value)
-            with pytest.raises(ConfigError, match="^%s$" % message):
-                parse_config("[limits]\n%s = %d\n" % (name, value))
+            text, argv = LIMIT_INPUTS[name](value)
+            path.write_text(text)
+            err = "error: %s must be at %s %d, not %d\n" % (name, side,
+                                                            bound, value)
+            assert run(capsys, "--config", str(path), *argv) == (2, "", err)
 
 
 @pytest.mark.parametrize("config, argv, built", [
@@ -830,6 +853,27 @@ def test_floats_stay_in_the_display_helpers():
                         and isinstance(node.func, ast.Name)
                         and node.func.id in ("float", "complex")), where
     assert helpers == FLOAT_HELPERS  # no exemption outlives its helper
+
+
+# module-level size bounds that are not rows of config.LIMITS: library
+# guards that no one input value sets, the parser's stack and digit guards,
+# and the cylinder count past which series skips a check
+BOUND_NAMES = {"FREENESS_WORD_BOUND", "GROUPOID_POINT_BOUND",
+               "SERIES_CYLINDER_BOUND", "DIGIT_BOUND", "_NESTING_BOUND"}
+
+
+def test_every_other_bound_is_a_row_of_limits():
+    # a new bound on user input is a row of config.LIMITS, not a constant
+    found = set()
+    for path in sorted(SRC.joinpath("amalgam").rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                found.update((path.name, name.id) for name in ast.walk(node)
+                             if isinstance(name, ast.Name)
+                             and isinstance(name.ctx, ast.Store)
+                             and name.id.endswith("_BOUND"))
+    # no exemption outlives its bound
+    assert {name for _, name in found} == BOUND_NAMES, sorted(found)
 
 
 def test_custom_config_changes_alphabet(capsys, tmp_path):
