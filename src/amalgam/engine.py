@@ -191,9 +191,11 @@ class Algebra:
         d = self.expect(x)
         return d, self.sub(x, self.embed_d(d))
 
-    def expected_product(self, x, y):
-        """E(x y) as an element: what expect reads of x y, and no more."""
-        return self.embed_d(self.expect(self.mul(x, y)))
+    def expected_products(self, ys):
+        """The function of x that gives E(x y) as an element for each y of
+        ys, in order: what expect reads of each x y, and no more."""
+        return lambda x: [self.embed_d(self.expect(self.mul(x, y)))
+                          for y in ys]
 
 
 # ---------------------------------------------------------------------------
@@ -592,25 +594,6 @@ class FreeProduct:
             return None, words
         return None if d.is_zero() else d, words
 
-    def product_expectation(self, x: MElement, y: MElement):
-        """E(x y) without the normal form of x y: E(x) E(y) plus the diagonal
-        of each pair of words of equal length whose middle seam merges (then
-        every seam does, as tags alternate). Every other term of x y is a
-        centered alternating word, so its expectation vanishes."""
-        if x.d_part.is_zero():
-            total = x.d_part
-        elif y.d_part.is_zero():
-            total = y.d_part
-        else:
-            total = x.d_part * y.d_part
-        for w in x.words:
-            for v in y.words:
-                if len(w) == len(v) and w[-1][0] == v[0][0]:
-                    d = self._word_mul(w, v)[0]
-                    if d is not None:
-                        total = total + d
-        return total
-
     # -- expectation of raw letter sequences ---------------------------------
 
     def expectation(self, letters):
@@ -709,10 +692,39 @@ class MAmbient(Algebra):
     def embed_d(self, d):
         return self.product.from_d(d)
 
-    def expected_product(self, x, y):
-        # expect is not called here: the caller reads the result with it
-        return MElement(self.product,
-                        self.product.product_expectation(x, y), ())
+    def expected_products(self, ys):
+        """E(x y) for each y of ys as one sparse join per x, with no normal
+        form of x y. For centered alternating words w and v, E(w v) is zero
+        unless len(w) = len(v) and the last tag of w is the first tag of v;
+        then every seam merges, and _word_mul, the product's seam cascade,
+        gives it. So the words of ys are indexed once by (length, first
+        tag), each word of x looks up its (length, last tag), and with
+        E(x) E(y) that is all of E(x y). The ys where nothing adds share one
+        zero element; expect is left to the caller, once per result."""
+        product = self.product
+        index, diagonals = {}, []
+        for i, y in enumerate(ys):
+            if not y.d_part.is_zero():
+                diagonals.append((i, y.d_part))
+            for v in y.words:
+                index.setdefault((len(v), v[0][0]), []).append((i, v))
+        zero = product.zero()
+
+        def join(x):
+            totals = {}
+            if diagonals and not x.d_part.is_zero():
+                for i, d in diagonals:
+                    totals[i] = x.d_part * d
+            for w in x.words:
+                for i, v in index.get((len(w), w[-1][0]), ()):
+                    d = product._word_mul(w, v)[0]
+                    if d is not None:
+                        totals[i] = totals[i] + d if i in totals else d
+            out = [zero] * len(ys)
+            for i, d in totals.items():
+                out[i] = product.from_d(d)
+            return out
+        return join
 
 
 # ---------------------------------------------------------------------------
@@ -744,11 +756,13 @@ def freeness_check(algebra, families, max_len) -> SweepReport:
     """Test that alternating centered words across families have zero
     expectation, for every word of length 2..max_len with letters drawn
     from the given family generator lists, in depth-first pre-order. A
-    failure is the word's family path with its expectation. A prefix of
-    length max_len - 1 checks the words it ends in one pass, letters in
-    order, forming only their expectations (algebra.expected_product),
-    never their products. Once the letters are centered, algebra.expect
-    is called once per checked word."""
+    failure is the word's family path with its expectation. The sweep asks
+    the algebra once, for each family f, for the function
+    algebra.expected_products over the letters that may follow f; a prefix
+    of length max_len - 1 ending in f checks the words it ends in with one
+    call of it, letters in order, forming only their expectations, never
+    their products. Once the letters are centered, algebra.expect is called
+    once per checked word."""
     # words of each length ending in each family; stop once past the bound
     sizes = [len(fam) for fam in families]
     ending, words = sizes, 0
@@ -763,7 +777,11 @@ def freeness_check(algebra, families, max_len) -> SweepReport:
             break  # at most one family has letters: no word alternates
     centered = [[algebra.split(x)[1] for x in fam] for fam in families]
     letters = [(f, x) for f, fam in enumerate(centered) for x in fam]
-    expect, expected_product = algebra.expect, algebra.expected_product
+    following = [[(g, y) for g, y in letters if g != f]
+                 for f in range(len(families))]
+    joins = [algebra.expected_products([y for _, y in after])
+             for after in following]
+    expect = algebra.expect
     checked, failures = 0, []
     # depth first; letters are pushed reversed so that they pop in order.
     # An entry is (family path, prefix, family, letter), multiplied when popped
@@ -778,15 +796,13 @@ def freeness_check(algebra, families, max_len) -> SweepReport:
             if not got.is_zero():
                 failures.append((path, got))
         if len(path) < max_len - 1:
-            stack += [(path, value, g, y) for g, y in reversed(letters)
-                      if g != f]
+            stack += [(path, value, g, y) for g, y in reversed(following[f])]
         elif len(path) == max_len - 1:
-            for g, y in letters:
-                if g != f:
-                    checked += 1
-                    got = expect(expected_product(value, y))
-                    if not got.is_zero():
-                        failures.append((path + (g,), got))
+            for (g, _), expected in zip(following[f], joins[f](value)):
+                checked += 1
+                got = expect(expected)
+                if not got.is_zero():
+                    failures.append((path + (g,), got))
     return SweepReport(checked, failures)
 
 

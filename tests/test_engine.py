@@ -705,75 +705,99 @@ def test_identities_hold_through_the_words(backend, data):
         assert (z.adjoint() * z).d_part.is_zero(), z
 
 
-def assert_product_expectation(product, x, y):
-    assert product.product_expectation(x, y) == (x * y).d_part
-    for left in x.words:
-        for right in y.words:
-            if len(left) != len(right):
-                assert product._word_mul(left, right)[0] is None
+def assert_product_expectation(product, xs, ys):
+    """The join over ys gives, for each x of xs, one element per y of ys:
+    the diagonal of x y, with no words. The pairs of words of unequal
+    lengths, which the join skips, have no diagonal."""
+    join = MAmbient(product).expected_products(ys)
+    for x in xs:
+        got = join(x)
+        assert [e.d_part for e in got] == [(x * y).d_part for y in ys]
+        assert not any(e.words for e in got)
+        for y in ys:
+            for left in x.words:
+                for right in y.words:
+                    if len(left) != len(right):
+                        assert product._word_mul(left, right)[0] is None
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_product_expectation_is_the_diagonal_of_the_product(backend):
-    # one() and most of WORDY carry a diagonal, so E(x) E(y) shows, and
-    # their words of lengths 1 to 3 pair off unequally; every pair is
-    # tried, as a dropped term or length guard shows in few of them
+    # one() and most of WORDY carry a diagonal, so E(x) E(y) shows on
+    # uncentered ys and prefixes; the adjoints give words x x* that cancel
+    # all the way, so the join's merges show. Every pair is tried, as a
+    # dropped term or a wrong key shows in few of them
     product, _ = BACKENDS[backend]
-    pool = WORDY[backend] + [product.one()]
-    for x, y in itertools.product(pool, repeat=2):
-        assert_product_expectation(product, x, y)
+    pool = WORDY[backend] + [x.adjoint() for x in WORDY[backend]] + \
+        [product.one()]
+    assert_product_expectation(product, pool, pool)
+    assert sum(not x.d_part.is_zero() for x in pool) > 1
+    assert any(product._word_mul(u, v)[0] is not None
+               for x in WORDY[backend] for u in x.words
+               for v in x.adjoint().words)
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_product_expectation_of_longer_words(backend, data):
-    # products of two operands carry words of lengths up to 4
+    # products of two operands carry words of lengths up to 4; the ys hold
+    # the adjoint of x, so that some word of x cancels all the way
     product, _ = BACKENDS[backend]
     pool = st.sampled_from(WORDY[backend] + [product.one()])
     x, y = (data.draw(st.builds(operator.mul, pool, pool)) for _ in range(2))
-    assert_product_expectation(product, x, y)
+    assert_product_expectation(product, [x, y],
+                               [y, x.adjoint(), product.one(), x])
 
 
 def test_product_expectation_multiplies_only_pairs_that_can_merge(
         monkeypatch):
     # _word_mul is right for any pair of words, so no value sees the
-    # length and tag filter in front of it; the count of pairs it gets does
-    inside, pairs = [], []
+    # length and tag key of the join; the count of pairs it gets does
+    inside, pairs, ended = [], [], []
     word_mul = FreeProduct._word_mul
-    product_expectation = FreeProduct.product_expectation
+    expected_products = MAmbient.expected_products
 
     def counting_word_mul(self, left, right):
         if inside:
             pairs.append((left, right))
         return word_mul(self, left, right)
 
-    def marked_product_expectation(self, x, y):
-        inside.append(True)
-        try:
-            return product_expectation(self, x, y)
-        finally:
-            inside.pop()
+    def marked_expected_products(self, ys):
+        join = expected_products(self, ys)
+
+        def marked_join(x):
+            inside.append(True)
+            try:
+                out = join(x)
+            finally:
+                inside.pop()
+            ended.append(len(out))
+            return out
+        return marked_join
 
     monkeypatch.setattr(FreeProduct, "_word_mul", counting_word_mul)
-    monkeypatch.setattr(FreeProduct, "product_expectation",
-                        marked_product_expectation)
+    monkeypatch.setattr(MAmbient, "expected_products",
+                        marked_expected_products)
     for backend in sorted(BACKENDS):
         product, _ = BACKENDS[backend]
         del pairs[:]
+        pool = WORDY[backend]
+        join = MAmbient(product).expected_products(pool)
         mergeable = 0
-        for x, y in itertools.product(WORDY[backend], repeat=2):
-            product.product_expectation(x, y)
+        for x in pool:
+            join(x)
             mergeable += sum(len(u) == len(v) and u[-1][0] == v[0][0]
-                             for u in x.words for v in y.words)
+                             for y in pool for u in x.words for v in y.words)
         assert len(pairs) == mergeable > 0, backend
-    # criterion 07 ends 25,610 words through product_expectation, and no
-    # pair of their words has equal lengths
-    del pairs[:]
+    # criterion 07 ends 25,610 words through the join, and no pair of
+    # their words has equal lengths
+    del pairs[:], ended[:]
     report = family_freeness_report(cyclic_model(core_size=11, k=3),
                                     max_len=4, n_limit=2, i_values=(2, 3),
                                     kappas=(1,))
-    assert report.words_checked == 27870 and pairs == []
+    assert report.words_checked == 27870
+    assert sum(ended) == 25610 and pairs == []
 
 
 # -- freeness and haar checks -------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import amalgam
+import amalgam.cli
 from amalgam.battery import boundary_generators
 from amalgam.engine import (
     CrossedFace, FreeProduct, MAmbient, freeness_check, haar_check,
@@ -327,38 +328,73 @@ def test_checker_flags_a_planted_dependence():
 
 
 class CountingAmbient(MAmbient):
-    """MAmbient that counts the products and expectations asked of it."""
+    """MAmbient that counts the products, splits, joins and expectations
+    asked of it. The expectation a split reads for itself is the split's,
+    and is not counted as an expect."""
 
     def __init__(self, product):
         super().__init__(product)
-        self.calls = {"mul": 0, "expect": 0}
+        self.calls = {"mul": 0, "split": 0, "expected_products": 0,
+                      "expect": 0}
+        self.splitting = False
 
     def mul(self, x, y):
         self.calls["mul"] += 1
         return super().mul(x, y)
 
+    def split(self, x):
+        self.calls["split"] += 1
+        self.splitting = True
+        try:
+            return super().split(x)
+        finally:
+            self.splitting = False
+
     def expect(self, x):
-        self.calls["expect"] += 1
+        if not self.splitting:
+            self.calls["expect"] += 1
         return super().expect(x)
 
+    def expected_products(self, ys):
+        self.calls["expected_products"] += 1
+        return super().expected_products(ys)
 
-def test_freeness_sweep_multiplies_only_the_words_it_extends(monkeypatch):
-    # the corner-sweep benchmark stamps each word at its one expect call;
-    # a word of length max_len is never multiplied out
+
+def counting_ambients(monkeypatch, module):
+    """The CountingAmbients that module builds in place of MAmbient, as
+    the corner-sweep benchmark patches its stamping subclass in."""
     ambients = []
 
     def counting(product):
         ambients.append(CountingAmbient(product))
         return ambients[-1]
 
-    monkeypatch.setattr(amalgam.matrix, "MAmbient", counting)
+    monkeypatch.setattr(module, "MAmbient", counting)
+    return ambients
+
+
+def test_freeness_sweep_multiplies_only_the_words_it_extends(monkeypatch):
+    # the corner-sweep benchmark stamps each word at its one expect call;
+    # a word of length max_len is never multiplied out
+    ambients = counting_ambients(monkeypatch, amalgam.matrix)
     report = family_freeness_report(cyclic_model(core_size=11, k=3),
                                     max_len=4, n_limit=2, i_values=(2, 3),
                                     kappas=(1,))
     assert (report.words_checked, report.shape_checks) == (27870, 90)
-    # one expect per checked word, and one per letter as split centers the
-    # 4 + 10 family letters; one product per word of length 2 or 3
-    assert ambients[0].calls == {"expect": 27870 + 14, "mul": 2260}
+    # one expect per checked word; one split per family letter (4 + 10)
+    # and one join per family (11); one product per word of length 2 or 3
+    assert ambients[0].calls == {"expect": report.words_checked, "split": 14,
+                                 "expected_products": 11, "mul": 2260}
+
+
+def test_boundary_freeness_calls_expect_once_per_word(monkeypatch, capsys):
+    ambients = counting_ambients(monkeypatch, amalgam.cli)
+    code = amalgam.cli.main(["--format", "machine", "freeness", "boundary"])
+    fields = dict(field.split("=") for field in
+                  capsys.readouterr().out.split()[1:])
+    assert code == 0 and int(fields["words"]) > 0
+    assert ambients[0].calls["expect"] == int(fields["words"])
+    assert ambients[0].calls["expected_products"] == 4
 
 
 def test_last_letter_violations_match_the_full_product():
@@ -416,13 +452,20 @@ def planted_corner_families():
     ]
 
 
-def planted_boundary_families():
-    # the families of `freeness boundary`, and the adjoint of the first
+def boundary_letters():
+    """A boundary product and the four letters of `freeness boundary` in
+    it, as (tag, MElement) pairs."""
     alphabet = Alphabet(("a", "b"), 1)
     product = FreeProduct(CrossedFace("A", alphabet, 1, 8),
                           CrossedFace("B", alphabet, 2, 8))
-    families = [[product.embed(tag, x)]
-                for tag, x in boundary_generators(product)]
+    return product, [(tag, product.embed(tag, x))
+                     for tag, x in boundary_generators(product)]
+
+
+def planted_boundary_families():
+    # the families of `freeness boundary`, and the adjoint of the first
+    product, letters = boundary_letters()
+    families = [[x] for _, x in letters]
     return product, [families + [[families[0][0].adjoint()]]]
 
 
@@ -444,6 +487,22 @@ def test_freeness_failures_in_pre_order_match_the_full_products(planted,
         assert (report.checked, report.failures) == (checked, failures)
         failed += len(failures)
     assert bool(failed) == (max_len >= 2)
+
+
+def test_adjoint_boundary_families_fail_as_the_full_products_do():
+    # families A, A*, B and B*: each face's letters of `freeness boundary`,
+    # then their adjoints. A letter next to its adjoint is not centered, so
+    # the families are not free; 98 of the 108 failures end in the join
+    product, letters = boundary_letters()
+    families = []
+    for face in ("A", "B"):
+        family = [x for tag, x in letters if tag == face]
+        families += [family, [x.adjoint() for x in family]]
+    ambient = MAmbient(product)
+    report = freeness_check(ambient, families, max_len=4)
+    assert (report.checked, len(report.failures)) == (2064, 108)
+    assert (report.checked, report.failures) == \
+        reference_sweep(ambient, families, max_len=4)
 
 
 # -- covariance and reduction -----------------------------------------------------
