@@ -165,7 +165,8 @@ class Algebra:
     """An algebra with a conditional expectation onto the diagonal D.
 
     Subclasses give one(), expect(x) and embed_d(d); the remaining
-    operations default to the elements' own operators.
+    operations default to the elements' own operators.  The laws that an
+    implementation owes are the tests of tests/test_algebra_contract.py.
     """
 
     def mul(self, x, y):
@@ -454,18 +455,23 @@ class MElement:
         return MElement(self.product, self.d_part.adjoint(), words)
 
     def __eq__(self, other):
-        """Equal diagonal parts and equal words as a multiset, letter by
-        letter (sufficient, not necessary)."""
+        """Exact.  Equal diagonal parts and equal words as a multiset,
+        letter by letter, is the fast path; otherwise x == y exactly when
+        E(z* z) = 0 for z = x - y, as E is faithful.  On the boundary z* z
+        can be deeper than x and y, so == can raise DepthBudgetExceeded."""
         if not isinstance(other, MElement):
             return NotImplemented
-        if self.d_part != other.d_part:
-            return False
-        rest = list(other.words)
-        for word in self.words:
-            if word not in rest:
-                return False
-            rest.remove(word)
-        return not rest
+        if self.d_part == other.d_part:
+            rest = list(other.words)
+            for word in self.words:
+                if word not in rest:
+                    break
+                rest.remove(word)
+            else:
+                if not rest:
+                    return True
+        z = self - other
+        return (z.adjoint() * z).d_part.is_zero()
 
     def __repr__(self):
         bits = [repr(self.d_part)] if not self.d_part.is_zero() else []
@@ -817,9 +823,8 @@ class HaarReport:
 
 
 def haar_check(algebra, u, max_k, unit=None) -> HaarReport:
-    """Unitarity against the given unit, then vanishing of all moments
-    u^k for 0 < |k| <= max_k.
-    """
+    """Unitarity against the given unit, decided exactly by the algebra's
+    ==, then vanishing of all moments u^k for 0 < |k| <= max_k."""
     unit = algebra.one() if unit is None else unit
     u_star = algebra.adjoint(u)
     unitary_ok = algebra.mul(u, u_star) == unit and \
